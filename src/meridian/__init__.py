@@ -24,10 +24,11 @@ from .jets import Jet2, ScalarFn, fd_jet2, fd_partials2, lift2
 from .mink4 import CausalClass, Vec4, causal_character, gram, inner
 from .surfaces import (AdaptedFrame, BasicInvariants, FundamentalForms,
                        GeometricFrame, InvariantSet, KType, MeridianSurface,
-                       PointClass, PointTag, adapted_frame, allied_coefficient,
-                       basic_invariants, classify_point, eight_invariants,
-                       fundamental_forms_numeric, geometric_frame,
-                       invariants_from_forms, mean_curvature_vector, position)
+                       PointClass, PointRecord, PointTag, adapted_frame,
+                       allied_coefficient, basic_invariants, classify_point,
+                       eight_invariants, fundamental_forms_numeric,
+                       geometric_frame, invariants_from_forms,
+                       mean_curvature_vector, position, sweep)
 
 __version__ = "0.1.0"
 
@@ -42,7 +43,7 @@ __all__ = [
     "position", "adapted_frame", "fundamental_forms_numeric",
     "invariants_from_forms", "basic_invariants", "mean_curvature_vector",
     "geometric_frame", "eight_invariants", "allied_coefficient",
-    "classify_point",
+    "classify_point", "sweep", "PointRecord",
     "FamilyKind", "FamilySpec", "ResidualReport", "constant_gauss_profile",
     "constant_mean_slope", "constant_k_slope", "chen_slope",
     "parallel_profile_case_a", "parallel_slope_case_b",

@@ -8,6 +8,7 @@ Exit codes: 0 success / verification passed, 1 verification failed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -23,8 +24,7 @@ from .families import (FamilyKind, FamilySpec, build_family_surface,
                        parallel_profile_case_a, sqrt_quadratic_fn,
                        verify_family)
 from .jets import ScalarFn
-from .surfaces import (MeridianSurface, PointTag, basic_invariants,
-                       classify_point, eight_invariants)
+from .surfaces import MeridianSurface, PointTag, sweep
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -58,6 +58,22 @@ def _require(cfg: dict, key: str, where: str = ""):
         path = f"{where}.{key}" if where else key
         raise ConfigError(f"missing field: {path}")
     return cfg[key]
+
+
+def _number(value, path: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path} must be a number, got {value!r}") from None
+
+
+def _interval(value, path: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path} must be [lo, hi]")
+    lo, hi = _number(value[0], path), _number(value[1], path)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{path} endpoints must be finite, got {value!r}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -94,40 +110,40 @@ def _curve_from_config(cfg: dict, geometry: Geometry) -> SphericalCurve:
     spec = _require(cfg, "curve")
     kind = _require(spec, "kind", "curve")
     if kind == "constant":
-        return circle_curve(float(_require(spec, "b", "curve")), geometry)
+        return circle_curve(_number(_require(spec, "b", "curve"), "curve.b"),
+                            geometry)
     if kind == "function":
         rows = _require(spec, "samples", "curve")
-        if len(rows) < 2 or any(len(r) != 3 for r in rows):
+        if (not isinstance(rows, list) or len(rows) < 2
+                or any(not isinstance(r, list) or len(r) != 3 for r in rows)):
             raise ConfigError(
                 "curve.samples must be >= 2 rows of [v, kappa, dkappa/dv]")
-        xs = [float(r[0]) for r in rows]
-        ys = [float(r[1]) for r in rows]
-        ds = [float(r[2]) for r in rows]
-        return SphericalCurve(jets.hermite_fn(xs, ys, ds, name="kappa"),
-                              geometry)
+        xs, ys, ds = ([_number(r[i], "curve.samples") for r in rows]
+                      for i in range(3))
+        try:
+            kappa = jets.hermite_fn(xs, ys, ds, name="kappa")
+        except ValueError as exc:
+            raise ConfigError(f"curve.samples: {exc}") from None
+        return SphericalCurve(kappa, geometry)
     raise ConfigError(f"unknown curve kind {kind!r}")
 
 
 def _u_domain(cfg: dict) -> tuple[float, float]:
     dom = _require(cfg, "domain")
-    u = _require(dom, "u", "domain")
-    if len(u) != 2:
-        raise ConfigError("domain.u must be [lo, hi]")
-    return float(u[0]), float(u[1])
+    return _interval(_require(dom, "u", "domain"), "domain.u")
 
 
 def _v_domain(cfg: dict) -> tuple[float, float]:
-    v = cfg.get("domain", {}).get("v", [0.0, 2.0 * math.pi])
-    if len(v) != 2:
-        raise ConfigError("domain.v must be [lo, hi]")
-    return float(v[0]), float(v[1])
+    return _interval(cfg.get("domain", {}).get("v", [0.0, 2.0 * math.pi]),
+                     "domain.v")
 
 
 def _profile_from_config(cfg: dict, geometry: Geometry):
     spec = _require(cfg, "profile")
     kind = _require(spec, "kind", "profile")
-    params = {k: v for k, v in spec.items() if k not in ("kind", "family")}
-    g0 = float(params.pop("g0", 0.0))
+    params = {k: _number(v, f"profile.{k}") for k, v in spec.items()
+              if k not in ("kind", "family", "epsilon_branch")}
+    g0 = params.pop("g0", 0.0)
     if kind == "explicit_f":
         family = _require(spec, "family", "profile")
         builder = _EXPLICIT_FAMILIES.get(family)
@@ -144,7 +160,7 @@ def _profile_from_config(cfg: dict, geometry: Geometry):
         if family not in _SLOPE_KINDS:
             raise ConfigError(f"unknown slope_ode family {family!r}")
         fspec = FamilySpec(FamilyKind(family), geometry, params=params,
-                           epsilon_branch=params.pop("epsilon_branch", None))
+                           epsilon_branch=spec.get("epsilon_branch"))
         return family_profile(fspec)
     if kind == "family":
         family = _require(spec, "family", "profile")
@@ -153,13 +169,10 @@ def _profile_from_config(cfg: dict, geometry: Geometry):
         u_lo, u_hi = _u_domain(cfg)
         if family == "constant_gauss":
             return constant_gauss_profile(
-                float(_require(spec, "K0", "profile")),
-                float(params.get("alpha", 0.0)),
-                float(params.get("beta", 0.0)),
-                geometry, (u_lo, u_hi), g0=g0)
+                _require(params, "K0", "profile"), params.get("alpha", 0.0),
+                params.get("beta", 0.0), geometry, (u_lo, u_hi), g0=g0)
         return parallel_profile_case_a(
-            float(_require(spec, "c", "profile")),
-            float(_require(spec, "d", "profile")),
+            _require(params, "c", "profile"), _require(params, "d", "profile"),
             geometry, (u_lo, u_hi),
             g_sign=int(params.get("g_sign", 1)), g0=g0)
     raise ConfigError(f"unknown profile kind {kind!r}")
@@ -180,16 +193,22 @@ def _grid(cfg: dict, override: Optional[str]) -> tuple[int, int]:
             raise ConfigError(f"--grid expects NU,NV, got {override!r}") from None
     else:
         g = cfg.get("grid", {})
-        nu, nv = int(g.get("nu", 33)), int(g.get("nv", 33))
+        try:
+            nu, nv = int(g.get("nu", 33)), int(g.get("nv", 33))
+        except (TypeError, ValueError):
+            raise ConfigError(f"grid sizes must be integers, got {g!r}") \
+                from None
     if nu < 1 or nv < 1:
         raise ConfigError("grid sizes must be >= 1")
     return nu, nv
 
 
 def _grid_points(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points from lo to hi; the last one is hi itself,
+    since lo + (hi - lo) can round past it."""
     if n == 1:
         return [0.5 * (lo + hi)]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
 
 
 def _load_config(path: str) -> dict:
@@ -218,8 +237,8 @@ def cmd_build(args) -> int:
     dom["u"] = list(surface.profile.domain)
     dom["v"] = list(_v_domain(cfg))
     resolved["domain"] = dom
-    g = cfg.get("grid", {})
-    resolved["grid"] = {"nu": int(g.get("nu", 33)), "nv": int(g.get("nv", 33))}
+    nu, nv = _grid(cfg, None)
+    resolved["grid"] = {"nu": nu, "nv": nv}
     resolved["validated"] = True
     text = json.dumps(_round9(resolved), indent=2, sort_keys=True)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -230,36 +249,38 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _invariant_row(surface: MeridianSurface, u: float, v: float,
-                   flat_tol: float) -> list[str]:
-    f = surface.profile.f_jet(u).v
-    basic = basic_invariants(surface, u, v)
-    cls = classify_point(surface, u, v, tol=flat_tol)
-    cells = [_fmt(u), _fmt(v), _fmt(1.0), _fmt(0.0), _fmt(f * f),
-             _fmt(basic.k), _fmt(basic.varkappa), _fmt(basic.gaussK),
-             _fmt(basic.H2), _fmt(basic.meanH)]
-    if cls.tag is PointTag.GENERAL and not cls.trapped:
-        inv = eight_invariants(surface, u, v)
-        cells += [str(inv.epsilon), _fmt(inv.gamma1), _fmt(inv.gamma2),
-                  _fmt(inv.nu1), _fmt(inv.nu2), _fmt(inv.lam), _fmt(inv.mu),
-                  _fmt(inv.beta1), _fmt(inv.beta2), "general"]
-    else:
-        tag = "trapped" if cls.tag is PointTag.GENERAL else cls.tag.value
-        cells += [""] * 9 + [tag]
-    return cells
-
-
 def cmd_invariants(args) -> int:
     cfg = _load_config(args.config)
     surface = surface_from_config(cfg)
     nu, nv = _grid(cfg, args.grid)
-    flat_tol = float(cfg.get("tolerances", {}).get("flat", 1e-9))
-    u_lo, u_hi = surface.profile.domain
-    v_lo, v_hi = _v_domain(cfg)
+    flat_tol = _number(cfg.get("tolerances", {}).get("flat", 1e-9),
+                       "tolerances.flat")
+    us = _grid_points(*surface.profile.domain, nu)
+    vs = _grid_points(*_v_domain(cfg), nv)
     lines = [CSV_HEADER]
-    for u in _grid_points(u_lo, u_hi, nu):
-        for v in _grid_points(v_lo, v_hi, nv):
-            lines.append(",".join(_invariant_row(surface, u, v, flat_tol)))
+    col = None
+    # u-only cells are formatted once per column and v cells once per row;
+    # per-cell numbers use _fmt's format spec inline (this loop is hot)
+    for rec, v_cell in zip(sweep(surface, us, vs, flat_tol),
+                           itertools.cycle([_fmt(v) for v in vs])):
+        if rec.column is not col:
+            col = rec.column
+            u_cell, G_cell = _fmt(col.u), _fmt(col.ff)
+            K_cell = _fmt(col.gaussK)
+            gamma_cell = None
+        head = (f"{u_cell},{v_cell},1,0,{G_cell},{rec.k:.9g},0,{K_cell},"
+                f"{rec.H2:.9g},{rec.meanH:.9g},")
+        inv = rec.frame
+        if inv is None:
+            lines.append(head + ",,,,,,,,," + (
+                "trapped" if rec.tag is PointTag.GENERAL else rec.tag.value))
+            continue
+        if gamma_cell is None:
+            gamma_cell = _fmt(inv.gamma1)
+        nu_cell = _fmt(inv.nu1)
+        lines.append(f"{head}{inv.epsilon},{gamma_cell},{gamma_cell},"
+                     f"{nu_cell},{nu_cell},{inv.lam:.9g},{inv.mu:.9g},"
+                     f"{inv.beta1:.9g},{inv.beta2:.9g},general")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {nu * nv} invariant rows to {args.out}")
@@ -270,25 +291,22 @@ def cmd_export(args) -> int:
     cfg = _load_config(args.config)
     surface = surface_from_config(cfg)
     nu, nv = _grid(cfg, args.grid)
-    u_lo, u_hi = surface.profile.domain
-    v_lo, v_hi = _v_domain(cfg)
-    us = _grid_points(u_lo, u_hi, nu)
-    vs = _grid_points(v_lo, v_hi, nv)
+    us = _grid_points(*surface.profile.domain, nu)
+    vs = _grid_points(*_v_domain(cfg), nv)
+    rows = surface.grid_positions(us, vs)
     if args.format == "csv4":
+        v_cells = [_fmt(v) for v in vs]
         lines = ["u,v,x1,x2,x3,x4"]
-        for u in us:
-            for v in vs:
-                z = surface.position(u, v)
-                lines.append(",".join(
-                    [_fmt(u), _fmt(v)] + [_fmt(c) for c in z.coords()]))
+        for u, row in zip(us, rows):
+            u_cell = _fmt(u)
+            lines += [",".join([u_cell, v_cell]
+                               + [_fmt(c) for c in z.coords()])
+                      for v_cell, z in zip(v_cells, row)]
     elif args.format == "obj3":
         drop = surface.geometry.axis_slot
         keep = [i for i in range(4) if i != drop]
-        lines = []
-        for u in us:
-            for v in vs:
-                c = surface.position(u, v).coords()
-                lines.append("v " + " ".join(_fmt(c[i]) for i in keep))
+        lines = ["v " + " ".join(_fmt(z.coords()[i]) for i in keep)
+                 for row in rows for z in row]
         for i in range(nu - 1):
             for j in range(nv - 1):
                 a = i * nv + j + 1

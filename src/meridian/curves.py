@@ -292,12 +292,6 @@ class MeridianProfile:
                 f"normalization violated at u = {u!r}", u=u)
         return self.g_orientation * math.sqrt(V)
 
-    def gddot(self, u: float) -> float:
-        j = self.f_jet(u)
-        V = self.normalization(u)
-        return (self.g_orientation * self.geometry.normalization_sign
-                * j.d1 * j.d2 / math.sqrt(V))
-
     _G_PANEL = 0.25  # fixed anchor spacing for the cumulative quadrature
 
     def g(self, u: float) -> float:
@@ -329,20 +323,6 @@ class MeridianProfile:
         j = self.f_jet(u)
         return j.v * j.d2 + j.d1 * j.d1 - 1.0
 
-    def curvature_term(self, u: float) -> float:
-        """phi / sqrt(normalization)."""
-        return self.phi(u) / math.sqrt(self.normalization(u))
-
-    def curvature_term_rate(self, u: float) -> float:
-        """d/du of curvature_term, using the exact third derivative of f."""
-        j = self.f_jet(u)
-        V = self.normalization(u)
-        sqV = math.sqrt(V)
-        phi = j.v * j.d2 + j.d1 * j.d1 - 1.0
-        dphi = 3.0 * j.d1 * j.d2 + j.v * self.f3(u)
-        dV = self.geometry.normalization_sign * 2.0 * j.d1 * j.d2
-        return dphi / sqV - 0.5 * phi * dV / (V * sqV)
-
     def kappa_m(self, u: float) -> float:
         """Curvature of the meridian: fddot/sqrt(fdot^2-1) (elliptic) or
         -fddot/sqrt(1-fdot^2) (hyperbolic), with the mirrored sign when
@@ -352,12 +332,8 @@ class MeridianProfile:
         if V <= 0.0:
             raise ProfileDomainError(
                 f"normalization violated at u = {u!r}", u=u)
-        reduced = (self.g_orientation * self.geometry.normalization_sign
-                   * j.d2 / math.sqrt(V))
-        cross = j.d1 * self.gddot(u) - self.gdot(u) * j.d2
-        assert abs(reduced - cross) <= 1e-7 * max(1.0, abs(reduced)), \
-            f"kappa_m forms disagree at u={u}: {reduced} vs {cross}"
-        return reduced
+        return (self.g_orientation * self.geometry.normalization_sign
+                * j.d2 / math.sqrt(V))
 
 
 def kappa_m(profile: MeridianProfile, u: float) -> float:

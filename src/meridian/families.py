@@ -18,10 +18,9 @@ from . import jets
 from .curves import (DEFAULT_STEP, Geometry, MeridianProfile, SphericalCurve,
                      circle_curve, profile_from_f, profile_from_slope_ode,
                      _admissibility_failure, _sample_violation)
-from .errors import FamilyDomainError, MisuseError, TrappedPointError
+from .errors import FamilyDomainError, MisuseError
 from .jets import ScalarFn
-from .surfaces import (MeridianSurface, PointTag, basic_invariants,
-                       classify_point, eight_invariants)
+from .surfaces import MeridianSurface, PointRecord, sweep
 
 
 class FamilyKind(Enum):
@@ -447,21 +446,18 @@ _PROPERTY_TAGS = {
 }
 
 
-def _point_residual(spec: FamilySpec, surface: MeridianSurface,
-                    u: float, v: float) -> float:
+def _point_residual(spec: FamilySpec, rec: PointRecord) -> float:
     kind = spec.kind
     if kind is FamilyKind.CONSTANT_GAUSS:
-        return abs(basic_invariants(surface, u, v).gaussK - _param(spec, "K0"))
+        return abs(rec.column.gaussK - _param(spec, "K0"))
     if kind is FamilyKind.CONSTANT_MEAN:
-        return abs(basic_invariants(surface, u, v).meanH
-                   - abs(_param(spec, "a")))
+        return abs(rec.meanH - abs(_param(spec, "a")))
     if kind is FamilyKind.CONSTANT_K:
         a = _param(spec, "a")
-        return abs(basic_invariants(surface, u, v).k + a * a)
-    inv = eight_invariants(surface, u, v)
+        return abs(rec.k + a * a)
     if kind is FamilyKind.CHEN:
-        return abs(inv.lam)
-    return max(abs(inv.beta1), abs(inv.beta2))
+        return abs(rec.frame.lam)
+    return max(abs(rec.frame.beta1), abs(rec.frame.beta2))
 
 
 def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
@@ -488,46 +484,42 @@ def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
                                        "plus-sign ODE residual of arcsin slope")
 
     surface = build_family_surface(spec, curve)
-    nu, nv = grid
-    u_lo, u_hi = surface.profile.domain
-    width = u_hi - u_lo
-    u_lo, u_hi = u_lo + 0.01 * width, u_hi - 0.01 * width
+    u_lo, us = _inset_samples(surface.profile.domain, grid[0])
     v_lo, v_hi = v_range
-
+    vs = [v_lo + (v_hi - v_lo) * (j / (grid[1] - 1) if grid[1] > 1 else 0.5)
+          for j in range(grid[1])]
     worst, arg = -1.0, (u_lo, v_lo)
     n_eval, skipped = 0, 0
-    for i in range(nu):
-        u = u_lo + (u_hi - u_lo) * (i / (nu - 1) if nu > 1 else 0.5)
-        for jj in range(nv):
-            v = v_lo + (v_hi - v_lo) * (jj / (nv - 1) if nv > 1 else 0.5)
-            cls = classify_point(surface, u, v)
-            if cls.tag is not PointTag.GENERAL or cls.trapped:
-                skipped += 1
-                continue
-            try:
-                r = _point_residual(spec, surface, u, v)
-            except TrappedPointError:
-                skipped += 1
-                continue
-            n_eval += 1
-            if r > worst:
-                worst, arg = r, (u, v)
+    for rec in sweep(surface, us, vs):
+        if rec.frame is None:
+            skipped += 1
+            continue
+        r = _point_residual(spec, rec)
+        n_eval += 1
+        if r > worst:
+            worst, arg = r, (rec.column.u, rec.v)
     if n_eval == 0:
-        return ResidualReport(math.nan, arg, 0, _PROPERTY_TAGS[spec.kind],
-                              False, tol, skipped)
+        worst = math.nan    # fails the comparison below
     return ResidualReport(worst, arg, n_eval, _PROPERTY_TAGS[spec.kind],
                           worst <= tol, tol, skipped)
+
+
+def _inset_samples(domain: tuple[float, float],
+                   n: int) -> tuple[float, list[float]]:
+    """The domain shrunk by 1% of its width at each end: its left end and
+    n evenly spaced samples (the midpoint when n = 1)."""
+    width = domain[1] - domain[0]
+    lo, hi = domain[0] + 0.01 * width, domain[1] - 0.01 * width
+    return lo, [lo + (hi - lo) * (i / (n - 1) if n > 1 else 0.5)
+                for i in range(n)]
 
 
 def _sweep_profile_residual(profile: MeridianProfile,
                             residual: Callable[[float], float],
                             n: int, tol: float, tag: str) -> ResidualReport:
-    u_lo, u_hi = profile.domain
-    width = u_hi - u_lo
-    u_lo, u_hi = u_lo + 0.01 * width, u_hi - 0.01 * width
+    u_lo, us = _inset_samples(profile.domain, n)
     worst, arg = -1.0, (u_lo, 0.0)
-    for i in range(n):
-        u = u_lo + (u_hi - u_lo) * (i / (n - 1) if n > 1 else 0.5)
+    for u in us:
         r = abs(residual(u))
         if r > worst:
             worst, arg = r, (u, 0.0)

@@ -68,11 +68,6 @@ def inner(u: Vec4, v: Vec4) -> float:
     return u.x1 * v.x1 + u.x2 * v.x2 + u.x3 * v.x3 - u.x4 * v.x4
 
 
-def norm2(v: Vec4) -> float:
-    """Self inner product inner(v, v) (may be negative)."""
-    return inner(v, v)
-
-
 def causal_character(v: Vec4, tol: float = 0.0) -> CausalClass:
     """Classify v as spacelike/timelike/lightlike/zero by the sign of inner(v,v).
 

@@ -8,15 +8,16 @@ route through the fundamental forms is provided as an oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .curves import Geometry, MeridianProfile, SphericalCurve
 from .errors import (FlatPointError, MisuseError, NotSpacelikeError,
                      TrappedPointError)
-from .jets import fd_partials2
+from .jets import Jet2, fd_partials2
 from .mink4 import Vec4, inner
 
 SQRT2 = math.sqrt(2.0)
@@ -48,12 +49,22 @@ class MeridianSurface:
         self.geometry = profile.geometry
 
     def position(self, u: float, v: float) -> Vec4:
-        f = self.profile.f_jet(u).v
-        g = self.profile.g(u)
-        l = self.curve.frame(v).l
-        coords = [f * c for c in l.coords()]
-        coords[self.geometry.axis_slot] += g
-        return Vec4(*coords)
+        return next(self.grid_positions((u,), (v,)))[0]
+
+    def grid_positions(self, us: Sequence[float],
+                       vs: Sequence[float]) -> Iterator[list[Vec4]]:
+        """f(u) l(v) + g(u) axis on the grid us x vs, one list over vs per
+        u; the curve frame is evaluated once per v, f and g once per u."""
+        ls = [self.curve.frame(v).l.coords() for v in vs]
+        axis = self.geometry.axis_slot
+        for u in us:
+            f, g = self.profile.f_jet(u).v, self.profile.g(u)
+            row = []
+            for l in ls:
+                coords = [f * c for c in l]
+                coords[axis] += g
+                row.append(Vec4(*coords))
+            yield row
 
 
 def position(surface: MeridianSurface, u: float, v: float) -> Vec4:
@@ -101,8 +112,7 @@ class BasicInvariants:
     meanH: float
 
 
-@dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(NamedTuple):
     """The eight frame invariants plus the derived scalar invariants at a
     point (lam is the invariant the surrounding literature calls lambda)."""
 
@@ -142,50 +152,118 @@ class PointClass:
     minimal: bool
 
 
-@dataclass(frozen=True)
-class _PointData:
-    f: float
-    fdot: float
-    fddot: float
-    V: float          # fdot^2-1 (elliptic) or 1-fdot^2 (hyperbolic), > 0
-    sqV: float
-    phi: float        # f fddot + fdot^2 - 1
+class ProfileColumn:
+    """The u-column of the point kernel: every profile quantity the
+    invariants use at one u, from a single f_jet call.  The terms of the
+    geometric frame are computed on first use, since only general,
+    untrapped points need them."""
+
+    def __init__(self, s: MeridianSurface, u: float):
+        j = s.profile.f_jet(u)
+        self.surface, self.u = s, u
+        self.f, self.fdot, self.fddot = f, fdot, fddot = j.v, j.d1, j.d2
+        self.sign = sign = s.geometry.normalization_sign
+        self.V = V = sign * (fdot * fdot - 1.0)    # > 0 on admissible profiles
+        self.sqV = sqV = math.sqrt(V)
+        self.phi = phi = f * fddot + fdot * fdot - 1.0
+        self.phi2, self.ff = phi * phi, f * f
+        self.kappa_m = sign * fddot / sqV
+        self.k_factor = -(fddot * fddot / V)    # k = k_factor kappa^2 / f^2
+        self.H2_denom = 4.0 * f * f * V         # <H,H> = D / H2_denom
+        self.gaussK = -fddot / f
+
+    @functools.cached_property
+    def frame_terms(self) -> tuple:
+        """(gamma, 2 f sqrt(V), f^2 fddot^2, V^2, phi/sqrt(V), its u-rate),
+        the rate from the exact third derivative of f."""
+        s = self.surface
+        _require_plus_orientation(s)
+        f, fdot, fddot, V, sqV, phi = (self.f, self.fdot, self.fddot, self.V,
+                                       self.sqV, self.phi)
+        dphi = 3.0 * fdot * fddot + f * s.profile.f3(self.u)
+        dV = self.sign * 2.0 * fdot * fddot
+        return (-fdot / (SQRT2 * f), 2.0 * f * sqV, self.ff * fddot * fddot,
+                V * V, phi / sqV, dphi / sqV - 0.5 * phi * dV / (V * sqV))
+
+
+class PointRecord(NamedTuple):
+    """One cell of the point kernel; ``frame`` holds the frame invariants at
+    general, untrapped points and is None elsewhere."""
+
+    column: ProfileColumn
+    v: float
     kappa: float
-    dkappa: float
-    kappa_m: float
+    k: float
     D: float          # signed discriminant; <H,H> = D / (4 f^2 V)
     H2: float
+    meanH: float
+    tag: PointTag
+    trapped: bool
+    frame: Optional[InvariantSet]
 
 
-def _point_data(s: MeridianSurface, u: float, v: float) -> _PointData:
-    j = s.profile.f_jet(u)
-    V = s.profile.normalization(u)
-    sqV = math.sqrt(V)
-    phi = j.v * j.d2 + j.d1 * j.d1 - 1.0
-    kj = s.curve.kappa_jet(v)
-    kappa_m = s.geometry.normalization_sign * j.d2 / sqV
-    if s.geometry is Geometry.ELLIPTIC:
-        D = kj.v * kj.v * V - phi * phi
-    else:
-        D = phi * phi - kj.v * kj.v * V
-    H2 = D / (4.0 * j.v * j.v * V)
-    return _PointData(j.v, j.d1, j.d2, V, sqV, phi, kj.v, kj.d1,
-                      kappa_m, D, H2)
+def _cell(col: ProfileColumn, v: float, kj: Jet2, flat_tol: float,
+          frame: bool) -> PointRecord:
+    """Combine a u-column with the curvature jet kj at v: O(1) arithmetic."""
+    kappa = kj.v
+    kkV = kappa * kappa * col.V
+    D = kkV - col.phi2 if col.sign > 0.0 else col.phi2 - kkV
+    H2 = D / col.H2_denom
+    tag = (PointTag.FLAT_CASE_I if abs(kappa) <= flat_tol else
+           PointTag.FLAT_CASE_II if abs(col.kappa_m) <= flat_tol else
+           PointTag.GENERAL)
+    trapped = abs(H2) <= TRAPPED_TOL
+    k = col.k_factor * kappa * kappa / col.ff
+    meanH = math.sqrt(abs(H2))
+    inv = None
+    if frame and tag is PointTag.GENERAL and not trapped:
+        gamma, nu_denom, ffdd, VV, P, Pdu = col.frame_terms
+        V, eps = col.V, 1 if H2 > 0.0 else -1
+        absD = eps * D
+        sqD = math.sqrt(absD)
+        nu = sqD / nu_denom
+        dkP = kj.d1 * P / col.f
+        inv = InvariantSet(
+            gamma, gamma, nu, nu,
+            eps * col.sign * (kkV + ffdd - VV) / (nu_denom * sqD),
+            kappa * col.fddot / sqD,
+            -V * (kappa * Pdu - dkP) / (SQRT2 * absD),
+            V * (kappa * Pdu + dkP) / (SQRT2 * absD),
+            eps, k, 0.0, col.gaussK, meanH, H2)
+    return PointRecord(col, v, kappa, k, D, H2, meanH, tag, trapped, inv)
 
 
-def _require_general(p: _PointData) -> None:
-    if abs(p.kappa) <= FLAT_TOL:
+def sweep(s: MeridianSurface, us: Sequence[float], vs: Sequence[float],
+          flat_tol: float = FLAT_TOL) -> Iterator[PointRecord]:
+    """Point records over the grid us x vs, streamed in row-major (u-outer)
+    order.  The profile jets are evaluated once per u and the curvature jet
+    once per v; each cell is O(1) arithmetic.  The flat-point tag and the
+    frame-invariant guard both use ``flat_tol``."""
+    rows = [s.curve.kappa_jet(v) for v in vs]
+    for u in us:
+        col = ProfileColumn(s, u)
+        for v, kj in zip(vs, rows):
+            yield _cell(col, v, kj, flat_tol, True)
+
+
+def _point(s: MeridianSurface, u: float, v: float, frame: bool,
+           tol: float = FLAT_TOL) -> PointRecord:
+    return _cell(ProfileColumn(s, u), v, s.curve.kappa_jet(v), tol, frame)
+
+
+def _require_general(rec: PointRecord) -> None:
+    if rec.tag is PointTag.FLAT_CASE_I:
         raise FlatPointError(
             "kappa = 0: flat point of case I (planar surface)")
-    if abs(p.kappa_m) <= FLAT_TOL:
+    if rec.tag is PointTag.FLAT_CASE_II:
         raise FlatPointError(
             "kappa_m = 0: flat point of case II (developable ruled surface)")
 
 
-def _require_untrapped(p: _PointData, tol: float = TRAPPED_TOL) -> None:
-    if abs(p.H2) <= tol:
+def _require_untrapped(H2: float, tol: float = TRAPPED_TOL) -> None:
+    if abs(H2) <= tol:
         raise TrappedPointError(
-            f"<H,H> = {p.H2:.3e} is lightlike within tolerance; marginally "
+            f"<H,H> = {H2:.3e} is lightlike within tolerance; marginally "
             "trapped points are outside the invariant frame construction")
 
 
@@ -252,11 +330,9 @@ def invariants_from_forms(forms: FundamentalForms) -> tuple[float, float]:
 def basic_invariants(s: MeridianSurface, u: float, v: float) -> BasicInvariants:
     """Closed forms: k = -kappa_m^2 kappa^2 / f^2, varkappa = 0,
     K = -fddot/f, plus <H,H> and its norm."""
-    p = _point_data(s, u, v)
-    k = -(p.fddot * p.fddot / p.V) * p.kappa * p.kappa / (p.f * p.f)
-    gaussK = -p.fddot / p.f
-    return BasicInvariants(k=k, varkappa=0.0, gaussK=gaussK, H2=p.H2,
-                           meanH=math.sqrt(abs(p.H2)))
+    rec = _point(s, u, v, frame=False)
+    return BasicInvariants(k=rec.k, varkappa=0.0, gaussK=rec.column.gaussK,
+                           H2=rec.H2, meanH=rec.meanH)
 
 
 def mean_curvature_vector(s: MeridianSurface, u: float, v: float) -> Vec4:
@@ -264,15 +340,16 @@ def mean_curvature_vector(s: MeridianSurface, u: float, v: float) -> Vec4:
 
     Requires a general point: the reduced coefficients assume case III.
     """
-    p = _point_data(s, u, v)
-    _require_general(p)
+    rec = _point(s, u, v, frame=False)
+    _require_general(rec)
+    col = rec.column
     fr = adapted_frame(s, u, v)
     o = s.profile.g_orientation
     if s.geometry is Geometry.ELLIPTIC:
-        return (p.kappa / (2.0 * p.f)) * fr.n1 \
-            + (o * p.phi / (2.0 * p.f * p.sqV)) * fr.n2
-    return (o * p.phi / (2.0 * p.f * p.sqV)) * fr.n1 \
-        - (p.kappa / (2.0 * p.f)) * fr.n2
+        return (rec.kappa / (2.0 * col.f)) * fr.n1 \
+            + (o * col.phi / (2.0 * col.f * col.sqV)) * fr.n2
+    return (o * col.phi / (2.0 * col.f * col.sqV)) * fr.n1 \
+        - (rec.kappa / (2.0 * col.f)) * fr.n2
 
 
 def geometric_frame(s: MeridianSurface, u: float, v: float,
@@ -280,18 +357,19 @@ def geometric_frame(s: MeridianSurface, u: float, v: float,
     """Principal tangents x, y and the normal pair b, l with b collinear
     (same orientation for epsilon = +1) with H."""
     _require_plus_orientation(s)
-    p = _point_data(s, u, v)
-    _require_general(p)
-    _require_untrapped(p, tol_trapped)
-    eps = 1 if p.H2 > 0.0 else -1
+    rec = _point(s, u, v, frame=False)
+    _require_general(rec)
+    _require_untrapped(rec.H2, tol_trapped)
+    eps = 1 if rec.H2 > 0.0 else -1
     fr = adapted_frame(s, u, v)
     x = (fr.X + fr.Y) / SQRT2
     y = (-1.0 * fr.X + fr.Y) / SQRT2
-    norm = math.sqrt(eps * p.D)
+    norm = math.sqrt(eps * rec.D)
+    col = rec.column
     if s.geometry is Geometry.ELLIPTIC:
-        pb = (p.kappa * p.sqV, p.phi)
+        pb = (rec.kappa * col.sqV, col.phi)
     else:
-        pb = (p.phi, -p.kappa * p.sqV)
+        pb = (col.phi, -rec.kappa * col.sqV)
     b = (eps / norm) * (pb[0] * fr.n1 + pb[1] * fr.n2)
     l = (1.0 / norm) * (pb[1] * fr.n1 + pb[0] * fr.n2)
     return GeometricFrame(x=x, y=y, b=b, l=l, epsilon=eps)
@@ -301,32 +379,10 @@ def eight_invariants(s: MeridianSurface, u: float, v: float) -> InvariantSet:
     """The eight invariants of the geometric frame, by their closed forms,
     with dkappa/dv taken from the curve's jet."""
     _require_plus_orientation(s)
-    p = _point_data(s, u, v)
-    _require_general(p)
-    _require_untrapped(p)
-    eps = 1 if p.H2 > 0.0 else -1
-    absD = eps * p.D
-    sqD = math.sqrt(absD)
-    f = p.f
-
-    gamma = -p.fdot / (SQRT2 * f)
-    nu = sqD / (2.0 * f * p.sqV)
-    lam_core = (p.kappa * p.kappa * p.V + f * f * p.fddot * p.fddot
-                - p.V * p.V)
-    lam_sign = 1.0 if s.geometry is Geometry.ELLIPTIC else -1.0
-    lam = eps * lam_sign * lam_core / (2.0 * f * p.sqV * sqD)
-    mu = p.kappa * p.fddot / sqD
-
-    P = p.phi / p.sqV
-    Pdu = s.profile.curvature_term_rate(u)
-    beta1 = -p.V * (p.kappa * Pdu - p.dkappa * P / f) / (SQRT2 * absD)
-    beta2 = p.V * (p.kappa * Pdu + p.dkappa * P / f) / (SQRT2 * absD)
-
-    k = -(p.fddot * p.fddot / p.V) * p.kappa * p.kappa / (f * f)
-    return InvariantSet(
-        gamma1=gamma, gamma2=gamma, nu1=nu, nu2=nu, lam=lam, mu=mu,
-        beta1=beta1, beta2=beta2, epsilon=eps, k=k, varkappa=0.0,
-        gaussK=-p.fddot / f, meanH=math.sqrt(abs(p.H2)), H2=p.H2)
+    rec = _point(s, u, v, frame=True)
+    _require_general(rec)
+    _require_untrapped(rec.H2)
+    return rec.frame
 
 
 def allied_coefficient(s: MeridianSurface, u: float, v: float) -> float:
@@ -340,21 +396,14 @@ def allied_coefficient(s: MeridianSurface, u: float, v: float) -> float:
 def classify_point(s: MeridianSurface, u: float, v: float,
                    tol: float = FLAT_TOL) -> PointClass:
     """Flat-case tag, point type by the sign of k, and trapped/minimal flags."""
-    p = _point_data(s, u, v)
-    if abs(p.kappa) <= tol:
-        tag = PointTag.FLAT_CASE_I
-    elif abs(p.kappa_m) <= tol:
-        tag = PointTag.FLAT_CASE_II
-    else:
-        tag = PointTag.GENERAL
-    k = -(p.fddot * p.fddot / p.V) * p.kappa * p.kappa / (p.f * p.f)
-    if k > tol:
+    rec = _point(s, u, v, frame=False, tol=tol)
+    if rec.k > tol:
         ktype = KType.ELLIPTIC_PT
-    elif abs(k) <= tol:
+    elif abs(rec.k) <= tol:
         ktype = KType.PARABOLIC_PT
     else:
         ktype = KType.HYPERBOLIC_PT
-    trapped = abs(p.H2) <= TRAPPED_TOL
-    minimal = (tag is PointTag.GENERAL and not trapped
-               and math.sqrt(abs(p.H2)) <= tol)
-    return PointClass(tag=tag, ktype=ktype, trapped=trapped, minimal=minimal)
+    minimal = (rec.tag is PointTag.GENERAL and not rec.trapped
+               and rec.meanH <= tol)
+    return PointClass(tag=rec.tag, ktype=ktype, trapped=rec.trapped,
+                      minimal=minimal)

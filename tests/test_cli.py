@@ -1,9 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
-from meridian.cli import CSV_HEADER, main
+from meridian.cli import CSV_HEADER, _fmt, main
 
 
 def write_config(path, cfg):
@@ -143,6 +144,139 @@ def test_invariants_tabulated_curve(tmp_path):
     assert main(["invariants", "--config", cfg, "--out", str(out)]) == 0
     _, rows = rows_of(out)
     assert len(rows) == 9
+
+
+def test_invariants_last_grid_point_is_domain_end(tmp_path):
+    # lo + (hi - lo) lands one ulp above hi for this domain
+    cfg = write_config(tmp_path / "probe.json", {
+        "geometry": "hyperbolic",
+        "curve": {"kind": "constant", "b": 0.8815786063008588},
+        "profile": {"kind": "explicit_f", "family": "harmonic",
+                    "alpha": 0.7891443328289829,
+                    "beta": -0.001029224044398043,
+                    "omega": 0.9941587745384901},
+        "domain": {"u": [0.19849464516881177, 1.2073339356890835],
+                   "v": [0.0, 6.345236668988857]}})
+    out = tmp_path / "probe.csv"
+    assert main(["invariants", "--config", cfg, "--out", str(out),
+                 "--grid", "3,3"]) == 0
+    _, rows = rows_of(out)
+    assert rows[-1][0] == _fmt(1.2073339356890835)
+
+
+@pytest.mark.parametrize("domain", [
+    {"u": [0.3, 1.2], "v": [0.0, math.inf]},
+    {"u": [0.3, 1.2], "v": [-math.inf, 1.0]},
+    {"u": [0.3, math.nan], "v": [0.0, 1.0]},
+])
+def test_non_finite_domain_exit2(tmp_path, capsys, domain):
+    cfg = worked_config(tmp_path, domain=domain)
+    for argv in (["invariants"], ["export", "--format", "csv4"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("override,field", [
+    ({"profile": {"kind": "explicit_f", "family": "linear", "a1": "x"}},
+     "profile.a1"),
+    ({"profile": {"kind": "explicit_f", "family": "cos", "g0": [1]}},
+     "profile.g0"),
+    ({"profile": {"kind": "slope_ode", "family": "constant_k", "a": 1,
+                  "b": 1, "f0": {}}}, "profile.f0"),
+    ({"curve": {"kind": "constant", "b": "one"}}, "curve.b"),
+    ({"curve": {"kind": "function", "samples": [[0, 1, 0], [1, None, 0]]}},
+     "curve.samples"),
+    ({"curve": {"kind": "function", "samples": [[1, 1, 0], [0, 1, 0]]}},
+     "strictly increasing"),
+    ({"grid": {"nu": None}}, "grid sizes"),
+])
+def test_bad_field_type_exit2(tmp_path, capsys, override, field):
+    cfg = worked_config(tmp_path, **override)
+    assert main(["invariants", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_flat_tolerance_shared_by_tag_and_frame(tmp_path):
+    # kappa = 1e-10 is above tolerances.flat = 1e-12: every row is general
+    cfg = worked_config(tmp_path, curve={"kind": "constant", "b": 1e-10},
+                        tolerances={"flat": 1e-12})
+    out = tmp_path / "flat.csv"
+    assert main(["invariants", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = rows_of(out)
+    assert len(rows) == 9
+    for r in rows:
+        assert r[-1] == "general"
+        assert all(math.isfinite(float(c)) for c in r[:-1])
+
+
+def test_invariants_negative_orientation_exit2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "neg.json", {
+        "geometry": "elliptic",
+        "curve": {"kind": "constant", "b": 1.0},
+        "profile": {"kind": "family", "family": "parallel_a",
+                    "c": 0.0, "d": -1.0, "g_sign": -1},
+        "domain": {"u": [1.1, 3.0]}})
+    assert main(["invariants", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "g_orientation" in capsys.readouterr().err
+
+
+# -- golden outputs ------------------------------------------------------------
+
+# sha256 of outputs recorded before the separable point kernel replaced the
+# per-point one; the kernel repeats the same floating-point operations, so
+# every byte must stay the same.
+GOLDEN_INVARIANTS = \
+    "425a303cab9804a3b98237e8934bb95eccc5b98d3fcfe5efbb04253833a750a3"
+GOLDEN_OBJ3 = \
+    "e649debdd3d54ef1b81bddd50ccedce6877cd39d9b9e04d283780753c96f624e"
+GOLDEN_VERIFY = \
+    "e1d61d3f0f584f3460cff5e7fd790700089242a5409a3b7573440f7d80c92852"
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_golden_invariants_csv(tmp_path):
+    # tabulated kappa = 0.6 sin v, which vanishes at v = 0 (flat rows)
+    cfg = write_config(tmp_path / "inv.json", {
+        "geometry": "hyperbolic",
+        "curve": {"kind": "function", "samples": [
+            [0.25 * i, 0.6 * math.sin(0.25 * i), 0.15 * math.cos(0.25 * i)]
+            for i in range(28)]},
+        "profile": {"kind": "explicit_f", "family": "cos", "g0": 0.25},
+        "domain": {"u": [0.375, 1.1875], "v": [0.0, 6.5]}})
+    out = tmp_path / "inv.csv"
+    assert main(["invariants", "--config", cfg, "--out", str(out),
+                 "--grid", "33,33"]) == 0
+    assert sha256_of(out) == GOLDEN_INVARIANTS
+
+
+def test_golden_export_obj3(tmp_path):
+    cfg = write_config(tmp_path / "obj.json", {
+        "geometry": "elliptic",
+        "curve": {"kind": "function", "samples": [
+            [0.25 * i, 1.0 + 0.3 * math.sin(0.25 * i),
+             0.075 * math.cos(0.25 * i)] for i in range(60)]},
+        "profile": {"kind": "family", "family": "constant_gauss",
+                    "K0": -1.0, "alpha": 0.0, "beta": 1.0},
+        "domain": {"u": [0.5, 2.0], "v": [0.0, 14.5]}})
+    out = tmp_path / "mesh.obj"
+    assert main(["export", "--config", cfg, "--format", "obj3",
+                 "--out", str(out), "--grid", "9,65"]) == 0
+    assert sha256_of(out) == GOLDEN_OBJ3
+
+
+def test_golden_verify_record(tmp_path):
+    out = tmp_path / "rep.jsonl"
+    assert main(["verify", "--family", "parallel_a", "--geometry",
+                 "hyperbolic", "--c", "0", "--d", "1", "--u-min", "0.1",
+                 "--u-max", "0.9", "--tol", "1e-8", "--out", str(out)]) == 0
+    assert sha256_of(out) == GOLDEN_VERIFY
 
 
 # -- export -------------------------------------------------------------------

@@ -228,6 +228,26 @@ def test_kappa_m_examples():
     assert abs(kappa_m(cos_profile(), math.pi / 4) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("geometry,f,domain", [
+    (Geometry.ELLIPTIC, sinh_fn(), (0.5, 2.0)),
+    (Geometry.HYPERBOLIC, cos_fn(), (0.3, 1.2)),
+])
+def test_kappa_m_matches_cross_product_form(geometry, f, domain,
+                                            orientation):
+    # the reduced form against fdot gddot - gdot fddot, with gddot taken
+    # by central differences of gdot
+    p = profile_from_f(f, geometry, 0.0, domain, g_orientation=orientation)
+    h = 1e-5
+    for i in range(1, 10):
+        u = domain[0] + (domain[1] - domain[0]) * i / 10
+        j = p.f_jet(u)
+        gddot = (p.gdot(u + h) - p.gdot(u - h)) / (2 * h)
+        cross = j.d1 * gddot - p.gdot(u) * j.d2
+        assert close(p.kappa_m(u), cross, 1e-7)
+        assert p.kappa_m(u) * orientation > 0.0
+
+
 def test_frames_from_custom_initial_conditions():
     l0, t0, n0 = rotated_elliptic_frame()
     SphericalCurve(ScalarFn.constant(1.0), Geometry.ELLIPTIC,
