@@ -60,6 +60,11 @@ def _require(cfg: dict, key: str, where: str = ""):
     return cfg[key]
 
 
+def _json_float(x: float):
+    """x rounded to 9 significant digits, or None (JSON null) if not finite."""
+    return _round9(x) if math.isfinite(x) else None
+
+
 def _number(value, path: str) -> float:
     try:
         return float(value)
@@ -143,7 +148,7 @@ def _profile_from_config(cfg: dict, geometry: Geometry):
     kind = _require(spec, "kind", "profile")
     params = {k: _number(v, f"profile.{k}") for k, v in spec.items()
               if k not in ("kind", "family", "epsilon_branch")}
-    g0 = params.pop("g0", 0.0)
+    g0 = params.get("g0", 0.0)
     if kind == "explicit_f":
         family = _require(spec, "family", "profile")
         builder = _EXPLICIT_FAMILIES.get(family)
@@ -211,6 +216,9 @@ def _grid_points(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
 
 
+_SECTIONS = ("grid", "domain", "tolerances", "curve", "profile")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -221,6 +229,10 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    for key in _SECTIONS:
+        if key in cfg and not isinstance(cfg[key], dict):
+            raise ConfigError(
+                f"{key} must be a JSON object, got {cfg[key]!r}")
     return cfg
 
 
@@ -359,15 +371,15 @@ def cmd_verify(args) -> int:
         "family": kind.value,
         "geometry": geometry.value,
         "property": report.property,
-        "max_abs_residual": _round9(report.max_abs_residual),
-        "argmax_u": _round9(report.argmax[0]),
-        "argmax_v": _round9(report.argmax[1]),
+        "max_abs_residual": _json_float(report.max_abs_residual),
+        "argmax_u": _json_float(report.argmax[0]),
+        "argmax_v": _json_float(report.argmax[1]),
         "n_samples": report.n_samples,
         "skipped": report.skipped,
-        "tol": _round9(report.tol),
+        "tol": _json_float(report.tol),
         "pass": report.passed,
     }
-    line = json.dumps(record, sort_keys=True)
+    line = json.dumps(record, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(line + "\n")

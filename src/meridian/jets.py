@@ -239,22 +239,28 @@ def hermite_fn(xs: list[float], ys: list[float], ds: list[float],
 
     from bisect import bisect_right
 
-    def jet(u_jet: Jet2) -> Jet2:
-        u = u_jet.v
+    def segment(u: float) -> tuple[int, float, float, float]:
+        """Segment index i, its width h, local coordinate s and the value."""
         i = min(max(bisect_right(xs, u) - 1, 0), len(xs) - 2)
         h = xs[i + 1] - xs[i]
         s = (u - xs[i]) / h
-        f0, f1, d0, d1 = ys[i], ys[i + 1], ds[i], ds[i + 1]
         s2 = s * s
-        val = ((2 * s - 3) * s2 + 1) * f0 + ((s - 2) * s + 1) * s * h * d0 \
-            + (3 - 2 * s) * s2 * f1 + (s - 1) * s2 * h * d1
+        val = ((2 * s - 3) * s2 + 1) * ys[i] \
+            + ((s - 2) * s + 1) * s * h * ds[i] \
+            + (3 - 2 * s) * s2 * ys[i + 1] + (s - 1) * s2 * h * ds[i + 1]
+        return i, h, s, val
+
+    def jet(u_jet: Jet2) -> Jet2:
+        i, h, s, val = segment(u_jet.v)
+        f0, f1, d0, d1 = ys[i], ys[i + 1], ds[i], ds[i + 1]
         dv = ((6 * s - 6) * s * f0 + ((3 * s - 4) * s + 1) * h * d0
               + (6 - 6 * s) * s * f1 + (3 * s - 2) * s * h * d1) / h
         d2v = ((12 * s - 6) * f0 + (6 * s - 4) * h * d0
                + (6 - 12 * s) * f1 + (6 * s - 2) * h * d1) / (h * h)
         return Jet2(val, dv, d2v)
 
-    return ScalarFn(jet, domain=(xs[0], xs[-1]), name=name)
+    return ScalarFn(jet, domain=(xs[0], xs[-1]), name=name,
+                    value=lambda u: segment(u)[3])
 
 
 def default_step(u: float) -> float:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from meridian.cli import CSV_HEADER, _fmt, main
+from meridian.cli import CSV_HEADER, _fmt, main, surface_from_config
 
 
 def write_config(path, cfg):
@@ -199,6 +199,44 @@ def test_bad_field_type_exit2(tmp_path, capsys, override, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,value", [
+    ("grid", [3, 3]), ("domain", 5), ("domain", None), ("tolerances", 1),
+    ("curve", 5), ("profile", "cos"),
+])
+def test_config_section_not_object_exit2(tmp_path, capsys, section, value):
+    cfg = worked_config(tmp_path, **{section: value})
+    for argv in (["invariants"], ["export", "--format", "csv4"], ["build"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert f"{section} must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_slope_ode_config_keeps_g0(tmp_path):
+    # elliptic: the axis is x4, and g enters it additively
+    axes, gs = {}, {}
+    for g0 in (0, 5):
+        spec = {
+            "geometry": "elliptic",
+            "curve": {"kind": "constant", "b": 1.0},
+            "profile": {"kind": "slope_ode", "family": "constant_k",
+                        "a": 1, "b": 1, "C": 0, "f0": 1, "u_span": 1,
+                        "g0": g0},
+            "grid": {"nu": 5, "nv": 3}}
+        cfg = write_config(tmp_path / f"k{g0}.json", spec)
+        out = tmp_path / f"k{g0}.csv"
+        assert main(["export", "--config", cfg, "--format", "csv4",
+                     "--out", str(out)]) == 0
+        axes[g0] = [float(r[5]) for r in rows_of(out)[1]]
+        gs[g0] = surface_from_config(spec).profile.g
+    assert len(axes[5]) == 15
+    # 9 significant digits: the last printed digit of a value in [1, 10)
+    # is 1e-8, so the printed cells agree to 1e-8 and g itself to 1e-9
+    assert all(abs(b - a - 5.0) <= 1e-8 for a, b in zip(axes[0], axes[5]))
+    for u in (0.0, 0.25, 0.5, 1.0):
+        assert abs(gs[5](u) - gs[0](u) - 5.0) <= 1e-9
+
+
 def test_flat_tolerance_shared_by_tag_and_frame(tmp_path):
     # kappa = 1e-10 is above tolerances.flat = 1e-12: every row is general
     cfg = worked_config(tmp_path, curve={"kind": "constant", "b": 1e-10},
@@ -235,6 +273,10 @@ GOLDEN_OBJ3 = \
     "e649debdd3d54ef1b81bddd50ccedce6877cd39d9b9e04d283780753c96f624e"
 GOLDEN_VERIFY = \
     "e1d61d3f0f584f3460cff5e7fd790700089242a5409a3b7573440f7d80c92852"
+# recorded before the Frenet step was fused: a hyperbolic RK4 circle over
+# both the forward and the backward frame table
+GOLDEN_CSV4_HYPERBOLIC = \
+    "068f8a20e9abe3e8c806fe8f9fe5223b3e7b703a62aedd5cb5149f84d0d0d047"
 
 
 def sha256_of(path):
@@ -269,6 +311,16 @@ def test_golden_export_obj3(tmp_path):
     assert main(["export", "--config", cfg, "--format", "obj3",
                  "--out", str(out), "--grid", "9,65"]) == 0
     assert sha256_of(out) == GOLDEN_OBJ3
+
+
+def test_golden_export_csv4_hyperbolic(tmp_path):
+    cfg = worked_config(tmp_path, curve={"kind": "constant", "b": 0.5},
+                        domain={"u": [0.3, 1.2],
+                                "v": [-3 * math.pi, 3 * math.pi]})
+    out = tmp_path / "hyp.csv"
+    assert main(["export", "--config", cfg, "--format", "csv4",
+                 "--out", str(out), "--grid", "3,257"]) == 0
+    assert sha256_of(out) == GOLDEN_CSV4_HYPERBOLIC
 
 
 def test_golden_verify_record(tmp_path):
@@ -353,6 +405,24 @@ def test_verify_mismatched_branch_documented_failure(tmp_path, capsys):
     record = json.loads(out.read_text().splitlines()[0])
     assert record["pass"] is False
     assert record["max_abs_residual"] > 1e-2
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in JSON")
+
+
+def test_verify_all_skipped_record_is_json(tmp_path, capsys):
+    # every sample of this spec is skipped, so there is no residual
+    out = tmp_path / "rep.jsonl"
+    rc = main(["verify", "--family", "parallel_b", "--geometry",
+               "hyperbolic", "--a", "0.5", "--c", "0.3", "--b", "0.5",
+               "--f0", "0.7", "--u-span", "1", "--out", str(out)])
+    assert rc == 1
+    assert "FAIL" in capsys.readouterr().out
+    record = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert record["n_samples"] == 0
+    assert record["max_abs_residual"] is None
+    assert record["pass"] is False
 
 
 def test_verify_missing_parameter_exit2(capsys):

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 
@@ -90,6 +91,69 @@ def test_curve_stays_on_unit_sphere():
         for i in range(9):
             l = c.frame(TWO_PI * i / 8).l
             assert abs(inner(l, l) - 1.0) <= 1e-9
+
+
+def _reference_rhs(curve, v, s):
+    # reference for the fused step: the generic stage-by-stage RK4 of the
+    # Frenet system, with kappa read through jet2
+    k = curve.kappa.jet2(v).v
+    sk = curve.geometry.frenet_sign * k
+    return [
+        s[3], s[4], s[5],
+        sk * s[6] - s[0], sk * s[7] - s[1], sk * s[8] - s[2],
+        -k * s[3], -k * s[4], -k * s[5],
+    ]
+
+
+def _reference_rk4_step(curve, v, s, h):
+    k1 = _reference_rhs(curve, v, s)
+    k2 = _reference_rhs(curve, v + 0.5 * h,
+                        [si + 0.5 * h * ki for si, ki in zip(s, k1)])
+    k3 = _reference_rhs(curve, v + 0.5 * h,
+                        [si + 0.5 * h * ki for si, ki in zip(s, k2)])
+    k4 = _reference_rhs(curve, v + h, [si + h * ki for si, ki in zip(s, k3)])
+    return [si + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for si, a, b, c, d in zip(s, k1, k2, k3, k4)]
+
+
+def _bits(values):
+    return array("d", values).tobytes()
+
+
+def _wavy_hermite():
+    xs = [0.25 * i - 3.0 for i in range(25)]
+    return jets.hermite_fn(xs, [0.8 + 0.4 * math.sin(x) for x in xs],
+                           [0.4 * math.cos(x) for x in xs], name="kappa")
+
+
+@pytest.mark.parametrize("geometry", list(Geometry))
+@pytest.mark.parametrize("make_kappa", [
+    lambda: ScalarFn.constant(1.3), _wavy_hermite,
+    lambda: wavy_kappa(0.6, 0.5, 0.4)], ids=["constant", "hermite", "jets"])
+def test_frenet_table_matches_reference_step_bitwise(geometry, make_kappa):
+    curve = SphericalCurve(make_kappa(), geometry)
+    for h, table in ((curve.step, curve._fwd), (-curve.step, curve._bwd)):
+        vs = [h * x for x in (456.7, 1999.5, 2000.0, 0.4)]
+        states = [curve._state_at(v) for v in vs]
+        ref = [list(table[0:9])]
+        while len(ref) < len(table) // 9:
+            i = len(ref) - 1
+            ref.append(_reference_rk4_step(curve, i * h, ref[i], h))
+        assert table.tobytes() == _bits([x for s in ref for x in s])
+        for v, state in zip(vs, states):
+            j = int(abs(v) / curve.step)
+            rem = v - j * h
+            want = ref[j] if abs(rem) <= 1e-15 else _reference_rk4_step(
+                curve, j * h, ref[j], rem)
+            assert _bits(state) == _bits(want)
+
+
+def test_hermite_value_path_equals_jet_value():
+    kappa = _wavy_hermite()
+    knots = [0.25 * i - 3.0 for i in range(25)]
+    mids = [0.5 * (a + b) for a, b in zip(knots, knots[1:])]
+    for u in knots + mids + [math.nextafter(3.0, 0.0), -3.0, 3.0]:
+        assert kappa(u) == kappa.jet2(u).v
 
 
 # -- circle_curve -------------------------------------------------------------
