@@ -12,7 +12,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import jets
 from .errors import (DomainError, FrameError, ProfileDomainError,
@@ -146,7 +146,8 @@ class SphericalCurve:
 
     # -- integration --------------------------------------------------------
 
-    def _rk4_step(self, v: float, s: Sequence[float], h: float) -> list[float]:
+    def _rk4_step(self, v: float, s: Sequence[float], h: float,
+                  kappa: Callable[[float], float]) -> list[float]:
         """One classical RK4 step of l' = t, t' = sign*kappa*n - l,
         n' = -kappa*t from the 9-float state s = (l, t, n) at v.
 
@@ -157,9 +158,9 @@ class SphericalCurve:
         textbook stage-by-stage form, and with it every output byte.
         """
         hh, h6 = 0.5 * h, h / 6.0
-        k1 = self.kappa(v)
-        km = self.kappa(v + hh)
-        k4 = self.kappa(v + h)
+        k1 = kappa(v)
+        km = kappa(v + hh)
+        k4 = kappa(v + h)
         sign = self.geometry.frenet_sign
         s1, sm, s4 = sign * k1, sign * km, sign * k4
         out = [0.0] * 9
@@ -183,12 +184,20 @@ class SphericalCurve:
         h = self.step if v >= 0.0 else -self.step
         table = self._fwd if v >= 0.0 else self._bwd
         j = int(abs(v) / self.step)
+        # Only the steps ending at v can round a stage abscissa (i*h + h,
+        # j*h + rem) past v.  When kappa's domain holds the arc from 0 to v,
+        # they read such an abscissa at the domain's end; else kappa raises.
+        kappa = last = self.kappa
+        dom = kappa.domain
+        if dom is not None and dom[0] <= min(v, 0.0) <= max(v, 0.0) <= dom[1]:
+            last = lambda x: kappa(min(max(x, dom[0]), dom[1]))
         for i in range(len(table) // 9 - 1, j):
-            table.extend(self._rk4_step(i * h, table[-9:], h))
+            table.extend(self._rk4_step(i * h, table[-9:], h,
+                                        last if i == j - 1 else kappa))
         state = table[9 * j:9 * j + 9]
         rem = v - j * h
         if abs(rem) > 1e-15:
-            state = self._rk4_step(j * h, state, rem)
+            state = self._rk4_step(j * h, state, rem, last)
         return state
 
     # -- public surface ------------------------------------------------------
@@ -257,9 +266,10 @@ class MeridianProfile:
 
     The normalization constraint fixes g up to its additive constant g0:
     gdot = sqrt(fdot^2 - 1) in the elliptic case, sqrt(1 - fdot^2) in the
-    hyperbolic case, with gdot >= 0 by convention.  g values are memoized;
-    as with the curve tables, first evaluation of a new u counts as
-    construction and belongs on one thread.
+    hyperbolic case, with gdot >= 0 by convention.  g is not memoized: each
+    call adds a short Simpson tail to lazily accumulated panel anchors, at
+    most one per 0.25 of domain width.  As with the curve tables, extending
+    those anchors counts as construction and belongs on one thread.
     """
 
     def __init__(self, geometry: Geometry, domain: tuple[float, float],
@@ -272,7 +282,6 @@ class MeridianProfile:
         self.domain = (float(domain[0]), float(domain[1]))
         self.g0 = float(g0)
         self.g_orientation = g_orientation
-        self._g_cache: dict[float, float] = {}
         self._g_panels: list[float] = [0.0]  # cumulative quadrature anchors
 
     # subclasses supply these two
@@ -318,21 +327,16 @@ class MeridianProfile:
         usable inside finite-difference stencils.
         """
         self._check(u)
-        cached = self._g_cache.get(u)
-        if cached is None:
-            j = int((u - self.domain[0]) / self._G_PANEL)
-            while len(self._g_panels) <= j:
-                i = len(self._g_panels) - 1
-                a = self.domain[0] + i * self._G_PANEL
-                self._g_panels.append(
-                    self._g_panels[i]
-                    + adaptive_simpson(self.gdot, a, a + self._G_PANEL,
-                                       tol=1e-15))
-            anchor = self.domain[0] + j * self._G_PANEL
-            cached = self.g0 + self._g_panels[j] + adaptive_simpson(
-                self.gdot, anchor, u, tol=1e-15)
-            self._g_cache[u] = cached
-        return cached
+        j = int((u - self.domain[0]) / self._G_PANEL)
+        while len(self._g_panels) <= j:
+            i = len(self._g_panels) - 1
+            a = self.domain[0] + i * self._G_PANEL
+            self._g_panels.append(
+                self._g_panels[i]
+                + adaptive_simpson(self.gdot, a, a + self._G_PANEL, tol=1e-15))
+        anchor = self.domain[0] + j * self._G_PANEL
+        return self.g0 + self._g_panels[j] + adaptive_simpson(
+            self.gdot, anchor, u, tol=1e-15)
 
     def phi(self, u: float) -> float:
         """f*fddot + fdot^2 - 1, the quantity steering H and the betas."""
@@ -387,20 +391,6 @@ def _sample_violation(f_jet, geometry: Geometry, u: float) -> Optional[str]:
     return None
 
 
-def _admissibility_failure(f_jet, geometry: Geometry, lo: float, hi: float,
-                           n: int = 512):
-    """First sample in [lo, hi] violating f > 0 or the normalization margin.
-
-    Returns (u, message) or None.
-    """
-    for i in range(n):
-        u = lo if n == 1 else lo + (hi - lo) * i / (n - 1)
-        msg = _sample_violation(f_jet, geometry, u)
-        if msg is not None:
-            return u, msg
-    return None
-
-
 def profile_from_f(f: ScalarFn, geometry: Geometry, g0: float,
                    domain: tuple[float, float],
                    g_orientation: int = 1) -> MeridianProfile:
@@ -411,9 +401,11 @@ def profile_from_f(f: ScalarFn, geometry: Geometry, g0: float,
     lo, hi = float(domain[0]), float(domain[1])
     if hi <= lo:
         raise ProfileDomainError(f"empty profile domain {domain!r}")
-    bad = _admissibility_failure(f.jet2, geometry, lo, hi)
-    if bad is not None:
-        raise ProfileDomainError(bad[1], u=bad[0])
+    for i in range(512):
+        u = lo + (hi - lo) * i / 511
+        msg = _sample_violation(f.jet2, geometry, u)
+        if msg is not None:
+            raise ProfileDomainError(msg, u=u)
     return _ExplicitProfile(f, geometry, (lo, hi), g0, g_orientation)
 
 
@@ -513,20 +505,21 @@ def profile_from_slope_ode(y: ScalarFn, f0: float, geometry: Geometry,
         raise ValueError("step must be positive")
     if u_span <= 0.0:
         raise ValueError("u_span must be positive")
-    if math.isnan(_slope_admissible(y, f0, geometry)):
+    d0 = _slope_admissible(y, f0, geometry)
+    if math.isnan(d0):
         kind = "y(f0) > 1" if geometry is Geometry.ELLIPTIC else "0 < y(f0) < 1"
         raise ProfileDomainError(
             f"slope inadmissible at f0 = {f0!r}: geometry requires {kind}")
 
     n_steps = max(1, round(u_span / step))
-    us, fs, ds = [0.0], [f0], [_slope_admissible(y, f0, geometry)]
+    us, fs, ds = [0.0], [f0], [d0]
     f = f0
     for i in range(n_steps):
-        k1 = _slope_admissible(y, f, geometry)
+        k1 = ds[-1]  # the slope at the last accepted point
         k2 = _slope_admissible(y, f + 0.5 * step * k1, geometry)
         k3 = _slope_admissible(y, f + 0.5 * step * k2, geometry)
         k4 = _slope_admissible(y, f + step * k3, geometry)
-        if any(map(math.isnan, (k1, k2, k3, k4))):
+        if any(map(math.isnan, (k2, k3, k4))):
             break
         f_next = f + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         d_next = _slope_admissible(y, f_next, geometry)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from . import jets
 from .curves import (DEFAULT_STEP, Geometry, MeridianProfile, SphericalCurve,
                      circle_curve, profile_from_f, profile_from_slope_ode,
-                     _admissibility_failure, _sample_violation)
+                     _sample_violation)
 from .errors import FamilyDomainError, MisuseError
 from .jets import ScalarFn
 from .surfaces import MeridianSurface, PointRecord, sweep
@@ -114,11 +114,11 @@ def _validated_family_domain(f: ScalarFn, geometry: Geometry,
     if hi <= lo:
         raise FamilyDomainError(f"empty domain {domain!r}")
     us = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    ok = [_sample_violation(f.jet2, geometry, u) is None for u in us]
+    violations = [_sample_violation(f.jet2, geometry, u) for u in us]
     best_len, best_start = 0, -1
     run_len, run_start = 0, 0
-    for i, flag in enumerate(ok + [False]):
-        if flag:
+    for i, msg in enumerate(violations + ["end of domain"]):  # closes a run
+        if msg is None:
             if run_len == 0:
                 run_start = i
             run_len += 1
@@ -127,8 +127,8 @@ def _validated_family_domain(f: ScalarFn, geometry: Geometry,
         else:
             run_len = 0
     if best_len < 8:
-        bad = _admissibility_failure(f.jet2, geometry, lo, hi, n=n)
-        detail = bad[1] if bad is not None else "no admissible samples"
+        detail = next((msg for msg in violations if msg is not None),
+                      "no admissible samples")
         raise FamilyDomainError(
             f"no admissible subdomain inside [{lo:.9g}, {hi:.9g}]: {detail}")
     a = us[best_start]

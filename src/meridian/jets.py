@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError
 from .mink4 import Vec4
@@ -298,23 +298,22 @@ def third_derivative(fn: ScalarFn, u: float, h: Optional[float] = None) -> float
     return (fn.jet2(u + h).d2 - fn.jet2(u - h).d2) / (2.0 * h)
 
 
-def fd_partials2(surf: Callable[[float, float], Vec4],
+def fd_partials2(grid: Callable[..., Iterable[Sequence[Vec4]]],
                  u: float, v: float,
                  h: Optional[float] = None) -> dict[str, Vec4]:
     """Componentwise central-difference partials of a (u,v) -> Vec4 map.
 
-    Returns z_u, z_v, z_uu, z_uv, z_vv; the mixed partial uses the 4-point
-    cross stencil.
+    ``grid(us, vs)`` evaluates the map on us x vs and yields one row over vs
+    per u; it is called once on the 3x3 stencil (u-h, u, u+h) x
+    (v-h, v, v+h).  Returns z_u, z_v, z_uu, z_uv, z_vv; the mixed partial
+    uses the 4-point cross stencil.
     """
     if h is None:
         h = default_step(max(abs(u), abs(v)))
     if h <= 0.0:
         raise ValueError("h must be positive")
-    z00 = surf(u, v)
-    zpu, zmu = surf(u + h, v), surf(u - h, v)
-    zpv, zmv = surf(u, v + h), surf(u, v - h)
-    zpp, zpm = surf(u + h, v + h), surf(u + h, v - h)
-    zmp, zmm = surf(u - h, v + h), surf(u - h, v - h)
+    (zmm, zmu, zmp), (zmv, z00, zpv), (zpm, zpu, zpp) = grid(
+        (u - h, u, u + h), (v - h, v, v + h))
     inv2h = 1.0 / (2.0 * h)
     invh2 = 1.0 / (h * h)
     return {

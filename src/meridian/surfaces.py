@@ -294,12 +294,13 @@ def fundamental_forms_numeric(s: MeridianSurface, u: float, v: float,
                               h: Optional[float] = None) -> FundamentalForms:
     """E, F, G, L, M, N from central-difference partials of the position map.
 
-    This is the oracle route: first/second partials are finite differences;
-    only the normal directions n1, n2 come from the closed-form frame.
+    This is the oracle route: first/second partials are finite differences
+    over one 3x3 ``grid_positions`` call; only the normal directions n1, n2
+    come from the closed-form frame.
     """
     if h is None:
         h = FORMS_STEP
-    part = fd_partials2(s.position, u, v, h)
+    part = fd_partials2(s.grid_positions, u, v, h)
     zu, zv = part["z_u"], part["z_v"]
     E = inner(zu, zu)
     F = inner(zu, zv)

@@ -146,6 +146,41 @@ def test_invariants_tabulated_curve(tmp_path):
     assert len(rows) == 9
 
 
+def _samples_to_domain_end_config(tmp_path, mirrored, v_end=6.5):
+    # RK4 stage abscissae i*h + h and j*h + rem round one ulp past +-6.5
+    samples = [[0, 1, 0], [3.25, 1.2, 0], [6.5, 1, 0]]
+    if mirrored:
+        samples = [[-v, k, d] for v, k, d in reversed(samples)]
+    cfg = {"geometry": "elliptic",
+           "curve": {"kind": "function", "samples": samples},
+           "profile": {"kind": "explicit_f", "family": "sinh"},
+           "domain": {"u": [0.5, 2],
+                      "v": [-v_end, 0] if mirrored else [0, v_end]},
+           "grid": {"nu": 5, "nv": 9}}
+    return write_config(tmp_path / "tab_end.json", cfg)
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["upper", "lower"])
+def test_export_tabulated_curve_to_domain_end(tmp_path, mirrored):
+    cfg = _samples_to_domain_end_config(tmp_path, mirrored)
+    out = tmp_path / "tab.csv"
+    assert main(["export", "--config", cfg, "--format", "csv4",
+                 "--out", str(out)]) == 0
+    _, rows = rows_of(out)
+    assert len(rows) == 45
+    assert all(math.isfinite(float(c)) for row in rows for c in row)
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["upper", "lower"])
+def test_export_tabulated_curve_past_samples_exit2(tmp_path, capsys,
+                                                   mirrored):
+    # the last remainder step starts inside the samples and ends past them
+    cfg = _samples_to_domain_end_config(tmp_path, mirrored, v_end=6.5005)
+    assert main(["export", "--config", cfg, "--format", "csv4",
+                 "--out", str(tmp_path / "tab.csv")]) == 2
+    assert "kappa evaluated at" in capsys.readouterr().err
+
+
 def test_invariants_last_grid_point_is_domain_end(tmp_path):
     # lo + (hi - lo) lands one ulp above hi for this domain
     cfg = write_config(tmp_path / "probe.json", {

@@ -209,6 +209,27 @@ def test_profile_quadrature_matches_closed_form_hyperbolic():
         assert abs(p.g(u) - (math.sin(u) - math.sin(0.3) + g0)) <= 1e-8
 
 
+@pytest.mark.parametrize("make_profile", [sinh_profile, cos_profile],
+                         ids=["elliptic", "hyperbolic"])
+def test_g_bits_independent_of_visiting_order(make_profile):
+    lo, hi = make_profile().domain
+    us = [lo + (hi - lo) * i / 29 for i in range(30)]
+    cold = [make_profile().g(u) for u in us]
+    p = make_profile()
+    ascending = [p.g(u) for u in us]
+    repeated = [p.g(u) for u in us]
+    q = make_profile()  # descending: all panel anchors exist at the first call
+    descending = [q.g(u) for u in reversed(us)][::-1]
+    shuffled = sorted(us, key=lambda u: math.sin(97.0 * u))
+    r = make_profile()
+    after_others = dict(zip(shuffled, [r.g(u) for u in shuffled]))
+    want = _bits(cold)
+    assert _bits(ascending) == want
+    assert _bits(repeated) == want
+    assert _bits(descending) == want
+    assert _bits([after_others[u] for u in us]) == want
+
+
 def test_profile_normalization_identity():
     pe = sinh_profile()
     ph = cos_profile()

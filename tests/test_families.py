@@ -49,6 +49,18 @@ def test_constant_gauss_elliptic_positive_inadmissible():
     assert "fdot^2 > 1" in str(err.value)
 
 
+def test_family_domain_error_names_first_violating_sample():
+    # cos u is admissible only at the first sample; f < 0 from the second on
+    lo = math.pi / 2 - 1e-3
+    hi = lo + 1.0
+    with pytest.raises(FamilyDomainError) as err:
+        constant_gauss_profile(1.0, 1.0, 0.0, H, (lo, hi))
+    u1 = lo + (hi - lo) * 1 / 511
+    assert str(err.value) == (
+        f"no admissible subdomain inside [{lo:.9g}, {hi:.9g}]: "
+        f"profile requires f(u) > 0, violated at u = {u1:.9g}")
+
+
 def test_constant_gauss_rejects_zero():
     with pytest.raises(FamilyDomainError):
         constant_gauss_profile(0.0, 1.0, 0.0, E, (0.5, 2.0))

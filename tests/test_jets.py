@@ -112,9 +112,14 @@ def test_family_fns_richardson_slope(fn, u):
     assert 3.2 <= e1 / e2 <= 4.8
 
 
+def grid_of(surf):
+    """The grid form fd_partials2 reads: one row over vs per u."""
+    return lambda us, vs: [[surf(a, b) for b in vs] for a in us]
+
+
 def test_fd_partials2_linear_map():
     surf = lambda u, v: Vec4(u, v, 0.0, 0.0)
-    p = fd_partials2(surf, 0.3, -0.2)
+    p = fd_partials2(grid_of(surf), 0.3, -0.2)
     assert p["z_u"].coords() == pytest.approx((1, 0, 0, 0), abs=1e-10)
     assert p["z_v"].coords() == pytest.approx((0, 1, 0, 0), abs=1e-10)
     for key in ("z_uu", "z_uv", "z_vv"):
@@ -123,13 +128,13 @@ def test_fd_partials2_linear_map():
 
 def test_fd_partials2_cross_term():
     surf = lambda u, v: Vec4(u * v, 0.0, 0.0, 0.0)
-    p = fd_partials2(surf, 0.7, 1.1, 1e-3)
+    p = fd_partials2(grid_of(surf), 0.7, 1.1, 1e-3)
     assert abs(p["z_uv"].x1 - 1.0) < 1e-8
 
 
 def test_fd_partials2_quadratic_exact():
     surf = lambda u, v: Vec4(u * u, u * v, v * v, u + v)
-    p = fd_partials2(surf, 0.4, 0.9, 1e-3)
+    p = fd_partials2(grid_of(surf), 0.4, 0.9, 1e-3)
     assert abs(p["z_uu"].x1 - 2.0) < 1e-8
     assert abs(p["z_uv"].x2 - 1.0) < 1e-8
     assert abs(p["z_vv"].x3 - 2.0) < 1e-8
@@ -140,7 +145,7 @@ def test_fd_partials2_meridian_tangent():
     prof = cos_profile()
     s = MeridianSurface(prof, circle_curve(1.0, Geometry.HYPERBOLIC))
     u, v = 0.8, 0.6
-    p = fd_partials2(s.position, u, v, 1e-4)
+    p = fd_partials2(s.grid_positions, u, v, 1e-4)
     j = prof.f_jet(u)
     l = s.curve.frame(v).l
     expected = j.d1 * l + Vec4(prof.gdot(u), 0, 0, 0)

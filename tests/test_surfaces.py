@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,7 +7,9 @@ import pytest
 from conftest import (boosted_hyperbolic_frame, close, cos_profile,
                       interior_point, random_surface, sinh_profile,
                       wavy_kappa)
-from meridian.curves import Geometry, SphericalCurve, circle_curve
+from meridian import jets, surfaces
+from meridian.curves import (Geometry, SphericalCurve, circle_curve,
+                             profile_from_slope_ode)
 from meridian.errors import FlatPointError, MisuseError, TrappedPointError
 from meridian.families import parallel_profile_case_a
 from meridian.jets import ScalarFn
@@ -121,6 +124,66 @@ def test_numeric_k_matches_worked_value(hyperbolic_cos_surface):
     k_num, vk_num = invariants_from_forms(ff)
     assert abs(k_num - (-2.0)) <= 1e-5
     assert abs(vk_num) <= 1e-6
+
+
+def _nine_call_partials(surf, u, v, h):
+    """The point stencil: nine separate calls of the position map, the
+    bitwise reference for fd_partials2's single 3x3 grid call."""
+    z00 = surf(u, v)
+    zpu, zmu = surf(u + h, v), surf(u - h, v)
+    zpv, zmv = surf(u, v + h), surf(u, v - h)
+    zpp, zpm = surf(u + h, v + h), surf(u + h, v - h)
+    zmp, zmm = surf(u - h, v + h), surf(u - h, v - h)
+    inv2h = 1.0 / (2.0 * h)
+    invh2 = 1.0 / (h * h)
+    return {
+        "z_u": (zpu - zmu) * inv2h,
+        "z_v": (zpv - zmv) * inv2h,
+        "z_uu": (zpu - 2.0 * z00 + zmu) * invh2,
+        "z_vv": (zpv - 2.0 * z00 + zmv) * invh2,
+        "z_uv": (zpp - zpm - zmp + zmm) * (0.25 * invh2),
+    }
+
+
+def _forms_test_surface(geometry, kappa_kind, profile_kind):
+    elliptic = geometry is Geometry.ELLIPTIC
+    b = 1.2 if elliptic else 0.6
+    if kappa_kind == "constant":
+        curve = circle_curve(b, geometry)
+    elif kappa_kind == "hermite":
+        xs = [0.25 * i - 2.0 for i in range(40)]
+        curve = SphericalCurve(jets.hermite_fn(
+            xs, [b + 0.2 * math.sin(x) for x in xs],
+            [0.2 * math.cos(x) for x in xs], name="kappa"), geometry)
+    else:
+        curve = SphericalCurve(wavy_kappa(b, 0.2, 0.7), geometry)
+    if profile_kind == "explicit":
+        profile = sinh_profile(g0=0.3) if elliptic else cos_profile()
+    else:
+        y = (ScalarFn(lambda t: 1.0 + 0.5 * t * t, name="y") if elliptic
+             else ScalarFn(lambda t: 0.2 + 0.5 / (1.0 + t * t), name="y"))
+        profile = profile_from_slope_ode(y, 0.5, geometry, 0.1, 0.6)
+    return MeridianSurface(profile, curve)
+
+
+@pytest.mark.parametrize("geometry", list(Geometry))
+@pytest.mark.parametrize("kappa_kind", ["constant", "hermite", "jets"])
+@pytest.mark.parametrize("profile_kind", ["explicit", "slope_ode"])
+def test_fd_forms_match_nine_call_stencil_bitwise(monkeypatch, geometry,
+                                                  kappa_kind, profile_kind):
+    rng = random.Random(f"{geometry.value}/{kappa_kind}/{profile_kind}")
+    s = _forms_test_surface(geometry, kappa_kind, profile_kind)
+    lo, hi = s.profile.domain
+    points = [(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)),
+               rng.uniform(-1.5, 7.5)) for _ in range(6)]
+    got = [dataclasses.astuple(fundamental_forms_numeric(s, u, v))
+           for u, v in points]
+    ref = _forms_test_surface(geometry, kappa_kind, profile_kind)
+    monkeypatch.setattr(surfaces, "fd_partials2", lambda grid, u, v, h:
+                        _nine_call_partials(ref.position, u, v, h))
+    want = [dataclasses.astuple(fundamental_forms_numeric(ref, u, v))
+            for u, v in points]
+    assert got == want
 
 
 # -- basic invariants ---------------------------------------------------------
