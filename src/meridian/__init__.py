@@ -8,9 +8,9 @@ constant mean curvature, constant invariant k, vanishing allied mean
 curvature (Chen), and parallel normal bundle.
 """
 
-from .curves import (Geometry, FrenetFrame, MeridianProfile, SphericalCurve,
-                     circle_curve, frenet_frame, kappa_m, profile_from_f,
-                     profile_from_slope_ode)
+from .curves import (Geometry, FrenetFrame, MeridianProfile, ProfileColumn,
+                     SphericalCurve, circle_curve, frenet_frame,
+                     profile_from_f, profile_from_slope_ode)
 from .errors import (DomainError, FamilyDomainError, FlatPointError,
                      FrameError, MeridianError, MisuseError,
                      NotSpacelikeError, ProfileDomainError,
@@ -37,7 +37,7 @@ __all__ = [
     "Jet2", "ScalarFn", "lift2", "fd_jet2", "fd_partials2",
     "Geometry", "FrenetFrame", "SphericalCurve", "MeridianProfile",
     "frenet_frame", "circle_curve", "profile_from_f",
-    "profile_from_slope_ode", "kappa_m",
+    "profile_from_slope_ode", "ProfileColumn",
     "MeridianSurface", "AdaptedFrame", "GeometricFrame", "FundamentalForms",
     "BasicInvariants", "InvariantSet", "PointClass", "PointTag", "KType",
     "position", "adapted_frame", "fundamental_forms_numeric",

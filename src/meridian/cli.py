@@ -15,13 +15,10 @@ import sys
 from typing import Optional
 
 from . import jets
-from .curves import (Geometry, SphericalCurve, circle_curve, profile_from_f,
-                     profile_from_slope_ode)
+from .curves import Geometry, SphericalCurve, circle_curve, profile_from_f
 from .errors import MeridianError, NotSpacelikeError
-from .families import (FamilyKind, FamilySpec, build_family_surface,
-                       constant_gauss_profile, family_profile,
-                       harmonic_fn, hyperbolic_harmonic_fn,
-                       parallel_profile_case_a, sqrt_quadratic_fn,
+from .families import (FamilyKind, FamilySpec, family_profile, harmonic_fn,
+                       hyperbolic_harmonic_fn, sqrt_quadratic_fn,
                        verify_family)
 from .jets import ScalarFn
 from .surfaces import MeridianSurface, PointTag, sweep
@@ -148,7 +145,6 @@ def _profile_from_config(cfg: dict, geometry: Geometry):
     kind = _require(spec, "kind", "profile")
     params = {k: _number(v, f"profile.{k}") for k, v in spec.items()
               if k not in ("kind", "family", "epsilon_branch")}
-    g0 = params.get("g0", 0.0)
     if kind == "explicit_f":
         family = _require(spec, "family", "profile")
         builder = _EXPLICIT_FAMILIES.get(family)
@@ -159,7 +155,8 @@ def _profile_from_config(cfg: dict, geometry: Geometry):
         except KeyError as exc:
             raise ConfigError(
                 f"missing field: profile.{exc.args[0]}") from None
-        return profile_from_f(f, geometry, g0, _u_domain(cfg))
+        return profile_from_f(f, geometry, params.get("g0", 0.0),
+                              _u_domain(cfg))
     if kind == "slope_ode":
         family = _require(spec, "family", "profile")
         if family not in _SLOPE_KINDS:
@@ -171,15 +168,11 @@ def _profile_from_config(cfg: dict, geometry: Geometry):
         family = _require(spec, "family", "profile")
         if family not in _FAMILY_KINDS:
             raise ConfigError(f"unknown profile family {family!r}")
-        u_lo, u_hi = _u_domain(cfg)
-        if family == "constant_gauss":
-            return constant_gauss_profile(
-                _require(params, "K0", "profile"), params.get("alpha", 0.0),
-                params.get("beta", 0.0), geometry, (u_lo, u_hi), g0=g0)
-        return parallel_profile_case_a(
-            _require(params, "c", "profile"), _require(params, "d", "profile"),
-            geometry, (u_lo, u_hi),
-            g_sign=int(params.get("g_sign", 1)), g0=g0)
+        u_min, u_max = _u_domain(cfg)
+        params = {"alpha": 0.0, "beta": 0.0, **params,
+                  "u_min": u_min, "u_max": u_max}
+        return family_profile(FamilySpec(FamilyKind(family), geometry,
+                                         params=params))
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 

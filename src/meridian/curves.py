@@ -8,6 +8,7 @@ with its normalization constraint and curvature.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from . import jets
-from .errors import (DomainError, FrameError, ProfileDomainError,
-                     UnsupportedGeometryError)
+from .errors import (DomainError, FrameError, MisuseError,
+                     ProfileDomainError, UnsupportedGeometryError)
 from .jets import Jet2, ScalarFn
 from .mink4 import Vec4, gram
 from .quadrature import adaptive_simpson
@@ -29,6 +30,8 @@ ADMISSIBILITY_MARGIN = 1e-8
 DEFAULT_STEP = 1e-3
 
 _MAX_ARC = 1e4  # runaway guard for lazy Frenet table extension
+
+SQRT2 = math.sqrt(2.0)
 
 
 class Geometry(Enum):
@@ -64,6 +67,11 @@ class Geometry(Enum):
         """+1 when the profile constraint reads fdot^2 - 1 > 0 (elliptic),
         -1 when it reads 1 - fdot^2 > 0 (hyperbolic)."""
         return 1.0 if self is Geometry.ELLIPTIC else -1.0
+
+    def normalization(self, fdot: float) -> float:
+        """V = fdot^2 - 1 (elliptic) or 1 - fdot^2 (hyperbolic): positive on
+        admissible profiles, and gdot^2 by the normalization constraint."""
+        return self.normalization_sign * (fdot * fdot - 1.0)
 
 
 def _embed(geometry: Geometry, triple: Sequence[float]) -> Vec4:
@@ -214,11 +222,12 @@ class SphericalCurve:
     def kappa_jet(self, v: float) -> Jet2:
         return self.kappa.jet2(v)
 
-    def is_constant_kappa(self, tol: float = 1e-12,
-                          samples: int = 32) -> bool:
-        vs = [2.0 * math.pi * i / (samples - 1) for i in range(samples)]
+    def is_constant_kappa(self) -> bool:
+        """Whether kappa agrees with kappa(0) to 1e-12 (relative above 1) at
+        32 points of [0, 2 pi]."""
+        vs = [2.0 * math.pi * i / 31 for i in range(32)]
         k0 = self.kappa(vs[0])
-        return all(abs(self.kappa(v) - k0) <= tol * max(1.0, abs(k0))
+        return all(abs(self.kappa(v) - k0) <= 1e-12 * max(1.0, abs(k0))
                    for v in vs)
 
 
@@ -261,8 +270,9 @@ def circle_curve(b: float, geometry: Geometry) -> SphericalCurve:
 
 
 class MeridianProfile:
-    """Meridian curve m = (f, g): 2-jets of f, quadrature for g, and the
-    meridian curvature.
+    """Meridian curve m = (f, g): 2-jets of f and quadrature for g.  The
+    quantities built from the jets at one u, among them the meridian
+    curvature, are a ProfileColumn.
 
     The normalization constraint fixes g up to its additive constant g0:
     gdot = sqrt(fdot^2 - 1) in the elliptic case, sqrt(1 - fdot^2) in the
@@ -304,14 +314,8 @@ class MeridianProfile:
         self._check(u)
         return self._f3(u)
 
-    def normalization(self, u: float) -> float:
-        """The positive quantity fdot^2 - 1 (elliptic) or 1 - fdot^2
-        (hyperbolic)."""
-        j = self.f_jet(u)
-        return self.geometry.normalization_sign * (j.d1 * j.d1 - 1.0)
-
     def gdot(self, u: float) -> float:
-        V = self.normalization(u)
+        V = self.geometry.normalization(self.f_jet(u).d1)
         if V <= 0.0:
             raise ProfileDomainError(
                 f"normalization violated at u = {u!r}", u=u)
@@ -333,32 +337,76 @@ class MeridianProfile:
             a = self.domain[0] + i * self._G_PANEL
             self._g_panels.append(
                 self._g_panels[i]
-                + adaptive_simpson(self.gdot, a, a + self._G_PANEL, tol=1e-15))
+                + adaptive_simpson(self.gdot, a, a + self._G_PANEL))
         anchor = self.domain[0] + j * self._G_PANEL
         return self.g0 + self._g_panels[j] + adaptive_simpson(
-            self.gdot, anchor, u, tol=1e-15)
-
-    def phi(self, u: float) -> float:
-        """f*fddot + fdot^2 - 1, the quantity steering H and the betas."""
-        j = self.f_jet(u)
-        return j.v * j.d2 + j.d1 * j.d1 - 1.0
-
-    def kappa_m(self, u: float) -> float:
-        """Curvature of the meridian: fddot/sqrt(fdot^2-1) (elliptic) or
-        -fddot/sqrt(1-fdot^2) (hyperbolic), with the mirrored sign when
-        g_orientation is -1."""
-        j = self.f_jet(u)
-        V = self.normalization(u)
-        if V <= 0.0:
-            raise ProfileDomainError(
-                f"normalization violated at u = {u!r}", u=u)
-        return (self.g_orientation * self.geometry.normalization_sign
-                * j.d2 / math.sqrt(V))
+            self.gdot, anchor, u)
 
 
-def kappa_m(profile: MeridianProfile, u: float) -> float:
-    """Meridian curvature at u (see MeridianProfile.kappa_m)."""
-    return profile.kappa_m(u)
+def _require_plus_orientation(profile: MeridianProfile) -> None:
+    if profile.g_orientation != 1:
+        raise MisuseError(
+            "invariant formulas assume the gdot >= 0 representative; "
+            "rebuild the profile with g_orientation=+1")
+
+
+def _violation(geometry: Geometry, u: float, f: float,
+               V: float) -> Optional[str]:
+    """Why a profile point with value f and normalization quantity V is
+    inadmissible, or None when it is fine."""
+    if f <= 0.0:
+        return f"profile requires f(u) > 0, violated at u = {u:.9g}"
+    if V < ADMISSIBILITY_MARGIN:
+        if geometry is Geometry.ELLIPTIC:
+            return ("elliptic normalization requires fdot^2 > 1, "
+                    f"violated at u = {u:.9g}")
+        return ("hyperbolic normalization requires fdot^2 < 1, "
+                f"violated at u = {u:.9g}")
+    return None
+
+
+class ProfileColumn:
+    """Every profile quantity the invariants use at one u, from a single
+    f_jet call: f, its derivatives, V, sqrt(V), phi = f fddot + fdot^2 - 1,
+    the meridian curvature kappa_m and the u-factors of k and <H,H>.
+
+    Raises ProfileDomainError naming u where f <= 0 or V is below
+    ADMISSIBILITY_MARGIN.  The terms of the geometric frame are computed on
+    first use, since only general, untrapped points need them.
+    """
+
+    def __init__(self, profile: MeridianProfile, u: float):
+        j = profile.f_jet(u)
+        geometry = profile.geometry
+        self.profile, self.u = profile, u
+        self.f, self.fdot, self.fddot = f, fdot, fddot = j.v, j.d1, j.d2
+        self.V = V = geometry.normalization(fdot)
+        msg = _violation(geometry, u, f, V)
+        if msg is not None:
+            raise ProfileDomainError(msg, u=u)
+        self.sign = sign = geometry.normalization_sign
+        self.sqV = sqV = math.sqrt(V)
+        self.gdot = profile.g_orientation * sqV
+        self.phi = phi = f * fddot + fdot * fdot - 1.0
+        self.phi2, self.ff = phi * phi, f * f
+        # fddot/sqrt(V) (elliptic), -fddot/sqrt(V) (hyperbolic), mirrored
+        # when g_orientation is -1
+        self.kappa_m = profile.g_orientation * sign * fddot / sqV
+        self.k_factor = -(fddot * fddot / V)    # k = k_factor kappa^2 / f^2
+        self.H2_denom = 4.0 * f * f * V         # <H,H> = D / H2_denom
+        self.gaussK = -fddot / f
+
+    @functools.cached_property
+    def frame_terms(self) -> tuple:
+        """(gamma, 2 f sqrt(V), f^2 fddot^2, V^2, phi/sqrt(V), its u-rate),
+        the rate from the exact third derivative of f."""
+        _require_plus_orientation(self.profile)
+        f, fdot, fddot, V, sqV, phi = (self.f, self.fdot, self.fddot, self.V,
+                                       self.sqV, self.phi)
+        dphi = 3.0 * fdot * fddot + f * self.profile.f3(self.u)
+        dV = self.sign * 2.0 * fdot * fddot
+        return (-fdot / (SQRT2 * f), 2.0 * f * sqV, self.ff * fddot * fddot,
+                V * V, phi / sqV, dphi / sqV - 0.5 * phi * dV / (V * sqV))
 
 
 class _ExplicitProfile(MeridianProfile):
@@ -379,16 +427,7 @@ def _sample_violation(f_jet, geometry: Geometry, u: float) -> Optional[str]:
         j = f_jet(u)
     except DomainError as exc:
         return str(exc)
-    if j.v <= 0.0:
-        return f"profile requires f(u) > 0, violated at u = {u:.9g}"
-    V = geometry.normalization_sign * (j.d1 * j.d1 - 1.0)
-    if V < ADMISSIBILITY_MARGIN:
-        if geometry is Geometry.ELLIPTIC:
-            return ("elliptic normalization requires fdot^2 > 1, "
-                    f"violated at u = {u:.9g}")
-        return ("hyperbolic normalization requires fdot^2 < 1, "
-                f"violated at u = {u:.9g}")
-    return None
+    return _violation(geometry, u, j.v, geometry.normalization(j.d1))
 
 
 def profile_from_f(f: ScalarFn, geometry: Geometry, g0: float,
@@ -453,8 +492,8 @@ def _slope_admissible(y: ScalarFn, t: float, geometry: Geometry) -> float:
         return math.nan
     if t <= 0.0 or not math.isfinite(yv):
         return math.nan
-    V = geometry.normalization_sign * (yv * yv - 1.0)
-    if V < ADMISSIBILITY_MARGIN or (geometry is Geometry.HYPERBOLIC and yv <= 0.0):
+    if (geometry.normalization(yv) < ADMISSIBILITY_MARGIN
+            or (geometry is Geometry.HYPERBOLIC and yv <= 0.0)):
         return math.nan
     return yv
 

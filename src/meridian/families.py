@@ -15,9 +15,9 @@ from enum import Enum
 from typing import Callable, Optional
 
 from . import jets
-from .curves import (DEFAULT_STEP, Geometry, MeridianProfile, SphericalCurve,
-                     circle_curve, profile_from_f, profile_from_slope_ode,
-                     _sample_violation)
+from .curves import (DEFAULT_STEP, Geometry, MeridianProfile, ProfileColumn,
+                     SphericalCurve, circle_curve, profile_from_f,
+                     profile_from_slope_ode, _sample_violation)
 from .errors import FamilyDomainError, MisuseError
 from .jets import ScalarFn
 from .surfaces import MeridianSurface, PointRecord, sweep
@@ -105,14 +105,16 @@ def sqrt_quadratic_fn(c: float, d: float) -> ScalarFn:
     return ScalarFn(body, name="sqrt_quadratic", d3=d3)
 
 
-def _validated_family_domain(f: ScalarFn, geometry: Geometry,
-                             domain: tuple[float, float],
-                             n: int = 512) -> tuple[float, float]:
-    """Largest admissible subinterval of ``domain``, shrunk 1% from each
-    admissibility boundary.  Raises FamilyDomainError when none exists."""
+def _validated_family_domain(
+        f: ScalarFn, geometry: Geometry,
+        domain: tuple[float, float]) -> tuple[float, float]:
+    """Largest admissible subinterval of ``domain`` by a 512-point scan,
+    shrunk 1% from each admissibility boundary.  Raises FamilyDomainError
+    when none exists."""
     lo, hi = float(domain[0]), float(domain[1])
     if hi <= lo:
         raise FamilyDomainError(f"empty domain {domain!r}")
+    n = 512
     us = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     violations = [_sample_violation(f.jet2, geometry, u) for u in us]
     best_len, best_start = 0, -1
@@ -298,11 +300,9 @@ def cmc_ode_residual(profile: MeridianProfile, a: float, b: float,
                      plus_sign: bool) -> Callable[[float], float]:
     """Residual of (f fddot + fdot^2 - 1)^2 = V (b^2 +- 4 a^2 f^2)."""
     def residual(u: float) -> float:
-        f = profile.f_jet(u).v
-        phi = profile.phi(u)
-        V = profile.normalization(u)
-        rad = b * b + (4.0 if plus_sign else -4.0) * a * a * f * f
-        return phi * phi - V * rad
+        c = ProfileColumn(profile, u)
+        rad = b * b + (4.0 if plus_sign else -4.0) * a * a * c.f * c.f
+        return c.phi * c.phi - c.V * rad
 
     return residual
 
@@ -311,9 +311,8 @@ def constant_k_ode_residual(profile: MeridianProfile, a: float,
                             b: float) -> Callable[[float], float]:
     """Residual of b^2 fddot^2 - a^2 f^2 V = 0."""
     def residual(u: float) -> float:
-        j = profile.f_jet(u)
-        V = profile.normalization(u)
-        return b * b * j.d2 * j.d2 - a * a * j.v * j.v * V
+        c = ProfileColumn(profile, u)
+        return b * b * c.fddot * c.fddot - a * a * c.f * c.f * c.V
 
     return residual
 
@@ -322,9 +321,8 @@ def chen_ode_residual(profile: MeridianProfile,
                       b: float) -> Callable[[float], float]:
     """Residual of V^2 - f^2 fddot^2 = b^2 V."""
     def residual(u: float) -> float:
-        j = profile.f_jet(u)
-        V = profile.normalization(u)
-        return V * V - j.v * j.v * j.d2 * j.d2 - b * b * V
+        c = ProfileColumn(profile, u)
+        return c.V * c.V - c.f * c.f * c.fddot * c.fddot - b * b * c.V
 
     return residual
 
@@ -333,20 +331,22 @@ def parallel_b_ode_residual(profile: MeridianProfile,
                             a: float) -> Callable[[float], float]:
     """Residual of f fddot + fdot^2 - 1 = a sqrt(V)."""
     def residual(u: float) -> float:
-        return profile.phi(u) - a * math.sqrt(profile.normalization(u))
+        c = ProfileColumn(profile, u)
+        return c.phi - a * c.sqV
 
     return residual
 
 
 def parallel_a_ode_residual(profile: MeridianProfile) -> Callable[[float], float]:
     """Residual of f fddot + fdot^2 - 1 = 0."""
-    return profile.phi
+    return lambda u: ProfileColumn(profile, u).phi
 
 
 def max_ode_residual(residual: Callable[[float], float],
-                     domain: tuple[float, float], n: int = 201) -> float:
+                     domain: tuple[float, float]) -> float:
+    """Largest |residual| at 201 evenly spaced points of ``domain``."""
     lo, hi = domain
-    return max(abs(residual(lo + (hi - lo) * i / (n - 1))) for i in range(n))
+    return max(abs(residual(lo + (hi - lo) * i / 200)) for i in range(201))
 
 
 # ---------------------------------------------------------------------------

@@ -140,13 +140,6 @@ def exp(x):
     return _chain(x, e, e, e)
 
 
-def log(x):
-    x = _as_jet(x)
-    if x.v <= 0.0:
-        raise DomainError(f"log of non-positive value {x.v!r}")
-    return _chain(x, math.log(x.v), 1.0 / x.v, -1.0 / (x.v * x.v))
-
-
 def asin(x):
     x = _as_jet(x)
     if not -1.0 < x.v < 1.0:

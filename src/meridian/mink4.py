@@ -72,11 +72,17 @@ def causal_character(v: Vec4, tol: float = 0.0) -> CausalClass:
     """Classify v as spacelike/timelike/lightlike/zero by the sign of inner(v,v).
 
     The zero vector gets its own class (it is never reported lightlike).
+    At tol = 0 the sign is taken after an exact power-of-two rescale that
+    brings the largest |coordinate| into [0.5, 1), so squares of tiny (or
+    huge) coordinates cannot underflow (or overflow).
     """
     if tol < 0.0:
         raise ValueError("tol must be >= 0")
     if all(abs(c) <= tol for c in v.coords()):
         return CausalClass.ZERO
+    if tol == 0.0:
+        e = math.frexp(max(abs(c) for c in v.coords()))[1]
+        v = Vec4(*(math.ldexp(c, -e) for c in v.coords()))
     n2 = inner(v, v)
     if n2 > tol:
         return CausalClass.SPACELIKE

@@ -1,6 +1,6 @@
 """Adaptive Simpson quadrature.
 
-Tolerances default well below the package's verification thresholds so that
+The tolerance sits well below the package's verification thresholds so that
 quantities defined by quadrature stay usable inside finite-difference
 stencils.
 """
@@ -9,18 +9,23 @@ from __future__ import annotations
 
 from typing import Callable
 
+#: Absolute tolerance of one integral; each bisection halves it.
+TOL = 1e-15
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-13, max_depth: int = 48) -> float:
+#: Bisection depth at which a panel is accepted whatever its error.
+MAX_DEPTH = 48
+
+
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     """Integrate f over [a, b] by adaptive Simpson with Richardson correction."""
     if a == b:
         return 0.0
     if b < a:
-        return -adaptive_simpson(f, b, a, tol, max_depth)
+        return -adaptive_simpson(f, b, a)
     c = 0.5 * (a + b)
     fa, fb, fc = f(a), f(b), f(c)
     whole = (b - a) / 6.0 * (fa + 4.0 * fc + fb)
-    return _simpson_rec(f, a, b, fa, fb, fc, whole, tol, max_depth)
+    return _simpson_rec(f, a, b, fa, fb, fc, whole, TOL, MAX_DEPTH)
 
 
 def _simpson_rec(f, a, b, fa, fb, fc, whole, tol, depth):

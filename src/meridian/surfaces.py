@@ -8,19 +8,17 @@ route through the fundamental forms is provided as an oracle.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .curves import Geometry, MeridianProfile, SphericalCurve
+from .curves import (SQRT2, Geometry, MeridianProfile, ProfileColumn,
+                     SphericalCurve, _require_plus_orientation)
 from .errors import (FlatPointError, MisuseError, NotSpacelikeError,
                      TrappedPointError)
 from .jets import Jet2, fd_partials2
 from .mink4 import Vec4, inner
-
-SQRT2 = math.sqrt(2.0)
 
 #: |kappa| or |kappa_m| at or below this marks a flat point (case I / II);
 #: the geometric frame's denominators degenerate there.
@@ -54,11 +52,12 @@ class MeridianSurface:
     def grid_positions(self, us: Sequence[float],
                        vs: Sequence[float]) -> Iterator[list[Vec4]]:
         """f(u) l(v) + g(u) axis on the grid us x vs, one list over vs per
-        u; the curve frame is evaluated once per v, f and g once per u."""
+        u; the curve frame is evaluated once per v, the profile column
+        (which checks u) and g once per u."""
         ls = [self.curve.frame(v).l.coords() for v in vs]
         axis = self.geometry.axis_slot
         for u in us:
-            f, g = self.profile.f_jet(u).v, self.profile.g(u)
+            f, g = ProfileColumn(self.profile, u).f, self.profile.g(u)
             row = []
             for l in ls:
                 coords = [f * c for c in l]
@@ -152,40 +151,6 @@ class PointClass:
     minimal: bool
 
 
-class ProfileColumn:
-    """The u-column of the point kernel: every profile quantity the
-    invariants use at one u, from a single f_jet call.  The terms of the
-    geometric frame are computed on first use, since only general,
-    untrapped points need them."""
-
-    def __init__(self, s: MeridianSurface, u: float):
-        j = s.profile.f_jet(u)
-        self.surface, self.u = s, u
-        self.f, self.fdot, self.fddot = f, fdot, fddot = j.v, j.d1, j.d2
-        self.sign = sign = s.geometry.normalization_sign
-        self.V = V = sign * (fdot * fdot - 1.0)    # > 0 on admissible profiles
-        self.sqV = sqV = math.sqrt(V)
-        self.phi = phi = f * fddot + fdot * fdot - 1.0
-        self.phi2, self.ff = phi * phi, f * f
-        self.kappa_m = sign * fddot / sqV
-        self.k_factor = -(fddot * fddot / V)    # k = k_factor kappa^2 / f^2
-        self.H2_denom = 4.0 * f * f * V         # <H,H> = D / H2_denom
-        self.gaussK = -fddot / f
-
-    @functools.cached_property
-    def frame_terms(self) -> tuple:
-        """(gamma, 2 f sqrt(V), f^2 fddot^2, V^2, phi/sqrt(V), its u-rate),
-        the rate from the exact third derivative of f."""
-        s = self.surface
-        _require_plus_orientation(s)
-        f, fdot, fddot, V, sqV, phi = (self.f, self.fdot, self.fddot, self.V,
-                                       self.sqV, self.phi)
-        dphi = 3.0 * fdot * fddot + f * s.profile.f3(self.u)
-        dV = self.sign * 2.0 * fdot * fddot
-        return (-fdot / (SQRT2 * f), 2.0 * f * sqV, self.ff * fddot * fddot,
-                V * V, phi / sqV, dphi / sqV - 0.5 * phi * dV / (V * sqV))
-
-
 class PointRecord(NamedTuple):
     """One cell of the point kernel; ``frame`` holds the frame invariants at
     general, untrapped points and is None elsewhere."""
@@ -241,14 +206,15 @@ def sweep(s: MeridianSurface, us: Sequence[float], vs: Sequence[float],
     frame-invariant guard both use ``flat_tol``."""
     rows = [s.curve.kappa_jet(v) for v in vs]
     for u in us:
-        col = ProfileColumn(s, u)
+        col = ProfileColumn(s.profile, u)
         for v, kj in zip(vs, rows):
             yield _cell(col, v, kj, flat_tol, True)
 
 
-def _point(s: MeridianSurface, u: float, v: float, frame: bool,
-           tol: float = FLAT_TOL) -> PointRecord:
-    return _cell(ProfileColumn(s, u), v, s.curve.kappa_jet(v), tol, frame)
+def _point(s: MeridianSurface, u: float, v: float,
+           frame: bool) -> PointRecord:
+    return _cell(ProfileColumn(s.profile, u), v, s.curve.kappa_jet(v),
+                 FLAT_TOL, frame)
 
 
 def _require_general(rec: PointRecord) -> None:
@@ -260,32 +226,25 @@ def _require_general(rec: PointRecord) -> None:
             "kappa_m = 0: flat point of case II (developable ruled surface)")
 
 
-def _require_untrapped(H2: float, tol: float = TRAPPED_TOL) -> None:
-    if abs(H2) <= tol:
+def _require_untrapped(H2: float) -> None:
+    if abs(H2) <= TRAPPED_TOL:
         raise TrappedPointError(
             f"<H,H> = {H2:.3e} is lightlike within tolerance; marginally "
             "trapped points are outside the invariant frame construction")
 
 
-def _require_plus_orientation(s: MeridianSurface) -> None:
-    if s.profile.g_orientation != 1:
-        raise MisuseError(
-            "invariant formulas assume the gdot >= 0 representative; "
-            "rebuild the profile with g_orientation=+1")
-
-
 def adapted_frame(s: MeridianSurface, u: float, v: float) -> AdaptedFrame:
     """{X = z_u, Y = z_v / f, n1, n2} per the construction of each geometry."""
-    j = s.profile.f_jet(u)
-    gd = s.profile.gdot(u)
+    c = ProfileColumn(s.profile, u)
+    fdot, gd = c.fdot, c.gdot
     fr = s.curve.frame(v)
     if s.geometry is Geometry.ELLIPTIC:
-        X = j.d1 * fr.l + Vec4(0.0, 0.0, 0.0, gd)
+        X = fdot * fr.l + Vec4(0.0, 0.0, 0.0, gd)
         n1 = fr.n
-        n2 = gd * fr.l + Vec4(0.0, 0.0, 0.0, j.d1)
+        n2 = gd * fr.l + Vec4(0.0, 0.0, 0.0, fdot)
     else:
-        X = j.d1 * fr.l + Vec4(gd, 0.0, 0.0, 0.0)
-        n1 = gd * fr.l - Vec4(j.d1, 0.0, 0.0, 0.0)
+        X = fdot * fr.l + Vec4(gd, 0.0, 0.0, 0.0)
+        n1 = gd * fr.l - Vec4(fdot, 0.0, 0.0, 0.0)
         n2 = fr.n
     return AdaptedFrame(X, fr.t, n1, n2)
 
@@ -353,14 +312,13 @@ def mean_curvature_vector(s: MeridianSurface, u: float, v: float) -> Vec4:
         - (rec.kappa / (2.0 * col.f)) * fr.n2
 
 
-def geometric_frame(s: MeridianSurface, u: float, v: float,
-                    tol_trapped: float = TRAPPED_TOL) -> GeometricFrame:
+def geometric_frame(s: MeridianSurface, u: float, v: float) -> GeometricFrame:
     """Principal tangents x, y and the normal pair b, l with b collinear
     (same orientation for epsilon = +1) with H."""
-    _require_plus_orientation(s)
+    _require_plus_orientation(s.profile)
     rec = _point(s, u, v, frame=False)
     _require_general(rec)
-    _require_untrapped(rec.H2, tol_trapped)
+    _require_untrapped(rec.H2)
     eps = 1 if rec.H2 > 0.0 else -1
     fr = adapted_frame(s, u, v)
     x = (fr.X + fr.Y) / SQRT2
@@ -379,7 +337,7 @@ def geometric_frame(s: MeridianSurface, u: float, v: float,
 def eight_invariants(s: MeridianSurface, u: float, v: float) -> InvariantSet:
     """The eight invariants of the geometric frame, by their closed forms,
     with dkappa/dv taken from the curve's jet."""
-    _require_plus_orientation(s)
+    _require_plus_orientation(s.profile)
     rec = _point(s, u, v, frame=True)
     _require_general(rec)
     _require_untrapped(rec.H2)
@@ -394,17 +352,17 @@ def allied_coefficient(s: MeridianSurface, u: float, v: float) -> float:
     return math.sqrt(inv.varkappa * inv.varkappa - inv.k) / 2.0 * inv.lam
 
 
-def classify_point(s: MeridianSurface, u: float, v: float,
-                   tol: float = FLAT_TOL) -> PointClass:
-    """Flat-case tag, point type by the sign of k, and trapped/minimal flags."""
-    rec = _point(s, u, v, frame=False, tol=tol)
-    if rec.k > tol:
+def classify_point(s: MeridianSurface, u: float, v: float) -> PointClass:
+    """Flat-case tag, point type by the sign of k, and trapped/minimal flags,
+    each decided at FLAT_TOL."""
+    rec = _point(s, u, v, frame=False)
+    if rec.k > FLAT_TOL:
         ktype = KType.ELLIPTIC_PT
-    elif abs(rec.k) <= tol:
+    elif abs(rec.k) <= FLAT_TOL:
         ktype = KType.PARABOLIC_PT
     else:
         ktype = KType.HYPERBOLIC_PT
     minimal = (rec.tag is PointTag.GENERAL and not rec.trapped
-               and rec.meanH <= tol)
+               and rec.meanH <= FLAT_TOL)
     return PointClass(tag=rec.tag, ktype=ktype, trapped=rec.trapped,
                       minimal=minimal)

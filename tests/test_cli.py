@@ -297,6 +297,69 @@ def test_invariants_negative_orientation_exit2(tmp_path, capsys):
     assert "g_orientation" in capsys.readouterr().err
 
 
+def _harmonic_far_config(tmp_path):
+    # f = cos(4u) passes the 512-point admissibility scan of this domain,
+    # but is negative or breaks the normalization between the samples
+    return write_config(tmp_path / "far.json", {
+        "geometry": "elliptic",
+        "curve": {"kind": "constant", "b": 1},
+        "profile": {"kind": "explicit_f", "family": "harmonic",
+                    "alpha": 1, "beta": 0, "omega": 4},
+        "domain": {"u": [-0.2, 802.4]}})
+
+
+def _hyperbolic_dip_config(tmp_path):
+    # f = 0.9 cos u keeps |fdot| < 1, so gdot exists everywhere, and the
+    # scan samples fall 2 pi apart, where f = 0.9; f = -0.9 mid-domain
+    return write_config(tmp_path / "dip.json", {
+        "geometry": "hyperbolic",
+        "curve": {"kind": "constant", "b": 0.5},
+        "profile": {"kind": "explicit_f", "family": "harmonic",
+                    "alpha": 0.9, "beta": 0, "omega": 1},
+        "domain": {"u": [0.0, 2 * math.pi * 511]}})
+
+
+@pytest.mark.parametrize("config,command,grid,u", [
+    (_harmonic_far_config, ["invariants"], "4,3", "534.866667"),
+    (_harmonic_far_config, ["invariants"], "5,3", "200.45"),
+    (_harmonic_far_config, ["export", "--format", "csv4"], "5,3", "200.45"),
+    (_hyperbolic_dip_config, ["invariants"], "3,2", "1605.35385"),
+    (_hyperbolic_dip_config, ["export", "--format", "csv4"], "3,2",
+     "1605.35385"),
+], ids=["far-invariants-4x3", "far-invariants-5x3", "far-export-5x3",
+        "dip-invariants", "dip-export"])
+def test_inadmissible_grid_point_exit2(tmp_path, capsys, config, command,
+                                       grid, u):
+    out = tmp_path / "o.csv"
+    assert main(command + ["--config", config(tmp_path),
+                           "--out", str(out), "--grid", grid]) == 2
+    assert f"f(u) > 0, violated at u = {u}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_family_profile_config_defaults(tmp_path, capsys):
+    cfg = {"geometry": "elliptic", "curve": {"kind": "constant", "b": 1.0},
+           "profile": {"kind": "family", "family": "constant_gauss",
+                       "K0": -1.0, "beta": 1.0},
+           "domain": {"u": [0.5, 2.0]}}
+    out = tmp_path / "o.csv"
+    # alpha defaults to 0: the same rows as the worked config with alpha = 0
+    assert main(["invariants", "--config", write_config(tmp_path / "a.json",
+                                                        cfg),
+                 "--out", str(out)]) == 0
+    cfg["profile"]["alpha"] = 0.0
+    ref = tmp_path / "ref.csv"
+    assert main(["invariants", "--config", write_config(tmp_path / "b.json",
+                                                        cfg),
+                 "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    del cfg["profile"]["K0"]
+    assert main(["invariants", "--config", write_config(tmp_path / "c.json",
+                                                        cfg),
+                 "--out", str(out)]) == 2
+    assert "'K0'" in capsys.readouterr().err
+
+
 # -- golden outputs ------------------------------------------------------------
 
 # sha256 of outputs recorded before the separable point kernel replaced the

@@ -7,12 +7,14 @@ from conftest import (boosted_hyperbolic_frame, close, cos_fn, cos_profile,
                       rotated_elliptic_frame, sinh_fn, sinh_profile,
                       wavy_kappa)
 from meridian import jets
-from meridian.curves import (Geometry, MeridianProfile, SphericalCurve,
-                             circle_curve, frenet_frame, kappa_m,
-                             profile_from_f, profile_from_slope_ode)
+from meridian.curves import (ADMISSIBILITY_MARGIN, Geometry, MeridianProfile,
+                             ProfileColumn, SphericalCurve, circle_curve,
+                             frenet_frame, profile_from_f,
+                             profile_from_slope_ode)
 from meridian.errors import FrameError, ProfileDomainError
-from meridian.families import constant_k_ode_residual, max_ode_residual
-from meridian.jets import ScalarFn
+from meridian.families import (constant_k_ode_residual, harmonic_fn,
+                               max_ode_residual)
+from meridian.jets import Jet2, ScalarFn
 from meridian.mink4 import Vec4, gram, inner
 
 TWO_PI = 2.0 * math.pi
@@ -262,7 +264,8 @@ def test_constant_slope_is_linear():
                                Geometry.ELLIPTIC, 0.0, 1.0)
     for u in (0.0, 0.25, 0.8):
         assert abs(p.f_jet(u).v - (1.0 + math.sqrt(2.0) * u)) <= 1e-12
-    assert abs(kappa_m(p, 0.5)) <= 1e-12  # fddot = 0: developable case
+    # fddot = 0: the developable case
+    assert abs(ProfileColumn(p, 0.5).kappa_m) <= 1e-12
 
 
 def test_constant_k_slope_ode_residual():
@@ -277,8 +280,8 @@ def test_parallel_b_slope_ode_residual():
     p = profile_from_slope_ode(y, 2.0, Geometry.ELLIPTIC, 0.0, 1.0)
     for i in range(11):
         u = p.domain[0] + (p.domain[1] - p.domain[0]) * i / 10
-        V = p.normalization(u)
-        assert abs(p.phi(u) - math.sqrt(V)) <= 1e-8
+        c = ProfileColumn(p, u)
+        assert abs(c.phi - math.sqrt(c.V)) <= 1e-8
 
 
 def test_slope_ode_rejects_bad_inputs():
@@ -301,16 +304,68 @@ def test_slope_profile_matches_explicit_profile():
     explicit = sinh_profile()
     for u in (0.1, 0.5, 0.9):
         assert abs(p.f_jet(u).v - math.sinh(u + 0.5)) <= 1e-9
-        assert close(p.kappa_m(u), explicit.kappa_m(u + 0.5), 1e-6)
-        assert close(p.kappa_m(u), 1.0, 1e-6)
+        km = ProfileColumn(p, u).kappa_m
+        assert close(km, ProfileColumn(explicit, u + 0.5).kappa_m, 1e-6)
+        assert close(km, 1.0, 1e-6)
+
+
+# -- the profile column -------------------------------------------------------
+
+
+class _FixedJetProfile(MeridianProfile):
+    """A profile with one 2-jet everywhere on [0, 1], built without the
+    admissibility scan, so only the column can catch a bad point."""
+
+    def __init__(self, geometry, jet):
+        super().__init__(geometry, (0.0, 1.0))
+        self._jet = jet
+
+    def _f_jet(self, u):
+        return self._jet
+
+
+@pytest.mark.parametrize("geometry,jet,needle", [
+    (Geometry.ELLIPTIC, Jet2(0.0, 2.0, 0.0), "f(u) > 0"),
+    (Geometry.ELLIPTIC, Jet2(-0.5, 2.0, 0.0), "f(u) > 0"),
+    (Geometry.HYPERBOLIC, Jet2(-1.0, 0.5, 0.0), "f(u) > 0"),
+    (Geometry.ELLIPTIC, Jet2(1.0, 1.0, 0.0), "fdot^2 > 1"),
+    (Geometry.ELLIPTIC, Jet2(1.0, math.sqrt(1.0 + 5e-9), 0.0), "fdot^2 > 1"),
+    (Geometry.HYPERBOLIC, Jet2(1.0, 1.5, 0.0), "fdot^2 < 1"),
+    (Geometry.HYPERBOLIC, Jet2(1.0, math.sqrt(1.0 - 5e-9), 0.0),
+     "fdot^2 < 1"),
+])
+def test_column_rejects_inadmissible_u(geometry, jet, needle):
+    with pytest.raises(ProfileDomainError) as err:
+        ProfileColumn(_FixedJetProfile(geometry, jet), 0.25)
+    assert err.value.u == 0.25
+    assert f"{needle}, violated at u = 0.25" in str(err.value)
+
+
+def test_column_margin_cases_lie_inside_the_margin():
+    # the two sqrt(1 -+ 5e-9) slopes above have 0 < V < ADMISSIBILITY_MARGIN
+    for geometry, fdot in ((Geometry.ELLIPTIC, math.sqrt(1.0 + 5e-9)),
+                           (Geometry.HYPERBOLIC, math.sqrt(1.0 - 5e-9))):
+        assert 0.0 < geometry.normalization(fdot) < ADMISSIBILITY_MARGIN
+
+
+def test_column_checks_points_between_scan_samples():
+    # cos(4u) passes profile_from_f's 512-point scan of this domain
+    p = profile_from_f(harmonic_fn(1.0, 0.0, 4.0), Geometry.ELLIPTIC, 0.0,
+                       (-0.2, 802.4))
+    for u, needle in ((200.45, "f(u) > 0"), (20 * math.pi, "fdot^2 > 1")):
+        with pytest.raises(ProfileDomainError) as err:
+            ProfileColumn(p, u)
+        assert err.value.u == u
+        assert needle in str(err.value)
 
 
 # -- kappa_m ------------------------------------------------------------------
 
 
 def test_kappa_m_examples():
-    assert abs(kappa_m(sinh_profile(), 1.0) - 1.0) <= 1e-12
-    assert abs(kappa_m(cos_profile(), math.pi / 4) - 1.0) <= 1e-12
+    assert abs(ProfileColumn(sinh_profile(), 1.0).kappa_m - 1.0) <= 1e-12
+    assert abs(ProfileColumn(cos_profile(), math.pi / 4).kappa_m
+               - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("orientation", [1, -1])
@@ -329,8 +384,9 @@ def test_kappa_m_matches_cross_product_form(geometry, f, domain,
         j = p.f_jet(u)
         gddot = (p.gdot(u + h) - p.gdot(u - h)) / (2 * h)
         cross = j.d1 * gddot - p.gdot(u) * j.d2
-        assert close(p.kappa_m(u), cross, 1e-7)
-        assert p.kappa_m(u) * orientation > 0.0
+        km = ProfileColumn(p, u).kappa_m
+        assert close(km, cross, 1e-7)
+        assert km * orientation > 0.0
 
 
 def test_frames_from_custom_initial_conditions():

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from conftest import close, profile_value_fn, wavy_kappa
-from meridian.curves import Geometry, SphericalCurve, circle_curve
+from meridian.curves import (Geometry, ProfileColumn, SphericalCurve,
+                             circle_curve)
 from meridian.errors import (FamilyDomainError, MisuseError,
                              ProfileDomainError)
 from meridian.families import (FamilyKind, FamilySpec, build_family_surface,
@@ -11,7 +12,8 @@ from meridian.families import (FamilyKind, FamilySpec, build_family_surface,
                                cmc_ode_residual, constant_gauss_profile,
                                constant_k_ode_residual, constant_k_slope,
                                constant_mean_slope, family_profile,
-                               max_ode_residual, parallel_b_ode_residual,
+                               max_ode_residual, parallel_a_ode_residual,
+                               parallel_b_ode_residual,
                                parallel_profile_case_a, parallel_slope_case_b,
                                verify_family)
 from meridian.jets import fd_jet2
@@ -190,7 +192,7 @@ def test_parallel_a_elliptic_closed_form_g():
         expected = math.log(u + math.sqrt(u * u - 1.0)) - ref + g0
         assert abs(p.g(u) - expected) <= 1e-8
     for u in (1.2, 2.5):
-        assert abs(p.phi(u)) <= 1e-12
+        assert abs(ProfileColumn(p, u).phi) <= 1e-12
 
 
 def test_parallel_a_betas_vanish_for_wavy_kappa():
@@ -298,3 +300,73 @@ def test_slope_ode_second_derivative_matches_fd():
         u = prof.domain[0] + frac * (prof.domain[1] - prof.domain[0])
         fd = fd_jet2(fn, u, 1e-3)
         assert close(fd.d2, prof.f_jet(u).d2, 1e-6)
+
+
+# -- defining-ODE residuals read one profile column --------------------------
+
+
+def _ref_phi(p, u):
+    j = p.f_jet(u)
+    return j.v * j.d2 + j.d1 * j.d1 - 1.0
+
+
+def _ref_normalization(p, u):
+    j = p.f_jet(u)
+    return p.geometry.normalization_sign * (j.d1 * j.d1 - 1.0)
+
+
+def _reference_residuals(p, a, b):
+    """The five residuals as written on per-quantity f_jet calls, before
+    they read a ProfileColumn; each must agree bit for bit."""
+    def cmc(plus_sign):
+        def residual(u):
+            f = p.f_jet(u).v
+            phi = _ref_phi(p, u)
+            V = _ref_normalization(p, u)
+            rad = b * b + (4.0 if plus_sign else -4.0) * a * a * f * f
+            return phi * phi - V * rad
+        return residual
+
+    def constant_k(u):
+        j = p.f_jet(u)
+        V = _ref_normalization(p, u)
+        return b * b * j.d2 * j.d2 - a * a * j.v * j.v * V
+
+    def chen(u):
+        j = p.f_jet(u)
+        V = _ref_normalization(p, u)
+        return V * V - j.v * j.v * j.d2 * j.d2 - b * b * V
+
+    return [(cmc(True), cmc_ode_residual(p, a, b, plus_sign=True)),
+            (cmc(False), cmc_ode_residual(p, a, b, plus_sign=False)),
+            (constant_k, constant_k_ode_residual(p, a, b)),
+            (chen, chen_ode_residual(p, b)),
+            (lambda u: _ref_phi(p, u)
+             - a * math.sqrt(_ref_normalization(p, u)),
+             parallel_b_ode_residual(p, a)),
+            (lambda u: _ref_phi(p, u), parallel_a_ode_residual(p))]
+
+
+@pytest.mark.parametrize("profile", [
+    lambda: family_profile(spec("constant_gauss", E, K0=-1.0, alpha=0.0,
+                                beta=1.0, u_min=0.5, u_max=2.0)),
+    lambda: family_profile(spec("constant_gauss", H, K0=1.0, alpha=1.0,
+                                beta=0.0, u_min=0.3, u_max=1.2)),
+    lambda: parallel_profile_case_a(0.0, -1.0, E, (1.1, 3.0)),
+    lambda: family_profile(spec("constant_mean", E, a=1.0, b=4.0, C=0.0,
+                                f0=0.5, u_span=0.5)),
+    lambda: family_profile(spec("constant_k", H, a=1.0, b=2.0, C=0.0,
+                                f0=0.5, u_span=0.7)),
+    lambda: family_profile(spec("chen", H, a=-1.0, b=0.5, f0=0.7,
+                                u_span=1.2)),
+    lambda: family_profile(spec("parallel_b", E, a=1.0, c=1.0, b=2.0,
+                                f0=2.0, u_span=1.0)),
+], ids=["gauss-ell", "gauss-hyp", "parallel_a-ell", "cmc-ell-slope",
+        "constant_k-hyp-slope", "chen-hyp-slope", "parallel_b-ell-slope"])
+def test_ode_residuals_equal_f_jet_formulas(profile):
+    p = profile()
+    lo, hi = p.domain
+    us = [lo + (hi - lo) * i / 40 for i in range(41)]
+    for a, b in ((0.7, 1.3), (1.0, 4.0)):
+        for ref, residual in _reference_residuals(p, a, b):
+            assert [residual(u) for u in us] == [ref(u) for u in us]

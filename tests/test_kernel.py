@@ -117,7 +117,7 @@ def test_sweep_evaluates_each_jet_once():
         calls["kappa"] += 1
         return kappa_jet(v)
 
-    profile.f_jet, profile.normalization = counted_f, None
+    profile.f_jet = counted_f
     curve.kappa_jet = counted_kappa
     records = list(sweep(surface, [0.6, 1.0, 1.4, 1.8], [0.0, 1.0, 2.0]))
     assert len(records) == 12

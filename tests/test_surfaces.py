@@ -8,8 +8,8 @@ from conftest import (boosted_hyperbolic_frame, close, cos_profile,
                       interior_point, random_surface, sinh_profile,
                       wavy_kappa)
 from meridian import jets, surfaces
-from meridian.curves import (Geometry, SphericalCurve, circle_curve,
-                             profile_from_slope_ode)
+from meridian.curves import (Geometry, ProfileColumn, SphericalCurve,
+                             circle_curve, profile_from_slope_ode)
 from meridian.errors import FlatPointError, MisuseError, TrappedPointError
 from meridian.families import parallel_profile_case_a
 from meridian.jets import ScalarFn
@@ -231,7 +231,8 @@ def test_parallel_case_a_mean_curvature_along_n1():
     prof = parallel_profile_case_a(0.0, -1.0, Geometry.ELLIPTIC, (1.1, 3.0))
     s = MeridianSurface(prof, circle_curve(1.0, Geometry.ELLIPTIC))
     u = 1.7
-    assert abs(prof.phi(u)) <= 1e-12  # (f^2)'' = 2 forces f fddot + fdot^2 = 1
+    # (f^2)'' = 2 forces f fddot + fdot^2 = 1
+    assert abs(ProfileColumn(prof, u).phi) <= 1e-12
     H = mean_curvature_vector(s, u, 0.5)
     fr = adapted_frame(s, u, 0.5)
     f = prof.f_jet(u).v
