@@ -15,7 +15,8 @@ import sys
 from typing import Optional
 
 from . import jets
-from .curves import Geometry, SphericalCurve, circle_curve, profile_from_f
+from .curves import (Geometry, ProfileColumn, SphericalCurve, circle_curve,
+                     profile_from_f)
 from .errors import MeridianError, NotSpacelikeError
 from .families import (FamilyKind, FamilySpec, family_profile, harmonic_fn,
                        hyperbolic_harmonic_fn, sqrt_quadratic_fn,
@@ -243,6 +244,8 @@ def cmd_build(args) -> int:
     dom["v"] = list(_v_domain(cfg))
     resolved["domain"] = dom
     nu, nv = _grid(cfg, None)
+    for u in _grid_points(*surface.profile.domain, nu):
+        ProfileColumn(surface.profile, u)   # the u that invariants evaluates
     resolved["grid"] = {"nu": nu, "nv": nv}
     resolved["validated"] = True
     text = json.dumps(_round9(resolved), indent=2, sort_keys=True)

@@ -498,31 +498,34 @@ def _slope_admissible(y: ScalarFn, t: float, geometry: Geometry) -> float:
     return yv
 
 
-def _step_dips_inadmissible(y: ScalarFn, geometry: Geometry,
-                            t_lo: float, t_hi: float) -> bool:
-    """Whether the normalization margin is violated strictly inside
-    [t_lo, t_hi] even though both endpoints are admissible.
+def _normalization_rate(y: ScalarFn, geometry: Geometry,
+                        t: float) -> Optional[float]:
+    """dV/dt of the margin quantity V(y(t)), or None where y has no jet."""
+    try:
+        j = y.jet2(t)
+    except (DomainError, ValueError, ZeroDivisionError):
+        return None
+    return geometry.normalization_sign * 2.0 * j.v * j.d1
+
+
+def _step_dips_inadmissible(y: ScalarFn, geometry: Geometry, a: float,
+                            b: float, da, db) -> bool:
+    """Whether the normalization margin is violated strictly between a and b
+    (in either order) even though both are admissible; da and db are their
+    _normalization_rate, and None there counts as a violation.
 
     The margin quantity V(t) can dip through zero inside a single step (it
     is quadratic near a simple root of 1 - y^2); catch that by locating an
     interior extremum of V via a sign change of dV/dt and testing it.
     """
-    def dV(t: float) -> float:
-        j = y.jet2(t)
-        return geometry.normalization_sign * 2.0 * j.v * j.d1
-
-    try:
-        da, db = dV(t_lo), dV(t_hi)
-    except (DomainError, ValueError, ZeroDivisionError):
+    if da is None or db is None:
         return True
     if da == 0.0 or db == 0.0 or (da < 0.0) == (db < 0.0):
         return False
-    a, b = t_lo, t_hi
     for _ in range(60):
         mid = 0.5 * (a + b)
-        try:
-            dm = dV(mid)
-        except (DomainError, ValueError, ZeroDivisionError):
+        dm = _normalization_rate(y, geometry, mid)
+        if dm is None:
             return True
         if (dm < 0.0) == (da < 0.0):
             a = mid
@@ -552,7 +555,7 @@ def profile_from_slope_ode(y: ScalarFn, f0: float, geometry: Geometry,
 
     n_steps = max(1, round(u_span / step))
     us, fs, ds = [0.0], [f0], [d0]
-    f = f0
+    f, dV = f0, _normalization_rate(y, geometry, f0)
     for i in range(n_steps):
         k1 = ds[-1]  # the slope at the last accepted point
         k2 = _slope_admissible(y, f + 0.5 * step * k1, geometry)
@@ -564,9 +567,10 @@ def profile_from_slope_ode(y: ScalarFn, f0: float, geometry: Geometry,
         d_next = _slope_admissible(y, f_next, geometry)
         if math.isnan(d_next):
             break
-        if _step_dips_inadmissible(y, geometry, min(f, f_next), max(f, f_next)):
+        dV_next = _normalization_rate(y, geometry, f_next)
+        if _step_dips_inadmissible(y, geometry, f, f_next, dV, dV_next):
             break
-        f = f_next
+        f, dV = f_next, dV_next
         us.append((i + 1) * step)
         fs.append(f)
         ds.append(d_next)

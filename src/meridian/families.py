@@ -207,8 +207,8 @@ def constant_mean_slope(a: float, b: float, C: float, geometry: Geometry,
                 + (b * b / (4.0 * a)) * jets.asinh(2.0 * a * t / b)
 
     def body(t):
-        P = C + sign * accum(t)
-        ratio2 = (P / t) ** 2
+        ratio = (C + sign * accum(t)) / t
+        ratio2 = ratio * ratio
         if geometry is Geometry.ELLIPTIC:
             return jets.sqrt(1.0 + ratio2)
         return jets.sqrt(1.0 - ratio2)
@@ -227,8 +227,10 @@ def constant_k_slope(a: float, b: float, C: float, geometry: Geometry,
 
     def body(t):
         if geometry is Geometry.ELLIPTIC:
-            return jets.sqrt(1.0 + (C + sign * a * t * t / (2.0 * b)) ** 2)
-        return jets.sqrt(1.0 - (C - sign * a * t * t / (2.0 * b)) ** 2)
+            q = C + sign * a * t * t / (2.0 * b)
+            return jets.sqrt(1.0 + q * q)
+        q = C - sign * a * t * t / (2.0 * b)
+        return jets.sqrt(1.0 - q * q)
 
     return ScalarFn(body, domain=(1e-12, 1e6), name="constant_k_slope")
 
@@ -251,7 +253,8 @@ def chen_slope(a: float, b: float, geometry: Geometry,
     def body(t):
         tt = t if branch == 1 else 1.0 / t
         tt2 = tt * tt
-        rad = 4.0 * tt2 + rad_sign * a * (tt2 - b * b / a) ** 2
+        w = tt2 - b * b / a
+        rad = 4.0 * tt2 + rad_sign * a * (w * w)
         return jets.sqrt(rad) / (2.0 * tt)
 
     return ScalarFn(body, domain=(1e-12, 1e6), name="chen_slope")

@@ -98,59 +98,65 @@ def _chain(x: Jet2, g: float, dg: float, d2g: float) -> Jet2:
     return Jet2(g, dg * x.d1, d2g * x.d1 * x.d1 + dg * x.d2)
 
 
-def _as_jet(x) -> Jet2:
-    return x if isinstance(x, Jet2) else const(x)
-
-
 def sqrt(x):
-    x = _as_jet(x)
-    if x.v <= 0.0:
-        raise DomainError(f"sqrt of non-positive value {x.v!r}")
-    r = math.sqrt(x.v)
-    return _chain(x, r, 0.5 / r, -0.25 / (r * x.v))
+    jet = isinstance(x, Jet2)
+    v = x.v if jet else x
+    if v <= 0.0:
+        raise DomainError(f"sqrt of non-positive value {v!r}")
+    r = math.sqrt(v)
+    return _chain(x, r, 0.5 / r, -0.25 / (r * v)) if jet else r
 
 
 def sin(x):
-    x = _as_jet(x)
+    if not isinstance(x, Jet2):
+        return math.sin(x)
     s, c = math.sin(x.v), math.cos(x.v)
     return _chain(x, s, c, -s)
 
 
 def cos(x):
-    x = _as_jet(x)
+    if not isinstance(x, Jet2):
+        return math.cos(x)
     s, c = math.sin(x.v), math.cos(x.v)
     return _chain(x, c, -s, -c)
 
 
 def sinh(x):
-    x = _as_jet(x)
+    if not isinstance(x, Jet2):
+        return math.sinh(x)
     s, c = math.sinh(x.v), math.cosh(x.v)
     return _chain(x, s, c, s)
 
 
 def cosh(x):
-    x = _as_jet(x)
+    if not isinstance(x, Jet2):
+        return math.cosh(x)
     s, c = math.sinh(x.v), math.cosh(x.v)
     return _chain(x, c, s, c)
 
 
 def exp(x):
-    x = _as_jet(x)
+    if not isinstance(x, Jet2):
+        return math.exp(x)
     e = math.exp(x.v)
     return _chain(x, e, e, e)
 
 
 def asin(x):
-    x = _as_jet(x)
-    if not -1.0 < x.v < 1.0:
-        raise DomainError(f"asin argument {x.v!r} outside (-1, 1)")
-    w = 1.0 - x.v * x.v
+    jet = isinstance(x, Jet2)
+    v = x.v if jet else x
+    if not -1.0 < v < 1.0:
+        raise DomainError(f"asin argument {v!r} outside (-1, 1)")
+    if not jet:
+        return math.asin(v)
+    w = 1.0 - v * v
     d = 1.0 / math.sqrt(w)
-    return _chain(x, math.asin(x.v), d, x.v * d / w)
+    return _chain(x, math.asin(v), d, v * d / w)
 
 
 def asinh(x):
-    x = _as_jet(x)
+    if not isinstance(x, Jet2):
+        return math.asinh(x)
     w = 1.0 + x.v * x.v
     d = 1.0 / math.sqrt(w)
     return _chain(x, math.asinh(x.v), d, -x.v * d / w)
@@ -159,26 +165,25 @@ def asinh(x):
 class ScalarFn:
     """Scalar function of one variable exposing exact 2-jets.
 
-    ``fn`` maps a Jet2 seed to a Jet2 (write it with the arithmetic and the
-    elementary functions of this module).  ``domain`` is an optional closed
-    interval; evaluation outside raises DomainError.  ``d3`` optionally
-    supplies the exact third derivative where a consumer needs one.
-    ``value`` optionally supplies a cheap value-only fast path.
+    ``fn`` is one body for both evaluations, written with the arithmetic and
+    the elementary functions of this module: a Jet2 in gives a Jet2 out, a
+    float in gives the bits of the jet's value, as long as squares are
+    written ``x * x`` (``x ** 2`` on a float calls libm's pow).  ``domain``
+    is an optional closed interval; evaluation outside raises DomainError.
+    ``d3`` optionally supplies the exact third derivative where needed.
     """
 
-    __slots__ = ("_fn", "domain", "name", "_d3", "_value")
+    __slots__ = ("_fn", "domain", "name", "_d3")
 
     def __init__(self,
-                 fn: Callable[[Jet2], Jet2],
+                 fn: Callable,
                  domain: Optional[tuple[float, float]] = None,
                  name: str = "",
-                 d3: Optional[Callable[[float], float]] = None,
-                 value: Optional[Callable[[float], float]] = None):
+                 d3: Optional[Callable[[float], float]] = None):
         self._fn = fn
         self.domain = domain
         self.name = name
         self._d3 = d3
-        self._value = value
 
     def _check(self, u: float) -> None:
         if self.domain is not None:
@@ -194,10 +199,8 @@ class ScalarFn:
         return out if isinstance(out, Jet2) else const(out)
 
     def __call__(self, u: float) -> float:
-        if self._value is not None:
-            self._check(u)
-            return self._value(u)
-        return self.jet2(u).v
+        self._check(u)
+        return self._fn(u)
 
     def d3(self, u: float) -> Optional[float]:
         """Exact third derivative if one was wired in, else None."""
@@ -209,16 +212,15 @@ class ScalarFn:
     def scaled(self, factor: float) -> "ScalarFn":
         """This function multiplied by a constant factor."""
         d3 = None if self._d3 is None else (lambda u: self._d3(u) * factor)
-        value = None if self._value is None else (lambda u: self._value(u) * factor)
         return ScalarFn(lambda t: self._fn(t) * factor, domain=self.domain,
                         name=f"{self.name}*{factor}" if self.name else "",
-                        d3=d3, value=value)
+                        d3=d3)
 
     @staticmethod
     def constant(c: float, name: str = "") -> "ScalarFn":
         c = float(c)
-        return ScalarFn(lambda t: const(c), name=name or f"const {c}",
-                        d3=lambda u: 0.0, value=lambda u: c)
+        return ScalarFn(lambda t: c, name=name or f"const {c}",
+                        d3=lambda u: 0.0)
 
 
 def hermite_fn(xs: list[float], ys: list[float], ds: list[float],
@@ -232,19 +234,18 @@ def hermite_fn(xs: list[float], ys: list[float], ds: list[float],
 
     from bisect import bisect_right
 
-    def segment(u: float) -> tuple[int, float, float, float]:
-        """Segment index i, its width h, local coordinate s and the value."""
-        i = min(max(bisect_right(xs, u) - 1, 0), len(xs) - 2)
+    def body(u):
+        jet = isinstance(u, Jet2)
+        x = u.v if jet else u
+        i = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
         h = xs[i + 1] - xs[i]
-        s = (u - xs[i]) / h
+        s = (x - xs[i]) / h
         s2 = s * s
         val = ((2 * s - 3) * s2 + 1) * ys[i] \
             + ((s - 2) * s + 1) * s * h * ds[i] \
             + (3 - 2 * s) * s2 * ys[i + 1] + (s - 1) * s2 * h * ds[i + 1]
-        return i, h, s, val
-
-    def jet(u_jet: Jet2) -> Jet2:
-        i, h, s, val = segment(u_jet.v)
+        if not jet:
+            return val
         f0, f1, d0, d1 = ys[i], ys[i + 1], ds[i], ds[i + 1]
         dv = ((6 * s - 6) * s * f0 + ((3 * s - 4) * s + 1) * h * d0
               + (6 - 6 * s) * s * f1 + (3 * s - 2) * s * h * d1) / h
@@ -252,8 +253,7 @@ def hermite_fn(xs: list[float], ys: list[float], ds: list[float],
                + (6 - 12 * s) * f1 + (6 * s - 2) * h * d1) / (h * h)
         return Jet2(val, dv, d2v)
 
-    return ScalarFn(jet, domain=(xs[0], xs[-1]), name=name,
-                    value=lambda u: segment(u)[3])
+    return ScalarFn(body, domain=(xs[0], xs[-1]), name=name)
 
 
 def default_step(u: float) -> float:

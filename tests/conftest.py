@@ -9,7 +9,7 @@ from meridian import jets
 from meridian.curves import Geometry, SphericalCurve, circle_curve, profile_from_f
 from meridian.families import (harmonic_fn, hyperbolic_harmonic_fn,
                                sqrt_quadratic_fn)
-from meridian.jets import ScalarFn
+from meridian.jets import Jet2, ScalarFn
 from meridian.mink4 import Vec4
 from meridian.surfaces import MeridianSurface
 
@@ -132,8 +132,7 @@ def interior_point(rng: random.Random, surface: MeridianSurface):
 
 
 def profile_value_fn(profile) -> ScalarFn:
-    """Expose a profile's interpolated f as a plain ScalarFn value for the
-    finite-difference oracle."""
-    return ScalarFn(lambda t: jets.const(profile.f_jet(t.v).v),
-                    domain=profile.domain,
-                    value=lambda u: profile.f_jet(u).v)
+    """Expose a profile's f as a ScalarFn for the finite-difference oracle:
+    a call gives the interpolated value, a jet the profile's own f_jet."""
+    return ScalarFn(lambda t: profile.f_jet(t.v) if isinstance(t, Jet2)
+                    else profile.f_jet(t).v, domain=profile.domain)

@@ -1,9 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import meridian
 from meridian.cli import CSV_HEADER, _fmt, main, surface_from_config
 
 
@@ -335,6 +340,47 @@ def test_inadmissible_grid_point_exit2(tmp_path, capsys, config, command,
                            "--out", str(out), "--grid", grid]) == 2
     assert f"f(u) > 0, violated at u = {u}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_build_checks_every_grid_u(tmp_path, capsys):
+    # the default 33-point grid of the far config reaches f <= 0, which
+    # build's 512-point construction scan misses
+    out = tmp_path / "desc.json"
+    assert main(["build", "--config", _harmonic_far_config(tmp_path),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "f(u) > 0, violated at u = 100.125" in captured.err
+    assert "validated" not in captured.out
+    assert not out.exists()
+
+
+def _run_cli(cwd, flags, argv):
+    """Exit code, stdout, stderr and the bytes of ./out of one CLI process."""
+    src = str(pathlib.Path(meridian.__file__).resolve().parents[1])
+    out = cwd / "out"
+    if out.exists():
+        out.unlink()
+    proc = subprocess.run([sys.executable, *flags, "-m", "meridian.cli",
+                           *argv], cwd=cwd, capture_output=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    return (proc.returncode, proc.stdout, proc.stderr,
+            out.read_bytes() if out.exists() else None)
+
+
+@pytest.mark.parametrize("argv,rc", [
+    (["verify", "--family", "chen", "--geometry", "elliptic", "--a=-1",
+      "--b=1", "--f0=1.2", "--u-span=0.8", "--grid", "9,9"], 0),
+    (["verify", "--family", "chen", "--geometry", "hyperbolic", "--a=-1",
+      "--b=0.5", "--f0=0.7", "--u-span=1.2", "--grid", "9,9",
+      "--tol=1e-16", "--out", "out"], 1),
+    (["build", "--config", "far.json", "--out", "out"], 2),
+], ids=["verify-pass", "verify-fail", "build-far"])
+def test_optimized_interpreter_same_bytes(tmp_path, argv, rc):
+    # python -O strips assert statements; no check may rely on them
+    _harmonic_far_config(tmp_path)     # writes far.json
+    plain = _run_cli(tmp_path, [], argv)
+    assert plain[0] == rc
+    assert _run_cli(tmp_path, ["-O"], argv) == plain
 
 
 def test_family_profile_config_defaults(tmp_path, capsys):
