@@ -352,6 +352,8 @@ def cmd_verify(args) -> int:
     eps_branch = args.epsilon_branch
     if eps_branch not in (None, "printed-vs-eq18"):
         eps_branch = int(eps_branch)
+    if not 0.0 <= args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol!r}")
     spec = FamilySpec(kind, geometry, params=params,
                       epsilon_branch=eps_branch,
                       slope_scale=args.slope_scale)
@@ -420,7 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--branch", type=int, default=None)
     p_ver.add_argument("--sign", type=int, default=None)
     p_ver.add_argument("--g-sign", dest="g_sign", type=int, default=None)
-    p_ver.add_argument("--epsilon-branch", dest="epsilon_branch", default=None)
+    p_ver.add_argument("--epsilon-branch", dest="epsilon_branch", default=None,
+                       choices=["1", "-1", "printed-vs-eq18"])
     p_ver.add_argument("--slope-scale", dest="slope_scale", type=float,
                        default=1.0)
     p_ver.add_argument("--tol", type=float, default=1e-6)

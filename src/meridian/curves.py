@@ -31,6 +31,10 @@ DEFAULT_STEP = 1e-3
 
 _MAX_ARC = 1e4  # runaway guard for lazy Frenet table extension
 
+#: Largest u_span / step a slope build integrates: its three tables then
+#: hold about 100 MB of floats.
+_MAX_SLOPE_STEPS = 10**6
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -270,9 +274,10 @@ def circle_curve(b: float, geometry: Geometry) -> SphericalCurve:
 
 
 class MeridianProfile:
-    """Meridian curve m = (f, g): 2-jets of f and quadrature for g.  The
-    quantities built from the jets at one u, among them the meridian
-    curvature, are a ProfileColumn.
+    """Meridian curve m = (f, g): f is one ScalarFn, whose jets give the
+    2-jets of the profile, and g comes by quadrature.  The quantities built
+    from the jets at one u, among them the meridian curvature, are a
+    ProfileColumn.
 
     The normalization constraint fixes g up to its additive constant g0:
     gdot = sqrt(fdot^2 - 1) in the elliptic case, sqrt(1 - fdot^2) in the
@@ -282,24 +287,19 @@ class MeridianProfile:
     those anchors counts as construction and belongs on one thread.
     """
 
-    def __init__(self, geometry: Geometry, domain: tuple[float, float],
-                 g0: float = 0.0, g_orientation: int = 1):
+    def __init__(self, f: ScalarFn, geometry: Geometry,
+                 domain: tuple[float, float], g0: float = 0.0,
+                 g_orientation: int = 1):
         if domain[1] <= domain[0]:
             raise ProfileDomainError(f"empty profile domain {domain!r}")
         if g_orientation not in (1, -1):
             raise ValueError("g_orientation must be +1 or -1")
+        self.f = f
         self.geometry = geometry
         self.domain = (float(domain[0]), float(domain[1]))
         self.g0 = float(g0)
         self.g_orientation = g_orientation
         self._g_panels: list[float] = [0.0]  # cumulative quadrature anchors
-
-    # subclasses supply these two
-    def _f_jet(self, u: float) -> Jet2:
-        raise NotImplementedError
-
-    def _f3(self, u: float) -> float:
-        raise NotImplementedError
 
     def _check(self, u: float) -> None:
         lo, hi = self.domain
@@ -308,11 +308,11 @@ class MeridianProfile:
 
     def f_jet(self, u: float) -> Jet2:
         self._check(u)
-        return self._f_jet(u)
+        return self.f.jet2(u)
 
     def f3(self, u: float) -> float:
         self._check(u)
-        return self._f3(u)
+        return jets.third_derivative(self.f, u)
 
     def gdot(self, u: float) -> float:
         V = self.geometry.normalization(self.f_jet(u).d1)
@@ -409,18 +409,6 @@ class ProfileColumn:
                 V * V, phi / sqV, dphi / sqV - 0.5 * phi * dV / (V * sqV))
 
 
-class _ExplicitProfile(MeridianProfile):
-    def __init__(self, f: ScalarFn, geometry, domain, g0=0.0, g_orientation=1):
-        super().__init__(geometry, domain, g0, g_orientation)
-        self._f = f
-
-    def _f_jet(self, u):
-        return self._f.jet2(u)
-
-    def _f3(self, u):
-        return jets.third_derivative(self._f, u)
-
-
 def _sample_violation(f_jet, geometry: Geometry, u: float) -> Optional[str]:
     """Message describing why u is inadmissible, or None when it is fine."""
     try:
@@ -445,43 +433,7 @@ def profile_from_f(f: ScalarFn, geometry: Geometry, g0: float,
         msg = _sample_violation(f.jet2, geometry, u)
         if msg is not None:
             raise ProfileDomainError(msg, u=u)
-    return _ExplicitProfile(f, geometry, (lo, hi), g0, g_orientation)
-
-
-class _SlopeProfile(MeridianProfile):
-    """Profile integrated from fdot = y(f); f is tabulated on the RK4 grid
-    and interpolated by cubic Hermite, while fdot, fddot, and the third
-    derivative come exactly from the jets of y."""
-
-    def __init__(self, y: ScalarFn, geometry, g0, step,
-                 us: list[float], fs: list[float], ds: list[float]):
-        super().__init__(geometry, (us[0], us[-1]), g0)
-        self.y = y
-        self._step = step
-        self._us = us
-        self._fs = fs
-        self._ds = ds
-
-    def _f_value(self, u: float) -> float:
-        i = min(int((u - self._us[0]) / self._step), len(self._us) - 2)
-        i = max(i, 0)
-        h = self._us[i + 1] - self._us[i]
-        s = (u - self._us[i]) / h
-        s2, s3 = s * s, s * s * s
-        return ((2.0 * s3 - 3.0 * s2 + 1.0) * self._fs[i]
-                + (s3 - 2.0 * s2 + s) * h * self._ds[i]
-                + (-2.0 * s3 + 3.0 * s2) * self._fs[i + 1]
-                + (s3 - s2) * h * self._ds[i + 1])
-
-    def _f_jet(self, u):
-        fv = self._f_value(u)
-        yj = self.y.jet2(fv)
-        return Jet2(fv, yj.v, yj.v * yj.d1)
-
-    def _f3(self, u):
-        fv = self._f_value(u)
-        yj = self.y.jet2(fv)
-        return yj.v * yj.d1 * yj.d1 + yj.v * yj.v * yj.d2
+    return MeridianProfile(f, geometry, (lo, hi), g0, g_orientation)
 
 
 def _slope_admissible(y: ScalarFn, t: float, geometry: Geometry) -> float:
@@ -534,19 +486,20 @@ def _step_dips_inadmissible(y: ScalarFn, geometry: Geometry, a: float,
     return math.isnan(_slope_admissible(y, 0.5 * (a + b), geometry))
 
 
-def profile_from_slope_ode(y: ScalarFn, f0: float, geometry: Geometry,
-                           g0: float, u_span: float,
-                           step: float = DEFAULT_STEP) -> MeridianProfile:
-    """Profile from the substitution fdot = y(f), integrated by fixed-step RK4.
-
-    fddot is supplied exactly as y(f)*y'(f).  Integration stops early with a
-    truncated domain as soon as admissibility fails; y(f0) itself must be
-    admissible for the geometry (y > 1 elliptic, 0 < y < 1 hyperbolic).
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if u_span <= 0.0:
-        raise ValueError("u_span must be positive")
+def _slope_table(y: ScalarFn, f0: float, geometry: Geometry, u_span: float,
+                 step: float) -> tuple[list[float], list[float], list[float]]:
+    """RK4 table of fdot = y(f) from f0: the abscissae us = i*step, the values
+    fs and the slopes ds = y(fs), up to u_span or to the last step that keeps
+    the profile admissible; y(f0) itself must be admissible for the geometry
+    (y > 1 elliptic, 0 < y < 1 hyperbolic)."""
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
+    if not 0.0 < u_span < math.inf:
+        raise ValueError("u_span must be positive and finite")
+    if u_span / step > _MAX_SLOPE_STEPS:
+        raise DomainError(
+            f"u_span / step = {u_span / step:.9g} exceeds the "
+            f"{_MAX_SLOPE_STEPS} steps of a slope build")
     d0 = _slope_admissible(y, f0, geometry)
     if math.isnan(d0):
         kind = "y(f0) > 1" if geometry is Geometry.ELLIPTIC else "0 < y(f0) < 1"
@@ -578,4 +531,33 @@ def profile_from_slope_ode(y: ScalarFn, f0: float, geometry: Geometry,
         raise ProfileDomainError(
             f"slope trajectory from f0 = {f0!r} leaves the admissible set "
             "within one step")
-    return _SlopeProfile(y, geometry, g0, step, us, fs, ds)
+    return us, fs, ds
+
+
+def profile_from_slope_ode(y: ScalarFn, f0: float, geometry: Geometry,
+                           g0: float, u_span: float,
+                           step: float = DEFAULT_STEP) -> MeridianProfile:
+    """Profile from the substitution fdot = y(f), integrated by fixed-step RK4.
+
+    f is the cubic Hermite read of the RK4 table (dense output); fdot,
+    fddot = y(f)*y'(f) and the third derivative come exactly from the jets
+    of y at that f.  Integration stops early with a truncated domain as soon
+    as admissibility fails (see _slope_table).
+    """
+    us, fs, ds = _slope_table(y, f0, geometry, u_span, step)
+    read = jets.hermite_fn(us, fs, ds, name="f")
+
+    def body(u):
+        if not isinstance(u, Jet2):
+            return read(u)
+        # u is the seed var(u), so the jet of f is (f, y(f), y(f) y'(f))
+        fv = read(u.v)
+        yj = y.jet2(fv)
+        return Jet2(fv, yj.v, yj.v * yj.d1)
+
+    def d3(u):
+        yj = y.jet2(read(u))
+        return yj.v * yj.d1 * yj.d1 + yj.v * yj.v * yj.d2
+
+    f = ScalarFn(body, domain=read.domain, name="f", d3=d3)
+    return MeridianProfile(f, geometry, read.domain, g0)

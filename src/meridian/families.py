@@ -273,9 +273,11 @@ def parallel_profile_case_a(c: float, d: float, geometry: Geometry,
     if geometry is Geometry.HYPERBOLIC and not d > c * c:
         raise FamilyDomainError(
             "hyperbolic parallel case (a) requires d > c^2")
+    if g_sign not in (1, -1):
+        raise FamilyDomainError("g_sign must be +1 or -1")
     f = sqrt_quadratic_fn(c, d)
     valid = _validated_family_domain(f, geometry, domain)
-    return profile_from_f(f, geometry, g0, valid, g_orientation=g_sign)
+    return profile_from_f(f, geometry, g0, valid, g_orientation=int(g_sign))
 
 
 def parallel_slope_case_b(a: float, c: float, geometry: Geometry) -> ScalarFn:
@@ -382,15 +384,15 @@ def family_slope(spec: FamilySpec) -> ScalarFn:
             branch = 1
         y = constant_mean_slope(_param(spec, "a"), _param(spec, "b"),
                                 _param(spec, "C", 0.0), g,
-                                sign=int(_param(spec, "sign", 1)),
+                                sign=_param(spec, "sign", 1),
                                 epsilon_branch=branch)
     elif kind is FamilyKind.CONSTANT_K:
         y = constant_k_slope(_param(spec, "a"), _param(spec, "b"),
                              _param(spec, "C", 0.0), g,
-                             sign=int(_param(spec, "sign", 1)))
+                             sign=_param(spec, "sign", 1))
     elif kind is FamilyKind.CHEN:
         y = chen_slope(_param(spec, "a"), _param(spec, "b"), g,
-                       branch=int(_param(spec, "branch", 1)))
+                       branch=_param(spec, "branch", 1))
     elif kind is FamilyKind.PARALLEL_B:
         y = parallel_slope_case_b(_param(spec, "a"), _param(spec, "c"), g)
     else:
@@ -411,12 +413,16 @@ def family_profile(spec: FamilySpec) -> MeridianProfile:
         return parallel_profile_case_a(
             _param(spec, "c"), _param(spec, "d"), g,
             (_param(spec, "u_min"), _param(spec, "u_max")),
-            g_sign=int(_param(spec, "g_sign", 1)), g0=g0)
+            g_sign=_param(spec, "g_sign", 1), g0=g0)
     y = family_slope(spec)
-    return profile_from_slope_ode(
-        y, float(_param(spec, "f0")), g, g0,
-        float(_param(spec, "u_span", 1.0)),
-        step=float(_param(spec, "step", DEFAULT_STEP)))
+    f0 = float(_param(spec, "f0"))
+    u_span = float(_param(spec, "u_span", 1.0))
+    step = float(_param(spec, "step", DEFAULT_STEP))
+    for key, value in (("u_span", u_span), ("step", step)):
+        if not 0.0 < value < math.inf:
+            raise FamilyDomainError(
+                f"{key} must be positive and finite, got {value!r}")
+    return profile_from_slope_ode(y, f0, g, g0, u_span, step=step)
 
 
 def family_curve(spec: FamilySpec) -> SphericalCurve:

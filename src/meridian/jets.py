@@ -69,20 +69,6 @@ class Jet2:
     def __rtruediv__(self, other):
         return Jet2(other, 0.0, 0.0) / self
 
-    def __pow__(self, n):
-        if isinstance(n, int):
-            if n == 0:
-                return Jet2(1.0, 0.0, 0.0)
-            if n < 0:
-                return 1.0 / (self ** (-n))
-            out = self
-            for _ in range(n - 1):
-                out = out * self
-            return out
-        return _chain(self, self.v ** n,
-                      n * self.v ** (n - 1.0),
-                      n * (n - 1.0) * self.v ** (n - 2.0))
-
 
 def const(x: float) -> Jet2:
     return Jet2(float(x), 0.0, 0.0)
@@ -167,10 +153,11 @@ class ScalarFn:
 
     ``fn`` is one body for both evaluations, written with the arithmetic and
     the elementary functions of this module: a Jet2 in gives a Jet2 out, a
-    float in gives the bits of the jet's value, as long as squares are
-    written ``x * x`` (``x ** 2`` on a float calls libm's pow).  ``domain``
-    is an optional closed interval; evaluation outside raises DomainError.
-    ``d3`` optionally supplies the exact third derivative where needed.
+    float in gives the bits of the jet's value.  Squares are written
+    ``x * x``: a Jet2 has no ``**``, which on a float calls libm's pow.
+    ``domain`` is an optional closed interval; evaluation outside raises
+    DomainError.  ``d3`` optionally supplies the exact third derivative
+    where needed.
     """
 
     __slots__ = ("_fn", "domain", "name", "_d3")
@@ -226,7 +213,8 @@ class ScalarFn:
 def hermite_fn(xs: list[float], ys: list[float], ds: list[float],
                name: str = "") -> ScalarFn:
     """Cubic Hermite interpolant through (x, value, derivative) samples,
-    exposed as a ScalarFn (second derivatives are those of the cubic)."""
+    exposed as a ScalarFn (second derivatives are those of the cubic); it
+    reads tabulated kappa and the RK4 table of a slope profile alike."""
     if not (len(xs) == len(ys) == len(ds)) or len(xs) < 2:
         raise ValueError("hermite_fn needs >= 2 aligned samples")
     if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -240,13 +228,12 @@ def hermite_fn(xs: list[float], ys: list[float], ds: list[float],
         i = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
         h = xs[i + 1] - xs[i]
         s = (x - xs[i]) / h
-        s2 = s * s
-        val = ((2 * s - 3) * s2 + 1) * ys[i] \
-            + ((s - 2) * s + 1) * s * h * ds[i] \
-            + (3 - 2 * s) * s2 * ys[i + 1] + (s - 1) * s2 * h * ds[i + 1]
+        s2, s3 = s * s, s * s * s
+        f0, f1, d0, d1 = ys[i], ys[i + 1], ds[i], ds[i + 1]
+        val = ((2.0 * s3 - 3.0 * s2 + 1.0) * f0 + (s3 - 2.0 * s2 + s) * h * d0
+               + (-2.0 * s3 + 3.0 * s2) * f1 + (s3 - s2) * h * d1)
         if not jet:
             return val
-        f0, f1, d0, d1 = ys[i], ys[i + 1], ds[i], ds[i + 1]
         dv = ((6 * s - 6) * s * f0 + ((3 * s - 4) * s + 1) * h * d0
               + (6 - 6 * s) * s * f1 + (3 * s - 2) * s * h * d1) / h
         d2v = ((12 * s - 6) * f0 + (6 * s - 4) * h * d0

@@ -9,7 +9,7 @@ from meridian import jets
 from meridian.curves import Geometry, SphericalCurve, circle_curve, profile_from_f
 from meridian.families import (harmonic_fn, hyperbolic_harmonic_fn,
                                sqrt_quadratic_fn)
-from meridian.jets import Jet2, ScalarFn
+from meridian.jets import ScalarFn
 from meridian.mink4 import Vec4
 from meridian.surfaces import MeridianSurface
 
@@ -129,10 +129,3 @@ def interior_point(rng: random.Random, surface: MeridianSurface):
     u = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
     v = rng.uniform(0.3, 5.8)
     return u, v
-
-
-def profile_value_fn(profile) -> ScalarFn:
-    """Expose a profile's f as a ScalarFn for the finite-difference oracle:
-    a call gives the interpolated value, a jet the profile's own f_jet."""
-    return ScalarFn(lambda t: profile.f_jet(t.v) if isinstance(t, Jet2)
-                    else profile.f_jet(t).v, domain=profile.domain)

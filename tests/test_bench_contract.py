@@ -4,16 +4,20 @@
 attributes of their own class (``vars(cls)``).  A name that the package
 stops calling can still be deleted only together with a benchmark change,
 so this test reads the tracer's span tables (without installing them) and
-checks every target against the package.
+checks every target against the package.  ``bench/run.py`` imports every
+module of its ``MODULES`` tuple at set-up; that tuple is read from the
+source, without importing the runner.
 """
 
+import ast
 import importlib
 import pathlib
 import types
 
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _tracing():
@@ -50,3 +54,19 @@ def test_method_targets_are_own_class_attributes(mod, cls, meth):
 
 def test_counted_inner_exists():
     assert callable(_module("mink4").inner)
+
+
+def _run_modules():
+    """The literal MODULES tuple assigned at the top level of bench/run.py."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["MODULES"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py assigns no MODULES tuple")
+
+
+@pytest.mark.parametrize("name", _run_modules())
+def test_run_modules_import(name):
+    assert _module(name).__name__ == f"meridian.{name}"

@@ -582,3 +582,66 @@ def test_unknown_family_exit2():
 
 def test_missing_command_exit2():
     assert main([]) == 2
+
+
+_CHEN_ELL = ["verify", "--family", "chen", "--geometry", "elliptic",
+             "--a=-1", "--b=1", "--f0=1.2", "--u-span=0.8", "--grid", "5,5"]
+_PARALLEL_A_ELL = ["verify", "--family", "parallel_a", "--geometry",
+                   "elliptic", "--c=0", "--d=-1", "--u-min=1.1",
+                   "--u-max=3", "--grid", "5,5"]
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (_PARALLEL_A_ELL + ["--g-sign", "2"], "g_sign must be +1 or -1"),
+    (_CHEN_ELL + ["--step", "0"], "step must be positive and finite"),
+    (_CHEN_ELL + ["--step=nan"], "step must be positive and finite"),
+    (_CHEN_ELL + ["--u-span=-1"], "u_span must be positive and finite"),
+    (_CHEN_ELL + ["--u-span=inf"], "u_span must be positive and finite"),
+    (_CHEN_ELL + ["--step=1e-300"], "exceeds the 1000000 steps"),
+    (_CHEN_ELL + ["--epsilon-branch", "foo"],
+     "argument --epsilon-branch: invalid choice: 'foo'"),
+    (_CHEN_ELL + ["--tol", "nan"], "--tol must be finite and >= 0, got nan"),
+    (_CHEN_ELL + ["--tol=-1"], "--tol must be finite and >= 0, got -1.0"),
+    (_CHEN_ELL + ["--tol=inf"], "--tol must be finite and >= 0, got inf"),
+], ids=["g-sign-2", "step-0", "step-nan", "u-span-neg", "u-span-inf",
+        "step-tiny", "epsilon-branch-foo", "tol-nan", "tol-neg", "tol-inf"])
+def test_verify_bad_flag_exit2(tmp_path, capsys, argv, needle):
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("profile,needle", [
+    ({"kind": "family", "family": "parallel_a", "c": 0, "d": -1,
+      "g_sign": 2}, "g_sign must be +1 or -1"),
+    ({"kind": "family", "family": "parallel_a", "c": 0, "d": -1,
+      "g_sign": 0.5}, "g_sign must be +1 or -1"),
+    ({"kind": "family", "family": "parallel_a", "c": 0, "d": -1,
+      "g_sign": 1.7}, "g_sign must be +1 or -1"),
+    ({"kind": "slope_ode", "family": "constant_mean", "a": 1, "b": 4,
+      "f0": 0.5, "u_span": 0.5, "sign": -1.5}, "sign must be +1 or -1"),
+    ({"kind": "slope_ode", "family": "chen", "a": -1, "b": 1, "f0": 1.2,
+      "branch": 1.5}, "branch must be +1 or -1"),
+    ({"kind": "slope_ode", "family": "constant_k", "a": 1, "b": 1, "f0": 1,
+      "step": 0}, "step must be positive and finite, got 0.0"),
+    ({"kind": "slope_ode", "family": "constant_k", "a": 1, "b": 1, "f0": 1,
+      "u_span": 0}, "u_span must be positive and finite, got 0.0"),
+    ({"kind": "slope_ode", "family": "constant_k", "a": 1, "b": 1, "f0": 1,
+      "step": 1e-300}, "exceeds the 1000000 steps of a slope build"),
+], ids=["g-sign-2", "g-sign-half", "g-sign-1.7", "sign-1.5", "branch-1.5",
+        "step-0", "u-span-0", "step-tiny"])
+def test_bad_family_config_exit2(tmp_path, capsys, profile, needle):
+    cfg = write_config(tmp_path / "fam.json", {
+        "geometry": "elliptic", "curve": {"kind": "constant", "b": 1.0},
+        "profile": profile, "domain": {"u": [1.1, 3.0]},
+        "grid": {"nu": 3, "nv": 3}})
+    for argv in (["invariants"], ["export", "--format", "csv4"], ["build"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -7,11 +7,11 @@ from conftest import (boosted_hyperbolic_frame, close, cos_fn, cos_profile,
                       rotated_elliptic_frame, sinh_fn, sinh_profile,
                       wavy_kappa)
 from meridian import jets
-from meridian.curves import (ADMISSIBILITY_MARGIN, Geometry, MeridianProfile,
-                             ProfileColumn, SphericalCurve, circle_curve,
-                             frenet_frame, profile_from_f,
+from meridian.curves import (_MAX_SLOPE_STEPS, ADMISSIBILITY_MARGIN, Geometry,
+                             MeridianProfile, ProfileColumn, SphericalCurve,
+                             circle_curve, frenet_frame, profile_from_f,
                              profile_from_slope_ode)
-from meridian.errors import FrameError, ProfileDomainError
+from meridian.errors import DomainError, FrameError, ProfileDomainError
 from meridian.families import (constant_k_ode_residual, harmonic_fn,
                                max_ode_residual)
 from meridian.jets import Jet2, ScalarFn
@@ -269,14 +269,22 @@ def test_constant_slope_is_linear():
 
 
 def test_constant_k_slope_ode_residual():
-    y = ScalarFn(lambda t: jets.sqrt(1.0 + (t * t / 2.0) ** 2))
+    def slope(t):
+        q = t * t / 2.0
+        return jets.sqrt(1.0 + q * q)
+
+    y = ScalarFn(slope)
     p = profile_from_slope_ode(y, 1.0, Geometry.ELLIPTIC, 0.0, 1.0)
     assert max_ode_residual(constant_k_ode_residual(p, 1.0, 1.0),
                             p.domain) <= 1e-8
 
 
 def test_parallel_b_slope_ode_residual():
-    y = ScalarFn(lambda t: jets.sqrt(1.0 + ((0.0 + t) / t) ** 2))  # a=1, c=0
+    def slope(t):  # a = 1, c = 0
+        r = (0.0 + t) / t
+        return jets.sqrt(1.0 + r * r)
+
+    y = ScalarFn(slope)
     p = profile_from_slope_ode(y, 2.0, Geometry.ELLIPTIC, 0.0, 1.0)
     for i in range(11):
         u = p.domain[0] + (p.domain[1] - p.domain[0]) * i / 10
@@ -288,12 +296,31 @@ def test_slope_ode_rejects_bad_inputs():
     with pytest.raises(ValueError):
         profile_from_slope_ode(ScalarFn.constant(2.0), 1.0,
                                Geometry.ELLIPTIC, 0.0, 1.0, step=0.0)
+    for u_span, step in ((1.0, math.inf), (1.0, math.nan), (math.inf, 1e-3),
+                         (math.nan, 1e-3), (-1.0, 1e-3)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            profile_from_slope_ode(ScalarFn.constant(2.0), 1.0,
+                                   Geometry.ELLIPTIC, 0.0, u_span, step=step)
     with pytest.raises(ProfileDomainError):  # y(f0) = 0.5 not > 1
         profile_from_slope_ode(ScalarFn.constant(0.5), 1.0,
                                Geometry.ELLIPTIC, 0.0, 1.0)
     with pytest.raises(ProfileDomainError):  # hyperbolic needs y < 1
         profile_from_slope_ode(ScalarFn.constant(1.5), 1.0,
                                Geometry.HYPERBOLIC, 0.0, 1.0)
+
+
+def test_slope_ode_step_count_is_bounded():
+    # just above the bound the build fails before y is first evaluated,
+    # so no table is allocated
+    calls = []
+    y = ScalarFn(lambda t: calls.append(t) or 2.0)
+    for u_span, step in ((math.nextafter(float(_MAX_SLOPE_STEPS), math.inf),
+                          1.0),
+                         (1.0, 1e-300), (1e300, 1e-300)):
+        with pytest.raises(DomainError, match="steps of a slope build"):
+            profile_from_slope_ode(y, 1.0, Geometry.ELLIPTIC, 0.0, u_span,
+                                   step=step)
+    assert calls == []
 
 
 def test_slope_profile_matches_explicit_profile():
@@ -312,18 +339,6 @@ def test_slope_profile_matches_explicit_profile():
 # -- the profile column -------------------------------------------------------
 
 
-class _FixedJetProfile(MeridianProfile):
-    """A profile with one 2-jet everywhere on [0, 1], built without the
-    admissibility scan, so only the column can catch a bad point."""
-
-    def __init__(self, geometry, jet):
-        super().__init__(geometry, (0.0, 1.0))
-        self._jet = jet
-
-    def _f_jet(self, u):
-        return self._jet
-
-
 @pytest.mark.parametrize("geometry,jet,needle", [
     (Geometry.ELLIPTIC, Jet2(0.0, 2.0, 0.0), "f(u) > 0"),
     (Geometry.ELLIPTIC, Jet2(-0.5, 2.0, 0.0), "f(u) > 0"),
@@ -335,8 +350,11 @@ class _FixedJetProfile(MeridianProfile):
      "fdot^2 < 1"),
 ])
 def test_column_rejects_inadmissible_u(geometry, jet, needle):
+    # one 2-jet everywhere on [0, 1], built without the admissibility scan,
+    # so only the column can catch a bad point
+    profile = MeridianProfile(ScalarFn(lambda t: jet), geometry, (0.0, 1.0))
     with pytest.raises(ProfileDomainError) as err:
-        ProfileColumn(_FixedJetProfile(geometry, jet), 0.25)
+        ProfileColumn(profile, 0.25)
     assert err.value.u == 0.25
     assert f"{needle}, violated at u = 0.25" in str(err.value)
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import close, profile_value_fn, wavy_kappa
+from conftest import close, wavy_kappa
 from meridian.curves import (Geometry, ProfileColumn, SphericalCurve,
                              circle_curve)
 from meridian.errors import (FamilyDomainError, MisuseError,
@@ -292,13 +292,55 @@ def test_missing_parameter_reported():
     assert "f0" in str(err.value)
 
 
+_K_ELL = dict(a=1.0, b=1.0, C=0.0, f0=1.0)
+_PA_ELL = dict(c=0.0, d=-1.0, u_min=1.1, u_max=3.0)
+
+
+@pytest.mark.parametrize("kind,params,needle", [
+    ("parallel_a", dict(_PA_ELL, g_sign=2), "g_sign"),
+    ("parallel_a", dict(_PA_ELL, g_sign=0.5), "g_sign"),
+    ("parallel_a", dict(_PA_ELL, g_sign=1.7), "g_sign"),
+    ("parallel_a", dict(_PA_ELL, g_sign=math.nan), "g_sign"),
+    ("constant_k", dict(_K_ELL, sign=-1.5), "sign"),
+    ("chen", dict(a=-1.0, b=1.0, f0=1.2, branch=1.5), "branch"),
+    ("constant_k", dict(_K_ELL, step=0.0), "step"),
+    ("constant_k", dict(_K_ELL, step=-1e-3), "step"),
+    ("constant_k", dict(_K_ELL, step=math.inf), "step"),
+    ("constant_k", dict(_K_ELL, step=math.nan), "step"),
+    ("constant_k", dict(_K_ELL, u_span=0.0), "u_span"),
+    ("constant_k", dict(_K_ELL, u_span=-1.0), "u_span"),
+    ("constant_k", dict(_K_ELL, u_span=math.inf), "u_span"),
+    ("constant_k", dict(_K_ELL, u_span=math.nan), "u_span"),
+])
+def test_family_rejects_bad_inputs(kind, params, needle):
+    # a sign is +-1 exactly, not truncated to it
+    with pytest.raises(FamilyDomainError, match=needle):
+        family_profile(spec(kind, E, **params))
+
+
+def test_family_accepts_float_signs():
+    # JSON configs give every number as a float
+    for kind, params, key in (("parallel_a", _PA_ELL, "g_sign"),
+                              ("constant_k", _K_ELL, "sign"),
+                              ("chen", dict(a=-1.0, b=1.0, f0=1.2),
+                               "branch")):
+        for sign in (1, -1):
+            want = family_profile(spec(kind, E, **params, **{key: sign}))
+            got = family_profile(spec(kind, E, **params,
+                                      **{key: float(sign)}))
+            us = [got.domain[0] + (got.domain[1] - got.domain[0]) * i / 8
+                  for i in range(9)]
+            assert got.domain == want.domain
+            assert [got.f_jet(u) for u in us] == [want.f_jet(u) for u in us]
+            assert [got.g(u) for u in us] == [want.g(u) for u in us]
+
+
 def test_slope_ode_second_derivative_matches_fd():
     s = spec("constant_k", E, a=1.0, b=1.0, C=0.0, f0=1.0, u_span=1.0)
     prof = family_profile(s)
-    fn = profile_value_fn(prof)
     for frac in (0.1, 0.3, 0.5):
         u = prof.domain[0] + frac * (prof.domain[1] - prof.domain[0])
-        fd = fd_jet2(fn, u, 1e-3)
+        fd = fd_jet2(prof.f, u, 1e-3)
         assert close(fd.d2, prof.f_jet(u).d2, 1e-6)
 
 

@@ -12,7 +12,8 @@ import pytest
 from meridian import jets
 from meridian.cli import _EXPLICIT_FAMILIES
 from meridian.curves import (ADMISSIBILITY_MARGIN, Geometry,
-                             _slope_admissible, profile_from_slope_ode)
+                             _slope_admissible, _slope_table,
+                             profile_from_slope_ode)
 from meridian.errors import DomainError, ProfileDomainError
 from meridian.families import (FamilyKind, FamilySpec, _wavy_kappa,
                                chen_slope, constant_k_slope,
@@ -87,6 +88,10 @@ def _cases():
               "a0": 0.1, "a1": -2.0}
     cases += [(f"explicit-{name}", builder(params), wide)
               for name, builder in _EXPLICIT_FAMILIES.items()]
+    for name, y, f0, geometry, u_span in _SLOPE_PROFILES:
+        f = profile_from_slope_ode(y, f0, geometry, 0.0, u_span).f
+        cases.append((f"slope-profile-{name}", f,
+                      _points(*f.domain, 600, name)))
     return cases
 
 
@@ -101,6 +106,27 @@ def _hermite_points():
     mids = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
     return xs + mids + _points(xs[0], xs[-1], 200, "hermite")
 
+
+def _slope_profile(kind, geometry, eps, f0, u_span, **params):
+    y = family_slope(FamilySpec(FamilyKind(kind), geometry, params=params,
+                                epsilon_branch=eps))
+    return (f"{kind}-{geometry.value}" + (f"-e{eps}" if eps else ""), y, f0,
+            geometry, u_span)
+
+
+#: (name, y, f0, geometry, u_span): the slope profiles of the acceptance
+#: sets, four slopes in both geometries
+_SLOPE_PROFILES = [
+    _slope_profile("constant_mean", E, None, 0.5, 0.5, a=1.0, b=4.0, C=0.0),
+    _slope_profile("constant_mean", H, 1, 0.8, 2.0, a=0.5, b=1.0, C=-0.6),
+    _slope_profile("constant_mean", H, -1, 0.5, 2.0, a=0.5, b=1.0, C=0.0),
+    _slope_profile("constant_k", E, None, 1.0, 1.0, a=1.0, b=1.0, C=0.0),
+    _slope_profile("constant_k", H, None, 0.5, 0.7, a=1.0, b=2.0, C=0.0),
+    _slope_profile("chen", E, None, 1.2, 0.8, a=-1.0, b=1.0),
+    _slope_profile("chen", H, None, 0.7, 1.2, a=-1.0, b=0.5),
+    _slope_profile("parallel_b", E, None, 2.0, 1.0, a=1.0, c=1.0),
+    _slope_profile("parallel_b", H, None, 0.1, 0.25, a=0.5, c=0.1),
+]
 
 _CASES = _cases()
 
@@ -216,8 +242,7 @@ def test_slope_tables_match_jet_route(kind, geometry, params, eps, scale, f0,
                                 epsilon_branch=eps, slope_scale=scale))
     ref, why = _ref_build(y, f0, geometry, 2.0)
     assert why == stop
-    prof = profile_from_slope_ode(y, f0, geometry, 0.0, 2.0)
-    for got, want in zip((prof._us, prof._fs, prof._ds), ref):
+    for got, want in zip(_slope_table(y, f0, geometry, 2.0, 1e-3), ref):
         assert array("d", got).tobytes() == array("d", want).tobytes()
 
 
@@ -228,6 +253,54 @@ def test_slope_build_reads_one_jet_per_point(monkeypatch):
     jet2 = ScalarFn.jet2
     monkeypatch.setattr(ScalarFn, "jet2",
                         lambda self, u: calls.append(u) or jet2(self, u))
-    prof = profile_from_slope_ode(chen_slope(-0.9, 1.9, E), 1.5, E, 0.0, 1.0)
-    assert len(prof._us) == 1001
-    assert len(calls) == len(prof._us) + 60
+    us, _, _ = _slope_table(chen_slope(-0.9, 1.9, E), 1.5, E, 1.0, 1e-3)
+    assert len(us) == 1001
+    assert len(calls) == len(us) + 60
+
+
+# -- a slope profile's f is hermite_fn's read of the RK4 table ----------------
+
+
+def _ref_f_value(us, fs, ds, step, u):
+    """The slope profile's own cubic Hermite before hermite_fn served it:
+    the segment from (u - us[0]) / step, in hermite_fn's expansion."""
+    i = min(int((u - us[0]) / step), len(us) - 2)
+    i = max(i, 0)
+    h = us[i + 1] - us[i]
+    s = (u - us[i]) / h
+    s2, s3 = s * s, s * s * s
+    return ((2.0 * s3 - 3.0 * s2 + 1.0) * fs[i]
+            + (s3 - 2.0 * s2 + s) * h * ds[i]
+            + (-2.0 * s3 + 3.0 * s2) * fs[i + 1]
+            + (s3 - s2) * h * ds[i + 1])
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("name,y,f0,geometry,u_span", _SLOPE_PROFILES,
+                         ids=[c[0] for c in _SLOPE_PROFILES])
+def test_slope_f_is_the_table_hermite(name, y, f0, geometry, u_span):
+    us, fs, ds = _slope_table(y, f0, geometry, u_span, 1e-3)
+    prof = profile_from_slope_ode(y, f0, geometry, 0.0, u_span)
+    assert prof.domain == (us[0], us[-1])
+    f = prof.f
+    lo, hi = prof.domain
+    near = [w for u in us for w in (math.nextafter(u, -math.inf), u,
+                                    math.nextafter(u, math.inf))
+            if lo <= w <= hi]
+    # 10^5 uniform draws over the nine profiles
+    rng = random.Random(name)
+    drawn = [rng.uniform(lo, hi)
+             for _ in range(100_000 // len(_SLOPE_PROFILES) + 1)]
+    for u in near + drawn:
+        assert _bits(f(u)) == _bits(_ref_f_value(us, fs, ds, 1e-3, u)), u
+    # the jets come from y at that value, as before
+    for u in near[::7] + drawn[:2000]:
+        fv = _ref_f_value(us, fs, ds, 1e-3, u)
+        yj = y.jet2(fv)
+        got = f.jet2(u)
+        assert list(map(_bits, (got.v, got.d1, got.d2, prof.f3(u)))) == \
+            list(map(_bits, (fv, yj.v, yj.v * yj.d1,
+                             yj.v * yj.d1 * yj.d1 + yj.v * yj.v * yj.d2))), u
