@@ -18,10 +18,8 @@ from . import jets
 from .curves import (Geometry, ProfileColumn, SphericalCurve, circle_curve,
                      profile_from_f)
 from .errors import MeridianError, NotSpacelikeError
-from .families import (FamilyKind, FamilySpec, family_profile, harmonic_fn,
-                       hyperbolic_harmonic_fn, sqrt_quadratic_fn,
-                       verify_family)
-from .jets import ScalarFn
+from .families import (DOMAIN_PARAMS, FAMILY_TABLE, FamilyKind, FamilySpec,
+                       explicit_f, family_profile, verify_family)
 from .surfaces import MeridianSurface, PointTag, sweep
 
 EXIT_OK = 0
@@ -83,24 +81,6 @@ def _interval(value, path: str) -> tuple[float, float]:
 # Config -> surface
 # ---------------------------------------------------------------------------
 
-_EXPLICIT_FAMILIES = {
-    "sinh": lambda p: ScalarFn(jets.sinh, name="sinh", d3=math.cosh),
-    "cosh": lambda p: ScalarFn(jets.cosh, name="cosh", d3=math.sinh),
-    "cos": lambda p: ScalarFn(jets.cos, name="cos", d3=math.sin),
-    "linear": lambda p: ScalarFn(
-        lambda t: p.get("a0", 0.0) + p.get("a1", 1.0) * t,
-        name="linear", d3=lambda u: 0.0),
-    "harmonic": lambda p: harmonic_fn(p["alpha"], p["beta"],
-                                      p.get("omega", 1.0)),
-    "hyperbolic_harmonic": lambda p: hyperbolic_harmonic_fn(
-        p["alpha"], p["beta"], p.get("omega", 1.0)),
-    "sqrt_quadratic": lambda p: sqrt_quadratic_fn(p["c"], p["d"]),
-}
-
-_SLOPE_KINDS = {"constant_mean", "constant_k", "chen", "parallel_b"}
-_FAMILY_KINDS = {"constant_gauss", "parallel_a"}
-
-
 def _geometry(cfg: dict) -> Geometry:
     name = _require(cfg, "geometry")
     try:
@@ -144,37 +124,28 @@ def _v_domain(cfg: dict) -> tuple[float, float]:
 def _profile_from_config(cfg: dict, geometry: Geometry):
     spec = _require(cfg, "profile")
     kind = _require(spec, "kind", "profile")
+    if kind not in ("explicit_f", "slope_ode", "family"):
+        raise ConfigError(f"unknown profile kind {kind!r}")
+    family = _require(spec, "family", "profile")
     params = {k: _number(v, f"profile.{k}") for k, v in spec.items()
-              if k not in ("kind", "family", "epsilon_branch")}
+              if k not in ("kind", "family")}
     if kind == "explicit_f":
-        family = _require(spec, "family", "profile")
-        builder = _EXPLICIT_FAMILIES.get(family)
-        if builder is None:
-            raise ConfigError(f"unknown explicit_f family {family!r}")
-        try:
-            f = builder(params)
-        except KeyError as exc:
-            raise ConfigError(
-                f"missing field: profile.{exc.args[0]}") from None
-        return profile_from_f(f, geometry, params.get("g0", 0.0),
-                              _u_domain(cfg))
-    if kind == "slope_ode":
-        family = _require(spec, "family", "profile")
-        if family not in _SLOPE_KINDS:
-            raise ConfigError(f"unknown slope_ode family {family!r}")
-        fspec = FamilySpec(FamilyKind(family), geometry, params=params,
-                           epsilon_branch=spec.get("epsilon_branch"))
-        return family_profile(fspec)
-    if kind == "family":
-        family = _require(spec, "family", "profile")
-        if family not in _FAMILY_KINDS:
-            raise ConfigError(f"unknown profile family {family!r}")
-        u_min, u_max = _u_domain(cfg)
-        params = {"alpha": 0.0, "beta": 0.0, **params,
-                  "u_min": u_min, "u_max": u_max}
-        return family_profile(FamilySpec(FamilyKind(family), geometry,
-                                         params=params))
-    raise ConfigError(f"unknown profile kind {kind!r}")
+        f, g0 = explicit_f(family, params)
+        return profile_from_f(f, geometry, g0, _u_domain(cfg))
+    slope_ode = kind == "slope_ode"
+    fkind = next((k for k, row in FAMILY_TABLE.items()
+                  if k.value == family and row.slope_ode == slope_ode), None)
+    if fkind is None:
+        raise ConfigError(f"unknown {kind} family {family!r}")
+    eps_branch = params.pop("epsilon_branch", None)
+    if not slope_ode:
+        domain = dict(zip(DOMAIN_PARAMS, _u_domain(cfg)))
+        clash = sorted(domain.keys() & params.keys())
+        if clash:
+            raise ConfigError(f"profile.{clash[0]}: the domain is domain.u")
+        params.update(domain)
+    return family_profile(FamilySpec(fkind, geometry, params=params,
+                                     epsilon_branch=eps_branch))
 
 
 def surface_from_config(cfg: dict) -> MeridianSurface:
@@ -235,9 +206,18 @@ def _load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _flat_tolerance(cfg: dict) -> float:
+    tol = _number(cfg.get("tolerances", {}).get("flat", 1e-9),
+                  "tolerances.flat")
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"tolerances.flat must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 def cmd_build(args) -> int:
     cfg = _load_config(args.config)
     surface = surface_from_config(cfg)
+    _flat_tolerance(cfg)                # checked as invariants checks it
     resolved = dict(cfg)
     dom = dict(cfg.get("domain", {}))
     dom["u"] = list(surface.profile.domain)
@@ -261,8 +241,7 @@ def cmd_invariants(args) -> int:
     cfg = _load_config(args.config)
     surface = surface_from_config(cfg)
     nu, nv = _grid(cfg, args.grid)
-    flat_tol = _number(cfg.get("tolerances", {}).get("flat", 1e-9),
-                       "tolerances.flat")
+    flat_tol = _flat_tolerance(cfg)
     us = _grid_points(*surface.profile.domain, nu)
     vs = _grid_points(*_v_domain(cfg), nv)
     lines = [CSV_HEADER]
@@ -289,8 +268,12 @@ def cmd_invariants(args) -> int:
         lines.append(f"{head}{inv.epsilon},{gamma_cell},{gamma_cell},"
                      f"{nu_cell},{nu_cell},{inv.lam:.9g},{inv.mu:.9g},"
                      f"{inv.beta1:.9g},{inv.beta2:.9g},general")
+    text = "\n".join(lines) + "\n"
+    # finite input can overflow (1e308**2); below the header only "inf" has i
+    if text.find("i", len(CSV_HEADER)) >= 0 or "nan" in text:
+        raise OverflowError("a computed cell is not finite; nothing written")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
     print(f"wrote {nu * nv} invariant rows to {args.out}")
     return EXIT_OK
 
@@ -327,35 +310,22 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-_VERIFY_PARAM_FLAGS = ("a", "b", "C", "c", "d", "K0", "alpha", "beta", "f0",
-                       "u_span", "step", "u_min", "u_max", "g0")
+#: verify flags: each parameter of each family, typed by its default
+_FAMILY_FLAGS = {key: int if isinstance(default, int) else float
+                 for row in FAMILY_TABLE.values()
+                 for key, default in row.params.items()}
 
 
 def cmd_verify(args) -> int:
-    try:
-        kind = FamilyKind(args.family)
-    except ValueError:
-        raise ConfigError(f"unknown family {args.family!r}") from None
-    try:
-        geometry = Geometry(args.geometry)
-    except ValueError:
-        raise ConfigError(f"unknown geometry {args.geometry!r}") from None
-    params = {}
-    for key in _VERIFY_PARAM_FLAGS:
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
-    for key, flag in (("branch", args.branch), ("sign", args.sign),
-                      ("g_sign", args.g_sign)):
-        if flag is not None:
-            params[key] = int(flag)
+    params = {key: getattr(args, key) for key in _FAMILY_FLAGS
+              if getattr(args, key) is not None}
     eps_branch = args.epsilon_branch
     if eps_branch not in (None, "printed-vs-eq18"):
         eps_branch = int(eps_branch)
     if not 0.0 <= args.tol < math.inf:
         raise ConfigError(f"--tol must be finite and >= 0, got {args.tol!r}")
-    spec = FamilySpec(kind, geometry, params=params,
-                      epsilon_branch=eps_branch,
+    kind, geometry = FamilyKind(args.family), Geometry(args.geometry)
+    spec = FamilySpec(kind, geometry, params=params, epsilon_branch=eps_branch,
                       slope_scale=args.slope_scale)
     nu, nv = _grid({}, args.grid)
     report = verify_family(spec, grid=(nu, nv), tol=args.tol)
@@ -416,12 +386,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=[k.value for k in FamilyKind])
     p_ver.add_argument("--geometry", required=True,
                        choices=[g.value for g in Geometry])
-    for key in _VERIFY_PARAM_FLAGS:
+    for key, flag_type in _FAMILY_FLAGS.items():
         p_ver.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           type=float, default=None)
-    p_ver.add_argument("--branch", type=int, default=None)
-    p_ver.add_argument("--sign", type=int, default=None)
-    p_ver.add_argument("--g-sign", dest="g_sign", type=int, default=None)
+                           type=flag_type, default=None)
     p_ver.add_argument("--epsilon-branch", dest="epsilon_branch", default=None,
                        choices=["1", "-1", "printed-vs-eq18"])
     p_ver.add_argument("--slope-scale", dest="slope_scale", type=float,

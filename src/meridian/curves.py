@@ -354,9 +354,9 @@ def _violation(geometry: Geometry, u: float, f: float,
                V: float) -> Optional[str]:
     """Why a profile point with value f and normalization quantity V is
     inadmissible, or None when it is fine."""
-    if f <= 0.0:
+    if not f > 0.0:     # NaN fails both tests
         return f"profile requires f(u) > 0, violated at u = {u:.9g}"
-    if V < ADMISSIBILITY_MARGIN:
+    if not V >= ADMISSIBILITY_MARGIN:
         if geometry is Geometry.ELLIPTIC:
             return ("elliptic normalization requires fdot^2 > 1, "
                     f"violated at u = {u:.9g}")

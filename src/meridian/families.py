@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import jets
 from .curves import (DEFAULT_STEP, Geometry, MeridianProfile, ProfileColumn,
@@ -32,6 +32,73 @@ class FamilyKind(Enum):
     PARALLEL_B = "parallel_b"
 
 
+# ---------------------------------------------------------------------------
+# Parameter tables: which values each family takes, and their defaults
+# ---------------------------------------------------------------------------
+
+REQUIRED = None     # the default of a parameter that has none
+_POSITIVE, DOMAIN_PARAMS = ("u_span", "step"), ("u_min", "u_max")
+_AB = {"a": REQUIRED, "b": REQUIRED}
+_CLOSED = {"u_min": REQUIRED, "u_max": REQUIRED, "g0": 0.0}
+_SLOPE = {"f0": REQUIRED, "u_span": 1.0, "step": DEFAULT_STEP, "g0": 0.0}
+_BETAS = "max(|beta1|, |beta2|)"
+
+
+class FamilyRow(NamedTuple):
+    """A family's parameters (name -> default or REQUIRED); whether f comes
+    from the slope ODE, else in closed form on [u_min, u_max]; the residual
+    verify_family reports.  Verify's default directing curve is the circle
+    of curvature b for a family that takes b."""
+
+    params: dict
+    slope_ode: bool
+    property: str
+
+
+FAMILY_TABLE = {
+    FamilyKind.CONSTANT_GAUSS: FamilyRow(
+        {"K0": REQUIRED, "alpha": 0.0, "beta": 0.0, **_CLOSED, "b": REQUIRED},
+        False, "|K - K0|"),
+    FamilyKind.CONSTANT_MEAN: FamilyRow(
+        {**_AB, "C": 0.0, "sign": 1, **_SLOPE}, True, "||H| - a|"),
+    FamilyKind.CONSTANT_K: FamilyRow(
+        {**_AB, "C": 0.0, "sign": 1, **_SLOPE}, True, "|k + a^2|"),
+    FamilyKind.CHEN: FamilyRow({**_AB, "branch": 1, **_SLOPE}, True,
+                               "|lambda|"),
+    FamilyKind.PARALLEL_A: FamilyRow(
+        {"c": REQUIRED, "d": REQUIRED, "g_sign": 1, **_CLOSED}, False, _BETAS),
+    FamilyKind.PARALLEL_B: FamilyRow({**_AB, "c": REQUIRED, **_SLOPE}, True,
+                                     _BETAS),
+}
+
+
+class _Values(dict):
+    """Checked values; reading a required one not given raises, naming it."""
+
+    owner = ""
+
+    def __missing__(self, key):
+        raise FamilyDomainError(f"missing parameter {key!r} for {self.owner}")
+
+
+def _checked(fields: dict, given: dict, owner: str) -> _Values:
+    """``given`` checked against ``fields`` (name -> default or REQUIRED),
+    as floats, the defaults filled in."""
+    for key, value in given.items():
+        if key not in fields:
+            raise FamilyDomainError(f"{owner} takes no parameter {key!r}")
+        positive = key in _POSITIVE
+        if not (isinstance(value, (int, float)) and math.isfinite(value)
+                and (value > 0.0 or not positive)):
+            need = "positive and finite" if positive else "a finite number"
+            raise FamilyDomainError(f"{key} must be {need}, got {value!r}")
+    values = _Values((k, float(d)) for k, d in fields.items()
+                     if d is not REQUIRED)
+    values.update((k, float(v)) for k, v in given.items())
+    values.owner = owner
+    return values
+
+
 @dataclass
 class FamilySpec:
     """Parameters selecting one member of a classification family.
@@ -44,6 +111,8 @@ class FamilySpec:
     that combination documents the mismatch and is expected to fail.
     ``slope_scale`` multiplies the slope function and exists so sensitivity
     checks can knock a family off its defining property.
+    Construction checks ``params`` against the family's FAMILY_TABLE row
+    and fills in its defaults.
     """
 
     kind: FamilyKind
@@ -51,6 +120,16 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
     epsilon_branch: object = None
     slope_scale: float = 1.0
+
+    def __post_init__(self):
+        row, name = FAMILY_TABLE[self.kind], self.kind.value
+        self.params = _checked(row.params, self.params, f"{name} family")
+        eps, scale = self.epsilon_branch, self.slope_scale
+        if eps is not None and self.kind is not FamilyKind.CONSTANT_MEAN:
+            raise FamilyDomainError(f"{name} family takes no epsilon_branch")
+        if not (math.isfinite(scale) and (row.slope_ode or scale == 1.0)):
+            raise FamilyDomainError(f"slope_scale must be finite, and 1 in "
+                                    f"closed form; got {scale!r} for {name}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +182,30 @@ def sqrt_quadratic_fn(c: float, d: float) -> ScalarFn:
         return -3.0 * (d - c * c) * (u + c) / (q * q * math.sqrt(q))
 
     return ScalarFn(body, name="sqrt_quadratic", d3=d3)
+
+
+_HARMONIC = {"alpha": REQUIRED, "beta": REQUIRED, "omega": 1.0}
+#: Profiles of a config's kind explicit_f: name -> (parameters, in the order
+#: the builder of f takes them).  Each also takes g0.
+EXPLICIT_PROFILES = {
+    "sinh": ({}, lambda: ScalarFn(jets.sinh, name="sinh", d3=math.cosh)),
+    "cosh": ({}, lambda: ScalarFn(jets.cosh, name="cosh", d3=math.sinh)),
+    "cos": ({}, lambda: ScalarFn(jets.cos, name="cos", d3=math.sin)),
+    "linear": ({"a0": 0.0, "a1": 1.0}, lambda a0, a1: ScalarFn(
+        lambda t: a0 + a1 * t, name="linear", d3=lambda u: 0.0)),
+    "harmonic": (_HARMONIC, harmonic_fn),
+    "hyperbolic_harmonic": (_HARMONIC, hyperbolic_harmonic_fn),
+    "sqrt_quadratic": ({"c": REQUIRED, "d": REQUIRED}, sqrt_quadratic_fn),
+}
+
+
+def explicit_f(name: str, params: dict) -> tuple[ScalarFn, float]:
+    """f and g0 of explicit profile ``name``, ``params`` checked first."""
+    if name not in EXPLICIT_PROFILES:
+        raise FamilyDomainError(f"unknown explicit_f family {name!r}")
+    fields, build = EXPLICIT_PROFILES[name]
+    p = _checked({**fields, "g0": 0.0}, params, f"{name} profile")
+    return build(*(p[k] for k in fields)), p["g0"]
 
 
 def _validated_family_domain(
@@ -359,15 +462,6 @@ def max_ode_residual(residual: Callable[[float], float],
 # ---------------------------------------------------------------------------
 
 
-def _param(spec: FamilySpec, key: str, default=None):
-    if key in spec.params:
-        return spec.params[key]
-    if default is not None:
-        return default
-    raise FamilyDomainError(
-        f"missing parameter {key!r} for {spec.kind.value} family")
-
-
 def _wavy_kappa() -> ScalarFn:
     return ScalarFn(lambda t: 1.0 + 0.3 * jets.sin(t), name="kappa")
 
@@ -375,26 +469,19 @@ def _wavy_kappa() -> ScalarFn:
 def family_slope(spec: FamilySpec) -> ScalarFn:
     """The slope function of a slope-defined family spec (scaled by
     spec.slope_scale)."""
-    kind, g = spec.kind, spec.geometry
+    kind, g, p = spec.kind, spec.geometry, spec.params
     if kind is FamilyKind.CONSTANT_MEAN:
         branch = spec.epsilon_branch
-        if branch == "printed-vs-eq18":
-            branch = -1
-        if branch is None:
-            branch = 1
-        y = constant_mean_slope(_param(spec, "a"), _param(spec, "b"),
-                                _param(spec, "C", 0.0), g,
-                                sign=_param(spec, "sign", 1),
+        branch = (-1 if branch == "printed-vs-eq18"
+                  else 1 if branch is None else branch)
+        y = constant_mean_slope(p["a"], p["b"], p["C"], g, sign=p["sign"],
                                 epsilon_branch=branch)
     elif kind is FamilyKind.CONSTANT_K:
-        y = constant_k_slope(_param(spec, "a"), _param(spec, "b"),
-                             _param(spec, "C", 0.0), g,
-                             sign=_param(spec, "sign", 1))
+        y = constant_k_slope(p["a"], p["b"], p["C"], g, sign=p["sign"])
     elif kind is FamilyKind.CHEN:
-        y = chen_slope(_param(spec, "a"), _param(spec, "b"), g,
-                       branch=_param(spec, "branch", 1))
+        y = chen_slope(p["a"], p["b"], g, branch=p["branch"])
     elif kind is FamilyKind.PARALLEL_B:
-        y = parallel_slope_case_b(_param(spec, "a"), _param(spec, "c"), g)
+        y = parallel_slope_case_b(p["a"], p["c"], g)
     else:
         raise FamilyDomainError(f"{kind.value} is not a slope-defined family")
     if spec.slope_scale != 1.0:
@@ -403,35 +490,26 @@ def family_slope(spec: FamilySpec) -> ScalarFn:
 
 
 def family_profile(spec: FamilySpec) -> MeridianProfile:
-    kind, g = spec.kind, spec.geometry
-    g0 = float(_param(spec, "g0", 0.0))
+    kind, g, p = spec.kind, spec.geometry, spec.params
     if kind is FamilyKind.CONSTANT_GAUSS:
         return constant_gauss_profile(
-            _param(spec, "K0"), _param(spec, "alpha"), _param(spec, "beta"),
-            g, (_param(spec, "u_min"), _param(spec, "u_max")), g0=g0)
+            p["K0"], p["alpha"], p["beta"], g, (p["u_min"], p["u_max"]),
+            g0=p["g0"])
     if kind is FamilyKind.PARALLEL_A:
         return parallel_profile_case_a(
-            _param(spec, "c"), _param(spec, "d"), g,
-            (_param(spec, "u_min"), _param(spec, "u_max")),
-            g_sign=_param(spec, "g_sign", 1), g0=g0)
-    y = family_slope(spec)
-    f0 = float(_param(spec, "f0"))
-    u_span = float(_param(spec, "u_span", 1.0))
-    step = float(_param(spec, "step", DEFAULT_STEP))
-    for key, value in (("u_span", u_span), ("step", step)):
-        if not 0.0 < value < math.inf:
-            raise FamilyDomainError(
-                f"{key} must be positive and finite, got {value!r}")
-    return profile_from_slope_ode(y, f0, g, g0, u_span, step=step)
+            p["c"], p["d"], g, (p["u_min"], p["u_max"]), g_sign=p["g_sign"],
+            g0=p["g0"])
+    return profile_from_slope_ode(family_slope(spec), p["f0"], g, p["g0"],
+                                  p["u_span"], step=p["step"])
 
 
 def family_curve(spec: FamilySpec) -> SphericalCurve:
     """Default directing curve: constant curvature b for the families that
     require it, a non-constant curvature for parallel case (a), which holds
     for arbitrary kappa(v)."""
-    if spec.kind is FamilyKind.PARALLEL_A:
+    if "b" not in FAMILY_TABLE[spec.kind].params:
         return SphericalCurve(_wavy_kappa(), spec.geometry)
-    return circle_curve(float(_param(spec, "b")), spec.geometry)
+    return circle_curve(spec.params["b"], spec.geometry)
 
 
 def build_family_surface(spec: FamilySpec,
@@ -445,24 +523,14 @@ def build_family_surface(spec: FamilySpec,
     return MeridianSurface(family_profile(spec), curve)
 
 
-_PROPERTY_TAGS = {
-    FamilyKind.CONSTANT_GAUSS: "|K - K0|",
-    FamilyKind.CONSTANT_MEAN: "||H| - a|",
-    FamilyKind.CONSTANT_K: "|k + a^2|",
-    FamilyKind.CHEN: "|lambda|",
-    FamilyKind.PARALLEL_A: "max(|beta1|, |beta2|)",
-    FamilyKind.PARALLEL_B: "max(|beta1|, |beta2|)",
-}
-
-
 def _point_residual(spec: FamilySpec, rec: PointRecord) -> float:
-    kind = spec.kind
+    kind, p = spec.kind, spec.params
     if kind is FamilyKind.CONSTANT_GAUSS:
-        return abs(rec.column.gaussK - _param(spec, "K0"))
+        return abs(rec.column.gaussK - p["K0"])
     if kind is FamilyKind.CONSTANT_MEAN:
-        return abs(rec.meanH - abs(_param(spec, "a")))
+        return abs(rec.meanH - abs(p["a"]))
     if kind is FamilyKind.CONSTANT_K:
-        a = _param(spec, "a")
+        a = p["a"]
         return abs(rec.k + a * a)
     if kind is FamilyKind.CHEN:
         return abs(rec.frame.lam)
@@ -481,14 +549,13 @@ def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
     arcsin slope is tested against the plus-sign defining ODE; the two
     belong to opposite sign branches, so this check is expected to fail.
     """
-    if (spec.kind is FamilyKind.CONSTANT_MEAN
-            and spec.epsilon_branch == "printed-vs-eq18"):
+    p = spec.params
+    if spec.epsilon_branch == "printed-vs-eq18":   # constant mean only
         if spec.geometry is not Geometry.HYPERBOLIC:
             raise FamilyDomainError(
                 "printed-vs-eq18 applies to the hyperbolic family only")
         profile = family_profile(spec)
-        residual = cmc_ode_residual(profile, _param(spec, "a"),
-                                    _param(spec, "b"), plus_sign=True)
+        residual = cmc_ode_residual(profile, p["a"], p["b"], plus_sign=True)
         return _sweep_profile_residual(profile, residual, grid[0], tol,
                                        "plus-sign ODE residual of arcsin slope")
 
@@ -505,11 +572,11 @@ def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
             continue
         r = _point_residual(spec, rec)
         n_eval += 1
-        if r > worst:
+        if not r <= worst and worst == worst:   # a NaN r stays the worst
             worst, arg = r, (rec.column.u, rec.v)
     if n_eval == 0:
         worst = math.nan    # fails the comparison below
-    return ResidualReport(worst, arg, n_eval, _PROPERTY_TAGS[spec.kind],
+    return ResidualReport(worst, arg, n_eval, FAMILY_TABLE[spec.kind].property,
                           worst <= tol, tol, skipped)
 
 
@@ -530,6 +597,6 @@ def _sweep_profile_residual(profile: MeridianProfile,
     worst, arg = -1.0, (u_lo, 0.0)
     for u in us:
         r = abs(residual(u))
-        if r > worst:
+        if not r <= worst and worst == worst:   # a NaN r stays the worst
             worst, arg = r, (u, 0.0)
     return ResidualReport(worst, arg, n, tag, worst <= tol, tol, 0)

@@ -645,3 +645,121 @@ def test_bad_family_config_exit2(tmp_path, capsys, profile, needle):
         assert needle in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+# -- parameter tables ------------------------------------------------------------
+
+_CG_ELL = ["verify", "--family", "constant_gauss", "--geometry", "elliptic",
+           "--K0=-1", "--beta=1", "--b=1", "--u-min=0.5", "--u-max=2",
+           "--grid", "5,5"]
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (_CHEN_ELL + ["--g-sign", "5", "--sign", "7"], "takes no parameter"),
+    (_CG_ELL + ["--slope-scale", "3"], "slope_scale"),
+    (_CG_ELL + ["--epsilon-branch", "-1"], "takes no epsilon_branch"),
+    (_CG_ELL + ["--f0", "9"], "takes no parameter 'f0'"),
+    (_CG_ELL + ["--alpha", "nan"], "alpha must be a finite number, got nan"),
+    (_CG_ELL + ["--K0=inf"], "K0 must be a finite number, got inf"),
+    (_PARALLEL_A_ELL + ["--b=1"], "takes no parameter 'b'"),
+], ids=["chen-signs", "gauss-slope-scale", "gauss-epsilon", "gauss-f0",
+        "gauss-alpha-nan", "gauss-K0-inf", "parallel_a-b"])
+def test_verify_unread_or_non_finite_flag_exit2(tmp_path, capsys, argv,
+                                                needle):
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_defaults_alpha_beta_to_zero(tmp_path):
+    # as a config does: the same record as with --alpha 0 given
+    outs = [tmp_path / "default.json", tmp_path / "given.json"]
+    assert main(_CG_ELL + ["--out", str(outs[0])]) == 0
+    assert main(_CG_ELL + ["--alpha=0", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+_CHEN_PROFILE = {"kind": "slope_ode", "family": "chen", "a": -1, "b": 1,
+                 "f0": 1.2, "u_span": 0.8}
+
+
+@pytest.mark.parametrize("profile,needle", [
+    ({**_CHEN_PROFILE, "K0": 1}, "chen family takes no parameter 'K0'"),
+    ({**_CHEN_PROFILE, "epsilon_branch": 1}, "takes no epsilon_branch"),
+    ({"kind": "slope_ode", "family": "constant_mean", "a": 1, "b": 4,
+      "f0": 0.5, "u_span": 0.5, "epsilon_branch": "printed-vs-eq18"},
+     "profile.epsilon_branch must be a number"),
+    ({"kind": "explicit_f", "family": "sinh", "alpha": 1},
+     "sinh profile takes no parameter 'alpha'"),
+    ({"kind": "explicit_f", "family": "harmonic", "alpha": math.nan,
+      "beta": 0}, "alpha must be a finite number, got nan"),
+    ({"kind": "explicit_f", "family": "harmonic", "beta": 0},
+     "missing parameter 'alpha' for harmonic profile"),
+    ({"kind": "family", "family": "parallel_a", "c": 0, "d": -1,
+      "u_min": 1.1}, "profile.u_min: the domain is domain.u"),
+    ({"kind": "family", "family": "chen", "a": -1, "b": 1},
+     "unknown family family 'chen'"),
+], ids=["chen-K0", "chen-epsilon", "cmc-printed", "sinh-alpha",
+        "harmonic-alpha-nan", "harmonic-no-alpha", "parallel_a-u_min",
+        "chen-as-closed-form"])
+def test_unread_or_non_finite_profile_field_exit2(tmp_path, capsys, profile,
+                                                  needle):
+    cfg = write_config(tmp_path / "fam.json", {
+        "geometry": "elliptic", "curve": {"kind": "constant", "b": 1.0},
+        "profile": profile, "domain": {"u": [1.1, 3.0]},
+        "grid": {"nu": 3, "nv": 3}})
+    for argv in (["invariants"], ["export", "--format", "csv4"], ["build"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flat", [math.nan, -1.0, math.inf])
+def test_bad_flat_tolerance_exit2(tmp_path, capsys, flat):
+    # kappa = 0: every row is flat_case_I unless the tolerance is unusable
+    cfg = worked_config(tmp_path, curve={"kind": "constant", "b": 0.0},
+                        tolerances={"flat": flat})
+    for argv in (["invariants"], ["build"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert "tolerances.flat must be finite and >= 0" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("profile,domain", [
+    ({"kind": "explicit_f", "family": "harmonic", "alpha": 0.8, "beta": 0},
+     [0.2, 1.2]),
+    ({**_CHEN_PROFILE, "b": 0.5, "f0": 0.7, "u_span": 1.2}, None),
+    ({"kind": "family", "family": "parallel_a", "c": 0, "d": 1}, [0.1, 0.9]),
+], ids=["explicit_f", "slope_ode", "family"])
+def test_build_descriptor_round_trip(tmp_path, profile, domain):
+    # build writes domain.u, grid and validated: all three stay accepted
+    cfg = {"geometry": "hyperbolic", "curve": {"kind": "constant", "b": 0.8},
+           "profile": profile, "grid": {"nu": 3, "nv": 3}}
+    if domain is not None:
+        cfg["domain"] = {"u": domain}
+    desc = tmp_path / "desc.json"
+    assert main(["build", "--config", write_config(tmp_path / "c.json", cfg),
+                 "--out", str(desc)]) == 0
+    assert {"domain", "grid", "validated"} <= json.loads(
+        desc.read_text()).keys()
+    for argv in (["invariants"], ["export", "--format", "obj3"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(desc), "--out", str(out)]) == 0
+        assert out.exists()
+
+
+def test_invariants_overflow_exit3(tmp_path, capsys):
+    # kappa^2 overflows: k is -inf, and no row of infinities is written
+    cfg = worked_config(tmp_path, curve={"kind": "constant", "b": 1e308})
+    out = tmp_path / "o.csv"
+    assert main(["invariants", "--config", cfg, "--out", str(out)]) == 3
+    assert "not finite; nothing written" in capsys.readouterr().err
+    assert not out.exists()

@@ -348,6 +348,9 @@ def test_slope_profile_matches_explicit_profile():
     (Geometry.HYPERBOLIC, Jet2(1.0, 1.5, 0.0), "fdot^2 < 1"),
     (Geometry.HYPERBOLIC, Jet2(1.0, math.sqrt(1.0 - 5e-9), 0.0),
      "fdot^2 < 1"),
+    (Geometry.ELLIPTIC, Jet2(math.nan, 2.0, 0.0), "f(u) > 0"),
+    (Geometry.ELLIPTIC, Jet2(1.0, math.nan, 0.0), "fdot^2 > 1"),
+    (Geometry.HYPERBOLIC, Jet2(1.0, math.nan, 0.0), "fdot^2 < 1"),
 ])
 def test_column_rejects_inadmissible_u(geometry, jet, needle):
     # one 2-jet everywhere on [0, 1], built without the admissibility scan,

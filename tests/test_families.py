@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -16,7 +19,10 @@ from meridian.families import (FamilyKind, FamilySpec, build_family_surface,
                                parallel_b_ode_residual,
                                parallel_profile_case_a, parallel_slope_case_b,
                                verify_family)
-from meridian.jets import fd_jet2
+from meridian.cli import _json_float
+from meridian.families import (EXPLICIT_PROFILES, FAMILY_TABLE,
+                               _sweep_profile_residual)
+from meridian.jets import ScalarFn, fd_jet2
 from meridian.surfaces import (MeridianSurface, allied_coefficient,
                                eight_invariants)
 
@@ -311,11 +317,55 @@ _PA_ELL = dict(c=0.0, d=-1.0, u_min=1.1, u_max=3.0)
     ("constant_k", dict(_K_ELL, u_span=-1.0), "u_span"),
     ("constant_k", dict(_K_ELL, u_span=math.inf), "u_span"),
     ("constant_k", dict(_K_ELL, u_span=math.nan), "u_span"),
+    ("chen", dict(a=-1.0, b=1.0, f0=1.2, K0=1.0), "takes no parameter 'K0'"),
+    ("chen", dict(a=-1.0, b=1.0, f0=1.2, g_sign=1), "'g_sign'"),
+    ("parallel_a", dict(_PA_ELL, b=1.0), "takes no parameter 'b'"),
+    ("constant_k", dict(_K_ELL, C=math.nan), "C must be a finite number"),
+    ("constant_k", dict(_K_ELL, a=math.inf), "a must be a finite number"),
+    ("constant_k", dict(_K_ELL, f0="1"), "f0 must be a finite number"),
 ])
 def test_family_rejects_bad_inputs(kind, params, needle):
     # a sign is +-1 exactly, not truncated to it
     with pytest.raises(FamilyDomainError, match=needle):
         family_profile(spec(kind, E, **params))
+
+
+_CG_ELL = dict(K0=-1.0, beta=1.0, u_min=0.5, u_max=2.0, b=1.0)
+
+
+@pytest.mark.parametrize("kind,params,eps,scale,needle", [
+    ("constant_gauss", _CG_ELL, -1, 1.0, "takes no epsilon_branch"),
+    ("constant_k", _K_ELL, 1, 1.0, "takes no epsilon_branch"),
+    ("constant_gauss", _CG_ELL, None, 3.0, "slope_scale"),
+    ("parallel_a", _PA_ELL, None, 0.5, "slope_scale"),
+    ("constant_k", _K_ELL, None, math.nan, "slope_scale"),
+])
+def test_family_spec_rejects_unread_fields(kind, params, eps, scale, needle):
+    with pytest.raises(FamilyDomainError, match=needle):
+        spec(kind, E, eps=eps, scale=scale, **params)
+
+
+def test_family_spec_fills_defaults():
+    s = spec("constant_gauss", E, **_CG_ELL)
+    assert s.params["alpha"] == 0.0 and s.params["g0"] == 0.0
+    assert dataclasses.asdict(s)["params"] == dict(s.params)
+    assert verify_family(s, tol=1e-8).passed
+    with pytest.raises(FamilyDomainError, match="missing parameter 'b'"):
+        build_family_surface(spec("constant_gauss", E, K0=-1.0, beta=1.0,
+                                  u_min=0.5, u_max=2.0))
+
+
+def test_nan_residual_fails_verification():
+    # every residual is NaN: the report must fail, not pass at -1
+    curve = SphericalCurve(ScalarFn(lambda t: 0.0 * t + math.nan), E)
+    rep = verify_family(spec("constant_k", E, **_K_ELL), grid=(5, 5),
+                        curve=curve)
+    assert not rep.passed
+    assert math.isnan(rep.max_abs_residual)
+    assert _json_float(rep.max_abs_residual) is None
+    prof = family_profile(spec("constant_k", E, **_K_ELL))
+    rep = _sweep_profile_residual(prof, lambda u: math.nan, 5, 1e-6, "nan")
+    assert not rep.passed and math.isnan(rep.max_abs_residual)
 
 
 def test_family_accepts_float_signs():
@@ -412,3 +462,20 @@ def test_ode_residuals_equal_f_jet_formulas(profile):
     for a, b in ((0.7, 1.3), (1.0, 4.0)):
         for ref, residual in _reference_residuals(p, a, b):
             assert [residual(u) for u in us] == [ref(u) for u in us]
+
+
+def test_readme_table_names_each_family_parameter():
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = line.split("|")
+        if len(cells) == 5 and cells[2].strip() in ("`family`",
+                                                    "`slope_ode`",
+                                                    "`explicit_f`"):
+            for name in re.findall(r"`(\w+)`", cells[1]):
+                rows[name] = set(re.findall(r"`(\w+)`", cells[3]))
+    for kind, row in FAMILY_TABLE.items():
+        assert rows[kind.value] == set(row.params), kind
+    for name, (fields, _) in EXPLICIT_PROFILES.items():
+        assert rows[name] == {*fields, "g0"}, name

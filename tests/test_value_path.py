@@ -10,14 +10,13 @@ from array import array
 import pytest
 
 from meridian import jets
-from meridian.cli import _EXPLICIT_FAMILIES
 from meridian.curves import (ADMISSIBILITY_MARGIN, Geometry,
                              _slope_admissible, _slope_table,
                              profile_from_slope_ode)
 from meridian.errors import DomainError, ProfileDomainError
-from meridian.families import (FamilyKind, FamilySpec, _wavy_kappa,
-                               chen_slope, constant_k_slope,
-                               constant_mean_slope, family_slope,
+from meridian.families import (EXPLICIT_PROFILES, FamilyKind, FamilySpec,
+                               _wavy_kappa, chen_slope, constant_k_slope,
+                               constant_mean_slope, explicit_f, family_slope,
                                harmonic_fn, hyperbolic_harmonic_fn,
                                parallel_slope_case_b, sqrt_quadratic_fn)
 from meridian.jets import ScalarFn, hermite_fn
@@ -86,8 +85,9 @@ def _cases():
     ]
     params = {"alpha": 0.8, "beta": 0.3, "omega": 1.7, "c": 0.2, "d": 1.5,
               "a0": 0.1, "a1": -2.0}
-    cases += [(f"explicit-{name}", builder(params), wide)
-              for name, builder in _EXPLICIT_FAMILIES.items()]
+    cases += [(f"explicit-{name}",
+               explicit_f(name, {k: params[k] for k in fields})[0], wide)
+              for name, (fields, _) in EXPLICIT_PROFILES.items()]
     for name, y, f0, geometry, u_span in _SLOPE_PROFILES:
         f = profile_from_slope_ode(y, f0, geometry, 0.0, u_span).f
         cases.append((f"slope-profile-{name}", f,
