@@ -16,8 +16,8 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from . import jets
-from .errors import (DomainError, FrameError, MisuseError,
-                     ProfileDomainError, UnsupportedGeometryError)
+from .errors import (DomainError, FrameError, ProfileDomainError,
+                     UnsupportedGeometryError)
 from .jets import Jet2, ScalarFn
 from .mink4 import Vec4, gram
 from .quadrature import adaptive_simpson
@@ -104,9 +104,9 @@ def _default_initial_frame(geometry: Geometry) -> tuple[Vec4, Vec4, Vec4]:
     return (Vec4(0, 1, 0, 0), Vec4(0, 0, 1, 0), Vec4(0, 0, 0, 1))
 
 
-def _validate_initial_frame(geometry: Geometry, l0: Vec4, t0: Vec4, n0: Vec4,
-                            tol: float = 1e-9) -> None:
-    axis = geometry.axis_slot
+def _validate_initial_frame(geometry: Geometry, l0: Vec4, t0: Vec4,
+                            n0: Vec4) -> None:
+    axis, tol = geometry.axis_slot, 1e-9
     for name, vec in (("l0", l0), ("t0", t0), ("n0", n0)):
         if abs(vec.coords()[axis]) > tol:
             raise FrameError(
@@ -126,7 +126,7 @@ class SphericalCurve:
     """Arc-length curve on S^2(1) or S^2_1(1) given by its spherical
     curvature kappa(v) and an initial frame, realized by Frenet integration.
 
-    The frame table is integrated lazily with fixed-step classical RK4 and
+    The frame table is integrated lazily with classical RK4 at DEFAULT_STEP and
     cached, so repeated evaluations are cheap and deterministic.  Each
     direction's table is a flat array('d') of 9 doubles per step: 72 B per
     step, 7.2 MB per 100 units of arc at the default step.  Extending
@@ -137,14 +137,11 @@ class SphericalCurve:
 
     def __init__(self, kappa, geometry: Geometry,
                  l0: Optional[Vec4] = None, t0: Optional[Vec4] = None,
-                 n0: Optional[Vec4] = None, step: float = DEFAULT_STEP):
-        if step <= 0.0:
-            raise ValueError("step must be positive")
+                 n0: Optional[Vec4] = None):
         if not isinstance(kappa, ScalarFn):
             kappa = ScalarFn.constant(float(kappa), name="kappa")
         self.kappa = kappa
         self.geometry = geometry
-        self.step = step
         if l0 is None and t0 is None and n0 is None:
             l0, t0, n0 = _default_initial_frame(geometry)
         elif l0 is None or t0 is None or n0 is None:
@@ -193,9 +190,9 @@ class SphericalCurve:
     def _state_at(self, v: float) -> Sequence[float]:
         if abs(v) > _MAX_ARC:
             raise DomainError(f"curve parameter {v!r} exceeds supported range")
-        h = self.step if v >= 0.0 else -self.step
+        h = DEFAULT_STEP if v >= 0.0 else -DEFAULT_STEP
         table = self._fwd if v >= 0.0 else self._bwd
-        j = int(abs(v) / self.step)
+        j = int(abs(v) / DEFAULT_STEP)
         # Only the steps ending at v can round a stage abscissa (i*h + h,
         # j*h + rem) past v.  When kappa's domain holds the arc from 0 to v,
         # they read such an abscissa at the domain's end; else kappa raises.
@@ -279,26 +276,24 @@ class MeridianProfile:
     from the jets at one u, among them the meridian curvature, are a
     ProfileColumn.
 
-    The normalization constraint fixes g up to its additive constant g0:
-    gdot = sqrt(fdot^2 - 1) in the elliptic case, sqrt(1 - fdot^2) in the
-    hyperbolic case, with gdot >= 0 by convention.  g is not memoized: each
+    The normalization constraint fixes g up to its sign and its additive
+    constant g0.  The profile is the representative gdot = sqrt(fdot^2 - 1)
+    (elliptic) or sqrt(1 - fdot^2) (hyperbolic), gdot >= 0, which the
+    invariant formulas assume; the other sign reflects the axis coordinate,
+    an improper Lorentz motion, and gives a congruent surface.  g is not memoized: each
     call adds a short Simpson tail to lazily accumulated panel anchors, at
     most one per 0.25 of domain width.  As with the curve tables, extending
     those anchors counts as construction and belongs on one thread.
     """
 
     def __init__(self, f: ScalarFn, geometry: Geometry,
-                 domain: tuple[float, float], g0: float = 0.0,
-                 g_orientation: int = 1):
+                 domain: tuple[float, float], g0: float = 0.0):
         if domain[1] <= domain[0]:
             raise ProfileDomainError(f"empty profile domain {domain!r}")
-        if g_orientation not in (1, -1):
-            raise ValueError("g_orientation must be +1 or -1")
         self.f = f
         self.geometry = geometry
         self.domain = (float(domain[0]), float(domain[1]))
         self.g0 = float(g0)
-        self.g_orientation = g_orientation
         self._g_panels: list[float] = [0.0]  # cumulative quadrature anchors
 
     def _check(self, u: float) -> None:
@@ -319,7 +314,7 @@ class MeridianProfile:
         if V <= 0.0:
             raise ProfileDomainError(
                 f"normalization violated at u = {u!r}", u=u)
-        return self.g_orientation * math.sqrt(V)
+        return math.sqrt(V)
 
     _G_PANEL = 0.25  # fixed anchor spacing for the cumulative quadrature
 
@@ -343,13 +338,6 @@ class MeridianProfile:
             self.gdot, anchor, u)
 
 
-def _require_plus_orientation(profile: MeridianProfile) -> None:
-    if profile.g_orientation != 1:
-        raise MisuseError(
-            "invariant formulas assume the gdot >= 0 representative; "
-            "rebuild the profile with g_orientation=+1")
-
-
 def _violation(geometry: Geometry, u: float, f: float,
                V: float) -> Optional[str]:
     """Why a profile point with value f and normalization quantity V is
@@ -367,7 +355,7 @@ def _violation(geometry: Geometry, u: float, f: float,
 
 class ProfileColumn:
     """Every profile quantity the invariants use at one u, from a single
-    f_jet call: f, its derivatives, V, sqrt(V), phi = f fddot + fdot^2 - 1,
+    f_jet call: f, its derivatives, V, sqrt(V) (= gdot), phi = f fddot + fdot^2 - 1,
     the meridian curvature kappa_m and the u-factors of k and <H,H>.
 
     Raises ProfileDomainError naming u where f <= 0 or V is below
@@ -386,12 +374,10 @@ class ProfileColumn:
             raise ProfileDomainError(msg, u=u)
         self.sign = sign = geometry.normalization_sign
         self.sqV = sqV = math.sqrt(V)
-        self.gdot = profile.g_orientation * sqV
         self.phi = phi = f * fddot + fdot * fdot - 1.0
         self.phi2, self.ff = phi * phi, f * f
-        # fddot/sqrt(V) (elliptic), -fddot/sqrt(V) (hyperbolic), mirrored
-        # when g_orientation is -1
-        self.kappa_m = profile.g_orientation * sign * fddot / sqV
+        # fddot/sqrt(V) (elliptic), -fddot/sqrt(V) (hyperbolic)
+        self.kappa_m = sign * fddot / sqV
         self.k_factor = -(fddot * fddot / V)    # k = k_factor kappa^2 / f^2
         self.H2_denom = 4.0 * f * f * V         # <H,H> = D / H2_denom
         self.gaussK = -fddot / f
@@ -400,7 +386,6 @@ class ProfileColumn:
     def frame_terms(self) -> tuple:
         """(gamma, 2 f sqrt(V), f^2 fddot^2, V^2, phi/sqrt(V), its u-rate),
         the rate from the exact third derivative of f."""
-        _require_plus_orientation(self.profile)
         f, fdot, fddot, V, sqV, phi = (self.f, self.fdot, self.fddot, self.V,
                                        self.sqV, self.phi)
         dphi = 3.0 * fdot * fddot + f * self.profile.f3(self.u)
@@ -419,8 +404,7 @@ def _sample_violation(f_jet, geometry: Geometry, u: float) -> Optional[str]:
 
 
 def profile_from_f(f: ScalarFn, geometry: Geometry, g0: float,
-                   domain: tuple[float, float],
-                   g_orientation: int = 1) -> MeridianProfile:
+                   domain: tuple[float, float]) -> MeridianProfile:
     """Profile from an explicit f with g supplied by adaptive Simpson
     quadrature of gdot.  The domain is scanned at 512 points; any
     admissibility violation raises ProfileDomainError naming the offending u.
@@ -433,7 +417,7 @@ def profile_from_f(f: ScalarFn, geometry: Geometry, g0: float,
         msg = _sample_violation(f.jet2, geometry, u)
         if msg is not None:
             raise ProfileDomainError(msg, u=u)
-    return MeridianProfile(f, geometry, (lo, hi), g0, g_orientation)
+    return MeridianProfile(f, geometry, (lo, hi), g0)
 
 
 def _slope_admissible(y: ScalarFn, t: float, geometry: Geometry) -> float:

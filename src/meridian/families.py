@@ -66,7 +66,7 @@ FAMILY_TABLE = {
     FamilyKind.CHEN: FamilyRow({**_AB, "branch": 1, **_SLOPE}, True,
                                "|lambda|"),
     FamilyKind.PARALLEL_A: FamilyRow(
-        {"c": REQUIRED, "d": REQUIRED, "g_sign": 1, **_CLOSED}, False, _BETAS),
+        {"c": REQUIRED, "d": REQUIRED, **_CLOSED}, False, _BETAS),
     FamilyKind.PARALLEL_B: FamilyRow({**_AB, "c": REQUIRED, **_SLOPE}, True,
                                      _BETAS),
 }
@@ -365,7 +365,6 @@ def chen_slope(a: float, b: float, geometry: Geometry,
 
 def parallel_profile_case_a(c: float, d: float, geometry: Geometry,
                             domain: tuple[float, float],
-                            g_sign: int = 1,
                             g0: float = 0.0) -> MeridianProfile:
     """Case (a) of the parallel-normal-bundle family: f = sqrt(u^2+2cu+d),
     which makes f*fddot + fdot^2 - 1 vanish identically, so both beta
@@ -376,11 +375,9 @@ def parallel_profile_case_a(c: float, d: float, geometry: Geometry,
     if geometry is Geometry.HYPERBOLIC and not d > c * c:
         raise FamilyDomainError(
             "hyperbolic parallel case (a) requires d > c^2")
-    if g_sign not in (1, -1):
-        raise FamilyDomainError("g_sign must be +1 or -1")
     f = sqrt_quadratic_fn(c, d)
     valid = _validated_family_domain(f, geometry, domain)
-    return profile_from_f(f, geometry, g0, valid, g_orientation=int(g_sign))
+    return profile_from_f(f, geometry, g0, valid)
 
 
 def parallel_slope_case_b(a: float, c: float, geometry: Geometry) -> ScalarFn:
@@ -497,8 +494,7 @@ def family_profile(spec: FamilySpec) -> MeridianProfile:
             g0=p["g0"])
     if kind is FamilyKind.PARALLEL_A:
         return parallel_profile_case_a(
-            p["c"], p["d"], g, (p["u_min"], p["u_max"]), g_sign=p["g_sign"],
-            g0=p["g0"])
+            p["c"], p["d"], g, (p["u_min"], p["u_max"]), g0=p["g0"])
     return profile_from_slope_ode(family_slope(spec), p["f0"], g, p["g0"],
                                   p["u_span"], step=p["step"])
 
@@ -539,10 +535,9 @@ def _point_residual(spec: FamilySpec, rec: PointRecord) -> float:
 
 def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
                   tol: float = 1e-6,
-                  v_range: tuple[float, float] = (0.0, 2.0 * math.pi),
                   curve: Optional[SphericalCurve] = None) -> ResidualReport:
-    """Sweep the generated surface on a grid and report the worst residual
-    of the family's defining property.  Flat and marginally trapped samples
+    """Sweep the generated surface on a grid over v in [0, 2 pi] and report
+    the worst residual of the family's defining property.  Flat and marginally trapped samples
     are skipped and counted.
 
     With epsilon_branch = "printed-vs-eq18" (hyperbolic constant mean) the
@@ -561,10 +556,9 @@ def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
 
     surface = build_family_surface(spec, curve)
     u_lo, us = _inset_samples(surface.profile.domain, grid[0])
-    v_lo, v_hi = v_range
-    vs = [v_lo + (v_hi - v_lo) * (j / (grid[1] - 1) if grid[1] > 1 else 0.5)
+    vs = [2.0 * math.pi * (j / (grid[1] - 1) if grid[1] > 1 else 0.5)
           for j in range(grid[1])]
-    worst, arg = -1.0, (u_lo, v_lo)
+    worst, arg = -1.0, (u_lo, 0.0)
     n_eval, skipped = 0, 0
     for rec in sweep(surface, us, vs):
         if rec.frame is None:

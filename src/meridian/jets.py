@@ -267,14 +267,13 @@ def fd_jet2(fn: ScalarFn, u: float, h: Optional[float] = None) -> Jet2:
     return Jet2(f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h))
 
 
-def third_derivative(fn: ScalarFn, u: float, h: Optional[float] = None) -> float:
+def third_derivative(fn: ScalarFn, u: float) -> float:
     """f'''(u), exact when the function carries one, else a central
-    difference of the jet's second derivative."""
+    difference of the jet's second derivative at default_step(u)."""
     exact = fn.d3(u)
     if exact is not None:
         return exact
-    if h is None:
-        h = default_step(u)
+    h = default_step(u)
     return (fn.jet2(u + h).d2 - fn.jet2(u - h).d2) / (2.0 * h)
 
 

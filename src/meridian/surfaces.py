@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .curves import (SQRT2, Geometry, MeridianProfile, ProfileColumn,
-                     SphericalCurve, _require_plus_orientation)
+                     SphericalCurve)
 from .errors import (FlatPointError, MisuseError, NotSpacelikeError,
                      TrappedPointError)
 from .jets import Jet2, fd_partials2
@@ -28,7 +28,7 @@ FLAT_TOL = 1e-9
 #: rejected rather than approximated.
 TRAPPED_TOL = 1e-10
 
-#: Default step for the finite-difference fundamental forms: wide enough
+#: Step of the finite-difference fundamental forms: wide enough
 #: that quadrature jitter in g stays far below the stencil's truncation.
 FORMS_STEP = 5e-4
 
@@ -236,7 +236,7 @@ def _require_untrapped(H2: float) -> None:
 def adapted_frame(s: MeridianSurface, u: float, v: float) -> AdaptedFrame:
     """{X = z_u, Y = z_v / f, n1, n2} per the construction of each geometry."""
     c = ProfileColumn(s.profile, u)
-    fdot, gd = c.fdot, c.gdot
+    fdot, gd = c.fdot, c.sqV
     fr = s.curve.frame(v)
     if s.geometry is Geometry.ELLIPTIC:
         X = fdot * fr.l + Vec4(0.0, 0.0, 0.0, gd)
@@ -249,17 +249,15 @@ def adapted_frame(s: MeridianSurface, u: float, v: float) -> AdaptedFrame:
     return AdaptedFrame(X, fr.t, n1, n2)
 
 
-def fundamental_forms_numeric(s: MeridianSurface, u: float, v: float,
-                              h: Optional[float] = None) -> FundamentalForms:
+def fundamental_forms_numeric(s: MeridianSurface, u: float,
+                              v: float) -> FundamentalForms:
     """E, F, G, L, M, N from central-difference partials of the position map.
 
     This is the oracle route: first/second partials are finite differences
     over one 3x3 ``grid_positions`` call; only the normal directions n1, n2
     come from the closed-form frame.
     """
-    if h is None:
-        h = FORMS_STEP
-    part = fd_partials2(s.grid_positions, u, v, h)
+    part = fd_partials2(s.grid_positions, u, v, FORMS_STEP)
     zu, zv = part["z_u"], part["z_v"]
     E = inner(zu, zu)
     F = inner(zu, zv)
@@ -304,18 +302,16 @@ def mean_curvature_vector(s: MeridianSurface, u: float, v: float) -> Vec4:
     _require_general(rec)
     col = rec.column
     fr = adapted_frame(s, u, v)
-    o = s.profile.g_orientation
     if s.geometry is Geometry.ELLIPTIC:
         return (rec.kappa / (2.0 * col.f)) * fr.n1 \
-            + (o * col.phi / (2.0 * col.f * col.sqV)) * fr.n2
-    return (o * col.phi / (2.0 * col.f * col.sqV)) * fr.n1 \
+            + (col.phi / (2.0 * col.f * col.sqV)) * fr.n2
+    return (col.phi / (2.0 * col.f * col.sqV)) * fr.n1 \
         - (rec.kappa / (2.0 * col.f)) * fr.n2
 
 
 def geometric_frame(s: MeridianSurface, u: float, v: float) -> GeometricFrame:
     """Principal tangents x, y and the normal pair b, l with b collinear
     (same orientation for epsilon = +1) with H."""
-    _require_plus_orientation(s.profile)
     rec = _point(s, u, v, frame=False)
     _require_general(rec)
     _require_untrapped(rec.H2)
@@ -337,7 +333,6 @@ def geometric_frame(s: MeridianSurface, u: float, v: float) -> GeometricFrame:
 def eight_invariants(s: MeridianSurface, u: float, v: float) -> InvariantSet:
     """The eight invariants of the geometric frame, by their closed forms,
     with dkappa/dv taken from the curve's jet."""
-    _require_plus_orientation(s.profile)
     rec = _point(s, u, v, frame=True)
     _require_general(rec)
     _require_untrapped(rec.H2)

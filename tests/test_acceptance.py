@@ -233,7 +233,7 @@ def test_criterion_08_parallel_normal_bundle():
 def test_criterion_09_frenet_integrator():
     worst_drift = 0.0
     for geometry, b in ((E, 1.3), (H, 0.8)):
-        c = SphericalCurve(ScalarFn.constant(b), geometry, step=1e-3)
+        c = SphericalCurve(ScalarFn.constant(b), geometry)
         sig = geometry.curve_signature
         for i in range(33):
             v = TWO_PI * i / 32
@@ -246,7 +246,7 @@ def test_criterion_09_frenet_integrator():
     closed = circle_curve(1.0, E)
     start = closed.frame(0.0)
     integrated = SphericalCurve(ScalarFn.constant(1.0), E, l0=start.l,
-                                t0=start.t, n0=start.n, step=1e-3)
+                                t0=start.t, n0=start.n)
     worst_circle = 0.0
     for i in range(33):
         v = TWO_PI * i / 32

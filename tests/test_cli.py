@@ -299,7 +299,7 @@ def test_invariants_negative_orientation_exit2(tmp_path, capsys):
         "domain": {"u": [1.1, 3.0]}})
     assert main(["invariants", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 2
-    assert "g_orientation" in capsys.readouterr().err
+    assert "takes no parameter 'g_sign'" in capsys.readouterr().err
 
 
 def _harmonic_far_config(tmp_path):
@@ -592,7 +592,7 @@ _PARALLEL_A_ELL = ["verify", "--family", "parallel_a", "--geometry",
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (_PARALLEL_A_ELL + ["--g-sign", "2"], "g_sign must be +1 or -1"),
+    (_PARALLEL_A_ELL + ["--g-sign", "2"], "unrecognized arguments: --g-sign"),
     (_CHEN_ELL + ["--step", "0"], "step must be positive and finite"),
     (_CHEN_ELL + ["--step=nan"], "step must be positive and finite"),
     (_CHEN_ELL + ["--u-span=-1"], "u_span must be positive and finite"),
@@ -616,11 +616,11 @@ def test_verify_bad_flag_exit2(tmp_path, capsys, argv, needle):
 
 @pytest.mark.parametrize("profile,needle", [
     ({"kind": "family", "family": "parallel_a", "c": 0, "d": -1,
-      "g_sign": 2}, "g_sign must be +1 or -1"),
+      "g_sign": 2}, "parallel_a family takes no parameter 'g_sign'"),
     ({"kind": "family", "family": "parallel_a", "c": 0, "d": -1,
-      "g_sign": 0.5}, "g_sign must be +1 or -1"),
+      "g_sign": 0.5}, "parallel_a family takes no parameter 'g_sign'"),
     ({"kind": "family", "family": "parallel_a", "c": 0, "d": -1,
-      "g_sign": 1.7}, "g_sign must be +1 or -1"),
+      "g_sign": 1.7}, "parallel_a family takes no parameter 'g_sign'"),
     ({"kind": "slope_ode", "family": "constant_mean", "a": 1, "b": 4,
       "f0": 0.5, "u_span": 0.5, "sign": -1.5}, "sign must be +1 or -1"),
     ({"kind": "slope_ode", "family": "chen", "a": -1, "b": 1, "f0": 1.2,
@@ -655,7 +655,7 @@ _CG_ELL = ["verify", "--family", "constant_gauss", "--geometry", "elliptic",
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (_CHEN_ELL + ["--g-sign", "5", "--sign", "7"], "takes no parameter"),
+    (_CHEN_ELL + ["--sign", "7"], "chen family takes no parameter 'sign'"),
     (_CG_ELL + ["--slope-scale", "3"], "slope_scale"),
     (_CG_ELL + ["--epsilon-branch", "-1"], "takes no epsilon_branch"),
     (_CG_ELL + ["--f0", "9"], "takes no parameter 'f0'"),

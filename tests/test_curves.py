@@ -7,8 +7,8 @@ from conftest import (boosted_hyperbolic_frame, close, cos_fn, cos_profile,
                       rotated_elliptic_frame, sinh_fn, sinh_profile,
                       wavy_kappa)
 from meridian import jets
-from meridian.curves import (_MAX_SLOPE_STEPS, ADMISSIBILITY_MARGIN, Geometry,
-                             MeridianProfile, ProfileColumn, SphericalCurve,
+from meridian.curves import (_MAX_SLOPE_STEPS, ADMISSIBILITY_MARGIN,
+                             DEFAULT_STEP, Geometry, MeridianProfile, ProfileColumn, SphericalCurve,
                              circle_curve, frenet_frame, profile_from_f,
                              profile_from_slope_ode)
 from meridian.errors import DomainError, FrameError, ProfileDomainError
@@ -134,7 +134,7 @@ def _wavy_hermite():
     lambda: wavy_kappa(0.6, 0.5, 0.4)], ids=["constant", "hermite", "jets"])
 def test_frenet_table_matches_reference_step_bitwise(geometry, make_kappa):
     curve = SphericalCurve(make_kappa(), geometry)
-    for h, table in ((curve.step, curve._fwd), (-curve.step, curve._bwd)):
+    for h, table in ((DEFAULT_STEP, curve._fwd), (-DEFAULT_STEP, curve._bwd)):
         vs = [h * x for x in (456.7, 1999.5, 2000.0, 0.4)]
         states = [curve._state_at(v) for v in vs]
         ref = [list(table[0:9])]
@@ -143,7 +143,7 @@ def test_frenet_table_matches_reference_step_bitwise(geometry, make_kappa):
             ref.append(_reference_rk4_step(curve, i * h, ref[i], h))
         assert table.tobytes() == _bits([x for s in ref for x in s])
         for v, state in zip(vs, states):
-            j = int(abs(v) / curve.step)
+            j = int(abs(v) / DEFAULT_STEP)
             rem = v - j * h
             want = ref[j] if abs(rem) <= 1e-15 else _reference_rk4_step(
                 curve, j * h, ref[j], rem)
@@ -389,25 +389,25 @@ def test_kappa_m_examples():
                - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("mirror", [1, -1])
 @pytest.mark.parametrize("geometry,f,domain", [
     (Geometry.ELLIPTIC, sinh_fn(), (0.5, 2.0)),
     (Geometry.HYPERBOLIC, cos_fn(), (0.3, 1.2)),
 ])
-def test_kappa_m_matches_cross_product_form(geometry, f, domain,
-                                            orientation):
+def test_kappa_m_matches_cross_product_form(geometry, f, domain, mirror):
     # the reduced form against fdot gddot - gdot fddot, with gddot taken
-    # by central differences of gdot
-    p = profile_from_f(f, geometry, 0.0, domain, g_orientation=orientation)
+    # by central differences of gdot; the mirror (f, -g), which the package
+    # does not build, has the opposite meridian curvature
+    p = profile_from_f(f, geometry, 0.0, domain)
     h = 1e-5
     for i in range(1, 10):
         u = domain[0] + (domain[1] - domain[0]) * i / 10
         j = p.f_jet(u)
-        gddot = (p.gdot(u + h) - p.gdot(u - h)) / (2 * h)
-        cross = j.d1 * gddot - p.gdot(u) * j.d2
+        gddot = mirror * (p.gdot(u + h) - p.gdot(u - h)) / (2 * h)
+        cross = j.d1 * gddot - mirror * p.gdot(u) * j.d2
         km = ProfileColumn(p, u).kappa_m
-        assert close(km, cross, 1e-7)
-        assert km * orientation > 0.0
+        assert close(mirror * km, cross, 1e-7)
+        assert km > 0.0
 
 
 def test_frames_from_custom_initial_conditions():

@@ -47,14 +47,14 @@ BASES = [
     ("elliptic", 1.0, {"kind": "family", "family": "constant_gauss",
                        "K0": -1.0, "beta": 1.0}, [0.5, 2.0]),
     ("hyperbolic", 0.6, {"kind": "family", "family": "parallel_a", "c": 0.0,
-                         "d": 1.0, "g_sign": 1}, [0.1, 0.9]),
+                         "d": 1.0}, [0.1, 0.9]),
 ]
 #: every key some family or explicit profile reads, and two that none does
 KEYS = sorted({key for row in FAMILY_TABLE.values() for key in row.params}
               | {key for fields, _ in EXPLICIT_PROFILES.values()
                  for key in fields}
               | {"epsilon_branch", "omega2", "family2"})
-SIGNS = ("sign", "branch", "g_sign", "epsilon_branch")
+SIGNS = ("sign", "branch", "epsilon_branch")
 NUMBERS = st.one_of(
     st.floats(-3.0, 3.0),
     st.sampled_from([0.0, 2.0, 0.5, math.nan, math.inf, -math.inf, 1e308,

@@ -8,8 +8,7 @@ import pytest
 from conftest import cos_profile, random_surface, sinh_profile
 from meridian import jets
 from meridian.curves import Geometry, circle_curve, profile_from_f
-from meridian.errors import FlatPointError, MisuseError, TrappedPointError
-from meridian.families import parallel_profile_case_a
+from meridian.errors import FlatPointError, TrappedPointError
 from meridian.jets import ScalarFn
 from meridian.surfaces import (MeridianSurface, PointTag, basic_invariants,
                                classify_point, eight_invariants, sweep)
@@ -88,17 +87,6 @@ def test_sweep_flat_tolerance_guards_the_frame():
     records = list(sweep(surface, us, vs, flat_tol=1e-12))
     assert all(r.tag is PointTag.GENERAL for r in records)
     assert all(math.isfinite(x) for r in records for x in r.frame)
-
-
-def test_sweep_negative_orientation_is_misuse():
-    profile = parallel_profile_case_a(0.0, -1.0, Geometry.ELLIPTIC,
-                                      (1.1, 3.0), g_sign=-1)
-    surface = MeridianSurface(profile, circle_curve(1.0, Geometry.ELLIPTIC))
-    with pytest.raises(MisuseError):
-        list(sweep(surface, [1.5, 2.0], [0.5]))
-    # flat points need no frame, so the orientation is never consulted
-    flat = MeridianSurface(profile, circle_curve(0.0, Geometry.ELLIPTIC))
-    assert len(list(sweep(flat, [1.5, 2.0], [0.5]))) == 2
 
 
 def test_sweep_evaluates_each_jet_once():

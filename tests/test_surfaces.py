@@ -369,14 +369,6 @@ def test_invariants_independent_of_initial_frame():
     assert close(k1, k2, 1e-5)
 
 
-def test_eight_invariants_requires_plus_orientation():
-    prof = parallel_profile_case_a(0.0, -1.0, Geometry.ELLIPTIC, (1.1, 3.0),
-                                   g_sign=-1)
-    s = MeridianSurface(prof, circle_curve(1.0, Geometry.ELLIPTIC))
-    with pytest.raises(MisuseError):
-        eight_invariants(s, 1.5, 0.5)
-
-
 # -- allied coefficient -------------------------------------------------------
 
 
