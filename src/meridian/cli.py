@@ -39,16 +39,6 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _round9(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round9(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round9(v) for v in obj]
-    return obj
-
-
 def _require(cfg: dict, key: str, where: str = ""):
     if key not in cfg:
         path = f"{where}.{key}" if where else key
@@ -58,7 +48,7 @@ def _require(cfg: dict, key: str, where: str = ""):
 
 def _json_float(x: float):
     """x rounded to 9 significant digits, or None (JSON null) if not finite."""
-    return _round9(x) if math.isfinite(x) else None
+    return float(_fmt(x)) if math.isfinite(x) else None
 
 
 def _number(value, path: str) -> float:
@@ -182,6 +172,11 @@ def _grid_points(lo: float, hi: float, n: int) -> list[float]:
 
 
 _SECTIONS = ("grid", "domain", "tolerances", "curve", "profile")
+#: The fields of each section but the profile (its family's table checks
+#: those); "" is the top level, and a descriptor adds "validated" there.
+_FIELDS = {"": ("geometry", "validated") + _SECTIONS, "grid": ("nu", "nv"),
+           "domain": ("u", "v"), "tolerances": ("flat",)}
+_CURVE_FIELDS = {"constant": ("kind", "b"), "function": ("kind", "samples")}
 
 
 def _load_config(path: str) -> dict:
@@ -198,6 +193,15 @@ def _load_config(path: str) -> dict:
         if key in cfg and not isinstance(cfg[key], dict):
             raise ConfigError(
                 f"{key} must be a JSON object, got {cfg[key]!r}")
+    fields = dict(_FIELDS)
+    kind = cfg.get("curve", {}).get("kind")
+    if kind in _CURVE_FIELDS:   # an unknown kind is named when it is read
+        fields["curve"] = _CURVE_FIELDS[kind]
+    for where, known in fields.items():
+        for key in (cfg.get(where, {}) if where else cfg):
+            if key not in known:
+                path = f"{where}.{key}" if where else key
+                raise ConfigError(f"unknown config field: {path}")
     return cfg
 
 
@@ -228,7 +232,8 @@ def cmd_build(args) -> int:
         ProfileColumn(surface.profile, u)   # the u that invariants evaluates
     resolved["grid"] = {"nu": nu, "nv": nv}
     resolved["validated"] = True
-    text = json.dumps(_round9(resolved), indent=2, sort_keys=True)
+    # floats exactly, so the descriptor describes the surface of the config
+    text = json.dumps(resolved, indent=2, sort_keys=True)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
     print(f"built surface descriptor: {args.out} "

@@ -474,8 +474,9 @@ def _slope_table(y: ScalarFn, f0: float, geometry: Geometry, u_span: float,
                  step: float) -> tuple[list[float], list[float], list[float]]:
     """RK4 table of fdot = y(f) from f0: the abscissae us = i*step, the values
     fs and the slopes ds = y(fs), up to u_span or to the last step that keeps
-    the profile admissible; y(f0) itself must be admissible for the geometry
-    (y > 1 elliptic, 0 < y < 1 hyperbolic)."""
+    the profile admissible and its cubic Hermite read monotone; y(f0) itself
+    must be admissible for the geometry (y > 1 elliptic, 0 < y < 1
+    hyperbolic)."""
     if not 0.0 < step < math.inf:
         raise ValueError("step must be positive and finite")
     if not 0.0 < u_span < math.inf:
@@ -503,6 +504,13 @@ def _slope_table(y: ScalarFn, f0: float, geometry: Geometry, u_span: float,
         f_next = f + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         d_next = _slope_admissible(y, f_next, geometry)
         if math.isnan(d_next):
+            break
+        # the cubic through (f, k1) and (f_next, d_next) is monotone, so f
+        # stays between the two, when both step*d/df lie in (0, 3]
+        # (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980)
+        df = f_next - f
+        if not (df != 0.0 and 0.0 < step * k1 / df <= 3.0
+                and 0.0 < step * d_next / df <= 3.0):
             break
         dV_next = _normalization_rate(y, geometry, f_next)
         if _step_dips_inadmissible(y, geometry, f, f_next, dV, dV_next):

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-#: Absolute tolerance of one integral; each bisection halves it.
+#: Tolerance of one integral, relative where the first estimate exceeds 1
+#: in magnitude (rounding noise grows with the integral, and an absolute
+#: 1e-15 would bisect such panels to MAX_DEPTH); each bisection halves it.
 TOL = 1e-15
 
 #: Bisection depth at which a panel is accepted whatever its error.
@@ -25,7 +27,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     c = 0.5 * (a + b)
     fa, fb, fc = f(a), f(b), f(c)
     whole = (b - a) / 6.0 * (fa + 4.0 * fc + fb)
-    return _simpson_rec(f, a, b, fa, fb, fc, whole, TOL, MAX_DEPTH)
+    return _simpson_rec(f, a, b, fa, fb, fc, whole,
+                        TOL * max(1.0, abs(whole)), MAX_DEPTH)
 
 
 def _simpson_rec(f, a, b, fa, fb, fc, whole, tol, depth):

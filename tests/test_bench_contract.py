@@ -103,6 +103,7 @@ def test_bench_inputs_pass_parameter_tables(tmp_path, monkeypatch):
         if op.argv[0] == "verify":
             assert cli.main(op.argv) == 0, op.label
             continue
+        # the whole config: _load_config rejects fields no section reads
         cfg = cli._load_config(op.argv[op.argv.index("--config") + 1])
         geometry = _module("curves").Geometry(cfg["geometry"])
         assert cli._profile_from_config(cfg, geometry) is built, op.label

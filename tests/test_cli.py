@@ -252,6 +252,28 @@ def test_config_section_not_object_exit2(tmp_path, capsys, section, value):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("override,field", [
+    ({"tolerance": {"flat": 0.5}}, "tolerance"),
+    ({"curve": {"kind": "constant", "b": 1.0, "kappa": 5}}, "curve.kappa"),
+    ({"curve": {"kind": "function", "b": 1.0,
+                "samples": [[0, 1, 0], [2, 1, 0]]}}, "curve.b"),
+    ({"domain": {"u": [0.3, 1.2], "v": [0.0, 2.0], "w": [0, 1]}},
+     "domain.w"),
+    ({"grid": {"nu": 3, "nv": 3, "n": 9}}, "grid.n"),
+    ({"tolerances": {"flat": 1e-9, "trapped": 0.1}}, "tolerances.trapped"),
+], ids=["top-level", "constant-curve", "function-curve", "domain", "grid",
+        "tolerances"])
+def test_unknown_config_field_exit2(tmp_path, capsys, override, field):
+    cfg = worked_config(tmp_path, **override)
+    for argv in (["invariants"], ["export", "--format", "csv4"], ["build"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config field: {field}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_slope_ode_config_keeps_g0(tmp_path):
     # elliptic: the axis is x4, and g enters it additively
     axes, gs = {}, {}
@@ -734,26 +756,32 @@ def test_bad_flat_tolerance_exit2(tmp_path, capsys, flat):
 
 
 @pytest.mark.parametrize("profile,domain", [
-    ({"kind": "explicit_f", "family": "harmonic", "alpha": 0.8, "beta": 0},
-     [0.2, 1.2]),
-    ({**_CHEN_PROFILE, "b": 0.5, "f0": 0.7, "u_span": 1.2}, None),
-    ({"kind": "family", "family": "parallel_a", "c": 0, "d": 1}, [0.1, 0.9]),
+    ({"kind": "explicit_f", "family": "harmonic", "alpha": 0.7891443328289829,
+      "beta": -0.001029224044398043}, [0.2, 1.2]),
+    ({**_CHEN_PROFILE, "b": 0.5, "f0": 0.7012345678901234, "u_span": 1.2},
+     None),
+    ({"kind": "family", "family": "parallel_a", "c": 0.01234567890123,
+      "d": 1.0123456789012345}, [0.1, 0.9]),
 ], ids=["explicit_f", "slope_ode", "family"])
 def test_build_descriptor_round_trip(tmp_path, profile, domain):
-    # build writes domain.u, grid and validated: all three stay accepted
-    cfg = {"geometry": "hyperbolic", "curve": {"kind": "constant", "b": 0.8},
+    # build writes domain.u, grid and validated: all three stay accepted,
+    # and the descriptor describes the config's surface to the last bit
+    cfg = {"geometry": "hyperbolic",
+           "curve": {"kind": "constant", "b": 0.8815786063008588},
            "profile": profile, "grid": {"nu": 3, "nv": 3}}
     if domain is not None:
         cfg["domain"] = {"u": domain}
+    cfg = write_config(tmp_path / "c.json", cfg)
     desc = tmp_path / "desc.json"
-    assert main(["build", "--config", write_config(tmp_path / "c.json", cfg),
-                 "--out", str(desc)]) == 0
+    assert main(["build", "--config", cfg, "--out", str(desc)]) == 0
     assert {"domain", "grid", "validated"} <= json.loads(
         desc.read_text()).keys()
-    for argv in (["invariants"], ["export", "--format", "obj3"]):
-        out = tmp_path / "out"
-        assert main(argv + ["--config", str(desc), "--out", str(out)]) == 0
-        assert out.exists()
+    for argv in (["invariants"], ["export", "--format", "csv4"],
+                 ["export", "--format", "obj3"]):
+        outs = [tmp_path / "from_config", tmp_path / "from_descriptor"]
+        for config, out in zip((cfg, str(desc)), outs):
+            assert main(argv + ["--config", config, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes(), argv
 
 
 def test_invariants_overflow_exit3(tmp_path, capsys):

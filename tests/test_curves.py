@@ -8,12 +8,13 @@ from conftest import (boosted_hyperbolic_frame, close, cos_fn, cos_profile,
                       wavy_kappa)
 from meridian import jets
 from meridian.curves import (_MAX_SLOPE_STEPS, ADMISSIBILITY_MARGIN,
-                             DEFAULT_STEP, Geometry, MeridianProfile, ProfileColumn, SphericalCurve,
+                             DEFAULT_STEP, Geometry, MeridianProfile,
+                             ProfileColumn, SphericalCurve, _slope_table,
                              circle_curve, frenet_frame, profile_from_f,
                              profile_from_slope_ode)
 from meridian.errors import DomainError, FrameError, ProfileDomainError
-from meridian.families import (constant_k_ode_residual, harmonic_fn,
-                               max_ode_residual)
+from meridian.families import (constant_k_ode_residual, constant_k_slope,
+                               harmonic_fn, max_ode_residual)
 from meridian.jets import Jet2, ScalarFn
 from meridian.mink4 import Vec4, gram, inner
 
@@ -211,6 +212,18 @@ def test_profile_quadrature_matches_closed_form_hyperbolic():
         assert abs(p.g(u) - (math.sin(u) - math.sin(0.3) + g0)) <= 1e-8
 
 
+def test_g_quadrature_work_is_bounded_above_unit_integrals():
+    # g(10) = cosh(10) - cosh(0.5), about 1.1e4: under an absolute 1e-15 the
+    # rounding noise of such panels never met the tolerance, and one call
+    # took 136,298 gdot evaluations; relative above 1, it takes 19,262
+    p = profile_from_f(sinh_fn(), Geometry.ELLIPTIC, 0.0, (0.5, 10.0))
+    calls, gdot = [], p.gdot
+    p.gdot = lambda u: calls.append(u) or gdot(u)
+    g = p.g(10.0)
+    assert len(calls) <= 25_000
+    assert abs(g - (math.cosh(10.0) - math.cosh(0.5))) <= 1e-12 * g
+
+
 @pytest.mark.parametrize("make_profile", [sinh_profile, cos_profile],
                          ids=["elliptic", "hyperbolic"])
 def test_g_bits_independent_of_visiting_order(make_profile):
@@ -321,6 +334,24 @@ def test_slope_ode_step_count_is_bounded():
             profile_from_slope_ode(y, 1.0, Geometry.ELLIPTIC, 0.0, u_span,
                                    step=step)
     assert calls == []
+
+
+def test_slope_table_stops_before_a_non_monotone_step():
+    # constant k = -1 from f0 = 1 blows up near u = 1.645: the step from
+    # u = 1.644 takes f from 2,539 to 70,018 with step*d/df = 36.3, and the
+    # cubic Hermite of that step dips to f = -230,978
+    y = constant_k_slope(1.0, 1.0, 0.0, Geometry.ELLIPTIC)
+    us, fs, ds = _slope_table(y, 1.0, Geometry.ELLIPTIC, 2.0, DEFAULT_STEP)
+    assert len(us) == 1645 and 2539.0 < fs[-1] < 2540.0
+    for i in range(len(us) - 1):
+        df = fs[i + 1] - fs[i]
+        assert 0.0 < DEFAULT_STEP * ds[i] / df <= 3.0
+        assert 0.0 < DEFAULT_STEP * ds[i + 1] / df <= 3.0
+    p = profile_from_slope_ode(y, 1.0, Geometry.ELLIPTIC, 0.0, 2.0)
+    assert p.domain == (0.0, us[-1])
+    for i in range(1000):
+        f = p.f_jet(us[-2] + (us[-1] - us[-2]) * i / 999).v
+        assert fs[-2] <= f <= fs[-1]
 
 
 def test_slope_profile_matches_explicit_profile():

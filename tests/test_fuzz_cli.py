@@ -1,9 +1,10 @@
 """Hypothesis fuzz of the config -> CLI path.
 
 Profile sections are drawn with known and unknown keys, NaN, infinities,
-huge numbers and +-1 choices.  Whatever the input, ``invariants`` on a 3x3
-grid must exit 0, 2 or 3 without a traceback, write no file unless it exits
-0, and write only finite numeric cells.
+huge numbers and +-1 choices.  Whatever the input, ``invariants`` and
+``export --format csv4`` on a 3x3 grid and ``build`` must exit 0, 2 or 3
+without a traceback, write no file unless they exit 0, and write only
+finite numeric cells.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import tempfile
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from meridian.cli import main  # noqa: E402
 from meridian.families import EXPLICIT_PROFILES, FAMILY_TABLE  # noqa: E402
@@ -86,24 +87,55 @@ def configs(draw):
     return cfg
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(configs())
-def test_invariants_exit_codes_and_finite_cells(cfg):
+def _run(cfg, argv):
+    """Exit code and output text (None when no file was written) of argv
+    on cfg, checked for the exit codes and the traceback."""
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = pathlib.Path(tmp, "cfg.json"), pathlib.Path(tmp, "o.csv")
+        path, out = pathlib.Path(tmp, "cfg.json"), pathlib.Path(tmp, "out")
         path.write_text(json.dumps(cfg), encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            rc = main(["invariants", "--config", str(path), "--out",
-                       str(out), "--grid", "3,3"])
+            rc = main(argv + ["--config", str(path), "--out", str(out)])
         assert rc in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
-        if rc != 0:
-            assert not out.exists()
-            return
-        rows = out.read_text().splitlines()[1:]
-        assert len(rows) == 9
-        for row in rows:
-            for cell in row.split(",")[:-1]:
-                assert cell == "" or math.isfinite(float(cell)), row
+        assert out.exists() == (rc == 0)
+        return rc, out.read_text() if rc == 0 else None
+
+
+def _finite_rows(text, cells):
+    """The 9 data rows of a 3x3 CSV, each checked for finite numbers in its
+    first ``cells`` cells (empty invariant cells allowed)."""
+    rows = text.splitlines()[1:]
+    assert len(rows) == 9
+    for row in rows:
+        for cell in row.split(",")[:cells]:
+            assert cell == "" or math.isfinite(float(cell)), row
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(configs())
+def test_invariants_exit_codes_and_finite_cells(cfg):
+    rc, text = _run(cfg, ["invariants", "--grid", "3,3"])
+    if rc == 0:
+        _finite_rows(text, -1)
+
+
+#: A slope profile that blows up at u = 1.645; its export ran for minutes
+#: while the table's last step overshot and g's tolerance was absolute.  It
+#: still takes about 5 s (g's last panel), so fewer configs are drawn here.
+BLOW_UP = {"geometry": "elliptic", "curve": {"kind": "constant", "b": 1},
+           "profile": {"kind": "slope_ode", "family": "constant_k", "a": 1,
+                       "b": 1, "C": 0, "f0": 1, "u_span": 2}}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(configs())
+@example(BLOW_UP)
+def test_build_and_export_exit_codes_and_finite_cells(cfg):
+    rc, text = _run(cfg, ["build"])
+    if rc == 0:
+        assert json.loads(text)["validated"] is True
+    rc, text = _run(cfg, ["export", "--format", "csv4", "--grid", "3,3"])
+    if rc == 0:
+        _finite_rows(text, None)

@@ -211,6 +211,9 @@ def _ref_build(y, f0, geometry, u_span, step=1e-3):
         d_next = _ref_admissible(y, f_next, geometry)
         if math.isnan(d_next):
             return (us, fs, ds), "d_next"
+        ratios = (step * k1 / (f_next - f), step * d_next / (f_next - f))
+        if not all(0.0 < r <= 3.0 for r in ratios):
+            return (us, fs, ds), "monotone"
         stop = _ref_dips(y, geometry, min(f, f_next), max(f, f_next))
         if stop:
             return (us, fs, ds), stop
@@ -222,18 +225,20 @@ def _ref_build(y, f0, geometry, u_span, step=1e-3):
 
 
 @pytest.mark.parametrize("kind,geometry,params,eps,scale,f0,stop", [
-    ("constant_k", E, dict(a=-1.9, b=-0.5, C=-0.6), None, 1.0, 1.0, "stage"),
+    ("constant_k", E, dict(a=-1.9, b=-0.5, C=-0.6), None, 1.0, 1.0,
+     "monotone"),
     ("constant_mean", H, dict(a=-0.7, b=1.0, C=-0.4), 1, 1.0, 0.8, "stage"),
     ("constant_k", E, dict(a=-1.3, b=0.3, C=-0.1, sign=-1), None, 1.0, 0.5,
-     "d_next"),
+     "monotone"),
     ("parallel_b", E, dict(a=0.8, c=-0.7), None, -1.0, 0.5, "d_next"),
     ("parallel_b", H, dict(a=-0.3, c=-0.1), None, 1.0, 0.3, "dip"),
     ("parallel_b", E, dict(a=-1.2, c=0.2), None, -1.0, 1.2, "dip"),
     ("constant_mean", H, dict(a=1.6, b=-0.2, C=0.5, sign=-1), 1, 1.0, 0.4,
      "dip"),
     ("chen", E, dict(a=-0.2, b=-1.4, branch=-1), None, 1.0, 1.6, "span"),
-], ids=["k-stage", "cmc-hyp-stage", "k-d_next", "pb-falling-d_next",
-        "pb-hyp-dip", "pb-falling-dip", "cmc-hyp-dip", "chen-span"])
+], ids=["k-monotone", "cmc-hyp-stage", "k-sign-monotone",
+        "pb-falling-d_next", "pb-hyp-dip", "pb-falling-dip", "cmc-hyp-dip",
+        "chen-span"])
 def test_slope_tables_match_jet_route(kind, geometry, params, eps, scale, f0,
                                       stop):
     # slope_scale -1 makes an elliptic f fall ("falling"), so a step's ends
