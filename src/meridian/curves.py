@@ -126,8 +126,8 @@ class SphericalCurve:
     """Arc-length curve on S^2(1) or S^2_1(1) given by its spherical
     curvature kappa(v) and an initial frame, realized by Frenet integration.
 
-    The frame table is integrated lazily with classical RK4 at DEFAULT_STEP and
-    cached, so repeated evaluations are cheap and deterministic.  Each
+    The frame table is integrated lazily with classical RK4 at DEFAULT_STEP
+    and cached, so repeated evaluations are cheap and deterministic.  Each
     direction's table is a flat array('d') of 9 doubles per step: 72 B per
     step, 7.2 MB per 100 units of arc at the default step.  Extending
     the table counts as construction: evaluate from a single thread until
@@ -280,10 +280,11 @@ class MeridianProfile:
     constant g0.  The profile is the representative gdot = sqrt(fdot^2 - 1)
     (elliptic) or sqrt(1 - fdot^2) (hyperbolic), gdot >= 0, which the
     invariant formulas assume; the other sign reflects the axis coordinate,
-    an improper Lorentz motion, and gives a congruent surface.  g is not memoized: each
-    call adds a short Simpson tail to lazily accumulated panel anchors, at
-    most one per 0.25 of domain width.  As with the curve tables, extending
-    those anchors counts as construction and belongs on one thread.
+    an improper Lorentz motion, and gives a congruent surface.  g is not
+    memoized: each call adds a short Simpson tail to lazily accumulated
+    panel anchors, at most one per 0.25 of domain width.  As with the curve
+    tables, extending those anchors counts as construction and belongs on
+    one thread.
     """
 
     def __init__(self, f: ScalarFn, geometry: Geometry,
@@ -355,8 +356,9 @@ def _violation(geometry: Geometry, u: float, f: float,
 
 class ProfileColumn:
     """Every profile quantity the invariants use at one u, from a single
-    f_jet call: f, its derivatives, V, sqrt(V) (= gdot), phi = f fddot + fdot^2 - 1,
-    the meridian curvature kappa_m and the u-factors of k and <H,H>.
+    f_jet call: f, its derivatives, V, sqrt(V) (= gdot),
+    phi = f fddot + fdot^2 - 1, the meridian curvature kappa_m and the
+    u-factors of k and <H,H>.
 
     Raises ProfileDomainError naming u where f <= 0 or V is below
     ADMISSIBILITY_MARGIN.  The terms of the geometric frame are computed on

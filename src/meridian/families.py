@@ -537,8 +537,8 @@ def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
                   tol: float = 1e-6,
                   curve: Optional[SphericalCurve] = None) -> ResidualReport:
     """Sweep the generated surface on a grid over v in [0, 2 pi] and report
-    the worst residual of the family's defining property.  Flat and marginally trapped samples
-    are skipped and counted.
+    the worst residual of the family's defining property.  Flat and
+    marginally trapped samples are skipped and counted.
 
     With epsilon_branch = "printed-vs-eq18" (hyperbolic constant mean) the
     arcsin slope is tested against the plus-sign defining ODE; the two

@@ -8,9 +8,9 @@ checks every target against the package.  ``bench/run.py`` imports every
 module of its ``MODULES`` tuple at set-up; that tuple is read from the
 source, without importing the runner.
 
-The families' parameter tables reject what no family reads; every input
-the benchmark feeds the CLI must still pass them, or its success ratio
-would drop.
+The families' parameter tables and the config sections reject what no
+code reads; every input the benchmark feeds the CLI must still pass them,
+or its success ratio would drop.
 """
 
 import ast

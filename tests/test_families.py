@@ -303,11 +303,10 @@ _PA_ELL = dict(c=0.0, d=-1.0, u_min=1.1, u_max=3.0)
 
 
 @pytest.mark.parametrize("kind,params,needle", [
-    ("parallel_a", dict(_PA_ELL, g_sign=2), "takes no parameter 'g_sign'"),
-    ("parallel_a", dict(_PA_ELL, g_sign=0.5), "takes no parameter 'g_sign'"),
-    ("parallel_a", dict(_PA_ELL, g_sign=1.7), "takes no parameter 'g_sign'"),
-    ("parallel_a", dict(_PA_ELL, g_sign=math.nan),
-     "takes no parameter 'g_sign'"),
+    ("parallel_a", dict(_PA_ELL, g_sign=2), "g_sign"),
+    ("parallel_a", dict(_PA_ELL, g_sign=0.5), "g_sign"),
+    ("parallel_a", dict(_PA_ELL, g_sign=1.7), "g_sign"),
+    ("parallel_a", dict(_PA_ELL, g_sign=math.nan), "g_sign"),
     ("constant_k", dict(_K_ELL, sign=-1.5), "sign"),
     ("chen", dict(a=-1.0, b=1.0, f0=1.2, branch=1.5), "branch"),
     ("constant_k", dict(_K_ELL, step=0.0), "step"),
