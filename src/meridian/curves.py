@@ -20,7 +20,7 @@ from .errors import (DomainError, FrameError, ProfileDomainError,
                      UnsupportedGeometryError)
 from .jets import Jet2, ScalarFn
 from .mink4 import Vec4, gram
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_gauss
 
 #: Profiles keep |normalization quantity| at or above this margin so that
 #: kappa_m and every square-root denominator stays finite.
@@ -129,10 +129,11 @@ class SphericalCurve:
     The frame table is integrated lazily with classical RK4 at DEFAULT_STEP
     and cached, so repeated evaluations are cheap and deterministic.  Each
     direction's table is a flat array('d') of 9 doubles per step: 72 B per
-    step, 7.2 MB per 100 units of arc at the default step.  Extending
-    the table counts as construction: evaluate from a single thread until
-    the v-range of interest has been visited once; reads of covered ranges
-    are safe to share.
+    step, 7.2 MB per 100 units of arc at the default step.  The tables
+    extend only from one thread: two threads extending at once would append
+    the same step twice.  Evaluate from a single thread until the v-range
+    of interest has been visited once; reads of covered ranges are safe to
+    share.
     """
 
     def __init__(self, kappa, geometry: Geometry,
@@ -281,10 +282,10 @@ class MeridianProfile:
     (elliptic) or sqrt(1 - fdot^2) (hyperbolic), gdot >= 0, which the
     invariant formulas assume; the other sign reflects the axis coordinate,
     an improper Lorentz motion, and gives a congruent surface.  g is not
-    memoized: each call adds a short Simpson tail to lazily accumulated
-    panel anchors, at most one per 0.25 of domain width.  As with the curve
-    tables, extending those anchors counts as construction and belongs on
-    one thread.
+    memoized: each call adds the integral over a short tail to lazily
+    accumulated panel anchors, at most one per 0.25 of domain width, each
+    integral by quadrature.adaptive_gauss.  As with the curve tables, the
+    anchors (_g_panels) extend only from one thread.
     """
 
     def __init__(self, f: ScalarFn, geometry: Geometry,
@@ -322,9 +323,12 @@ class MeridianProfile:
     def g(self, u: float) -> float:
         """g(u) = g0 + integral of gdot from the domain's left endpoint.
 
-        The integral accumulates over fixed panels plus a short adaptive
-        Simpson tail, so nearby evaluations share their anchors and stay
-        usable inside finite-difference stencils.
+        The integral accumulates over fixed panels plus a short tail from
+        the last anchor, each by adaptive 10-point Gauss-Legendre at one
+        fixed tolerance (quadrature.adaptive_gauss), so nearby evaluations
+        share their anchors and stay usable inside finite-difference
+        stencils; a smooth tail costs 30 gdot evaluations.  The bits of g(u)
+        do not depend on which u were visited before.
         """
         self._check(u)
         j = int((u - self.domain[0]) / self._G_PANEL)
@@ -333,9 +337,9 @@ class MeridianProfile:
             a = self.domain[0] + i * self._G_PANEL
             self._g_panels.append(
                 self._g_panels[i]
-                + adaptive_simpson(self.gdot, a, a + self._G_PANEL))
+                + adaptive_gauss(self.gdot, a, a + self._G_PANEL))
         anchor = self.domain[0] + j * self._G_PANEL
-        return self.g0 + self._g_panels[j] + adaptive_simpson(
+        return self.g0 + self._g_panels[j] + adaptive_gauss(
             self.gdot, anchor, u)
 
 
@@ -407,9 +411,10 @@ def _sample_violation(f_jet, geometry: Geometry, u: float) -> Optional[str]:
 
 def profile_from_f(f: ScalarFn, geometry: Geometry, g0: float,
                    domain: tuple[float, float]) -> MeridianProfile:
-    """Profile from an explicit f with g supplied by adaptive Simpson
-    quadrature of gdot.  The domain is scanned at 512 points; any
-    admissibility violation raises ProfileDomainError naming the offending u.
+    """Profile from an explicit f with g supplied by adaptive Gauss-Legendre
+    quadrature of gdot (see MeridianProfile.g).  The domain is scanned at
+    512 points; any admissibility violation raises ProfileDomainError naming
+    the offending u.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if hi <= lo:

@@ -28,8 +28,9 @@ FLAT_TOL = 1e-9
 #: rejected rather than approximated.
 TRAPPED_TOL = 1e-10
 
-#: Step of the finite-difference fundamental forms: wide enough
-#: that quadrature jitter in g stays far below the stencil's truncation.
+#: Step of the finite-difference fundamental forms: wide enough that g's
+#: quadrature error, which the second differences amplify by 1/h^2, stays
+#: below the stencil's truncation error.
 FORMS_STEP = 5e-4
 
 

@@ -14,6 +14,16 @@ from meridian.mink4 import Vec4
 from meridian.surfaces import MeridianSurface
 
 
+#: f = sqrt(u^2 - 1) from 1e-4 past its branch point: gdot = 1/sqrt(u^2 - 1)
+#: rises like 1/sqrt(u - 1) at the domain's left end, and g = acosh(u) -
+#: acosh(1.0001).  A quadrature tolerance halved at each bisection chased
+#: that rise without end: its export ran for minutes.
+NEAR_BRANCH = {"geometry": "elliptic", "curve": {"kind": "constant", "b": 1.2},
+               "profile": {"kind": "explicit_f", "family": "sqrt_quadratic",
+                           "c": 0, "d": -1},
+               "domain": {"u": [1.0001, 2.0001], "v": [0, 1]}}
+
+
 def close(a, b, tol):
     """Mixed absolute/relative comparison: |a-b| <= tol*max(1, |b|)."""
     return abs(a - b) <= tol * max(1.0, abs(b))

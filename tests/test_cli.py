@@ -9,7 +9,9 @@ import sys
 import pytest
 
 import meridian
+from conftest import NEAR_BRANCH
 from meridian.cli import CSV_HEADER, _fmt, main, surface_from_config
+from meridian.curves import MeridianProfile
 
 
 def write_config(path, cfg):
@@ -529,6 +531,28 @@ def test_export_obj3_mesh_combinatorics(tmp_path):
     assert len(faces) == 12
     assert all(len(l.split()) == 4 for l in verts)   # 3D projection
     assert all(len(l.split()) == 5 for l in faces)   # quads
+
+
+def test_export_near_branch_point_bounded_work(tmp_path, monkeypatch):
+    calls, gdot = [], MeridianProfile.gdot
+
+    def counted(profile, u):
+        calls.append(u)
+        if len(calls) > 2_000:   # the export takes 620
+            raise RuntimeError("g quadrature exceeds 2,000 gdot evaluations")
+        return gdot(profile, u)
+
+    monkeypatch.setattr(MeridianProfile, "gdot", counted)
+    out = tmp_path / "near.csv"
+    assert main(["export", "--config", write_config(tmp_path / "near.json",
+                                                    NEAR_BRANCH),
+                 "--format", "csv4", "--grid", "3,3",
+                 "--out", str(out)]) == 0
+    _, rows = rows_of(out)
+    assert len(rows) == 9
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    axis = surface_from_config(NEAR_BRANCH).position(2.0001, 0.0).coords()[3]
+    assert abs(axis - (math.acosh(2.0001) - math.acosh(1.0001))) <= 1e-12
 
 
 def test_export_unknown_format_exit2(tmp_path):

@@ -19,6 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from conftest import NEAR_BRANCH  # noqa: E402
 from meridian.cli import main  # noqa: E402
 from meridian.families import EXPLICIT_PROFILES, FAMILY_TABLE  # noqa: E402
 
@@ -122,8 +123,7 @@ def test_invariants_exit_codes_and_finite_cells(cfg):
 
 
 #: A slope profile that blows up at u = 1.645; its export ran for minutes
-#: while the table's last step overshot and g's tolerance was absolute.  It
-#: still takes about 5 s (g's last panel), so fewer configs are drawn here.
+#: while the table's last step overshot and g's tolerance was absolute.
 BLOW_UP = {"geometry": "elliptic", "curve": {"kind": "constant", "b": 1},
            "profile": {"kind": "slope_ode", "family": "constant_k", "a": 1,
                        "b": 1, "C": 0, "f0": 1, "u_span": 2}}
@@ -132,6 +132,7 @@ BLOW_UP = {"geometry": "elliptic", "curve": {"kind": "constant", "b": 1},
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(configs())
 @example(BLOW_UP)
+@example(NEAR_BRANCH)
 def test_build_and_export_exit_codes_and_finite_cells(cfg):
     rc, text = _run(cfg, ["build"])
     if rc == 0:
