@@ -9,8 +9,8 @@ curvature (Chen), and parallel normal bundle.
 """
 
 from .curves import (Geometry, FrenetFrame, MeridianProfile, ProfileColumn,
-                     SphericalCurve, circle_curve, frenet_frame,
-                     profile_from_f, profile_from_slope_ode)
+                     SphericalCurve, circle_curve, profile_from_f,
+                     profile_from_slope_ode)
 from .errors import (DomainError, FamilyDomainError, FlatPointError,
                      FrameError, MeridianError, MisuseError,
                      NotSpacelikeError, ProfileDomainError,
@@ -20,7 +20,7 @@ from .families import (FamilyKind, FamilySpec, ResidualReport,
                        constant_gauss_profile, constant_k_slope,
                        constant_mean_slope, parallel_profile_case_a,
                        parallel_slope_case_b, verify_family)
-from .jets import Jet2, ScalarFn, fd_jet2, fd_partials2, lift2
+from .jets import Jet2, ScalarFn, fd_jet2, fd_partials2
 from .mink4 import CausalClass, Vec4, causal_character, gram, inner
 from .surfaces import (AdaptedFrame, BasicInvariants, FundamentalForms,
                        GeometricFrame, InvariantSet, KType, MeridianSurface,
@@ -28,19 +28,19 @@ from .surfaces import (AdaptedFrame, BasicInvariants, FundamentalForms,
                        allied_coefficient, basic_invariants, classify_point,
                        eight_invariants, fundamental_forms_numeric,
                        geometric_frame, invariants_from_forms,
-                       mean_curvature_vector, position, sweep)
+                       mean_curvature_vector, sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Vec4", "CausalClass", "inner", "causal_character", "gram",
-    "Jet2", "ScalarFn", "lift2", "fd_jet2", "fd_partials2",
+    "Jet2", "ScalarFn", "fd_jet2", "fd_partials2",
     "Geometry", "FrenetFrame", "SphericalCurve", "MeridianProfile",
-    "frenet_frame", "circle_curve", "profile_from_f",
+    "circle_curve", "profile_from_f",
     "profile_from_slope_ode", "ProfileColumn",
     "MeridianSurface", "AdaptedFrame", "GeometricFrame", "FundamentalForms",
     "BasicInvariants", "InvariantSet", "PointClass", "PointTag", "KType",
-    "position", "adapted_frame", "fundamental_forms_numeric",
+    "adapted_frame", "fundamental_forms_numeric",
     "invariants_from_forms", "basic_invariants", "mean_curvature_vector",
     "geometric_frame", "eight_invariants", "allied_coefficient",
     "classify_point", "sweep", "PointRecord",

@@ -1,9 +1,10 @@
 """Ingredient curves for meridian surfaces.
 
 Two objects live here: the directing curve c on the unit sphere (elliptic
-geometry) or the unit de Sitter sphere (hyperbolic geometry), realized by
-RK4 integration of its Frenet system, and the meridian profile m = (f, g)
-with its normalization constraint and curvature.
+geometry) or the unit de Sitter sphere (hyperbolic geometry), realized in
+closed form when it is an elliptic circle and otherwise by RK4 integration
+of its Frenet system, and the meridian profile m = (f, g) with its
+normalization constraint and curvature.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ DEFAULT_STEP = 1e-3
 
 _MAX_ARC = 1e4  # runaway guard for lazy Frenet table extension
 
-#: Largest u_span / step a slope build integrates: its three tables then
-#: hold about 100 MB of floats.
-_MAX_SLOPE_STEPS = 10**6
+#: Largest u_span a slope build integrates: its three tables then hold
+#: 10^6 steps, about 100 MB of floats.
+_MAX_SLOPE_SPAN = 1000.0
 
 SQRT2 = math.sqrt(2.0)
 
@@ -124,25 +125,30 @@ def _validate_initial_frame(geometry: Geometry, l0: Vec4, t0: Vec4,
 
 class SphericalCurve:
     """Arc-length curve on S^2(1) or S^2_1(1) given by its spherical
-    curvature kappa(v) and an initial frame, realized by Frenet integration.
+    curvature kappa(v), a ScalarFn, and an initial frame.
 
-    The frame table is integrated lazily with classical RK4 at DEFAULT_STEP
-    and cached, so repeated evaluations are cheap and deterministic.  Each
-    direction's table is a flat array('d') of 9 doubles per step: 72 B per
-    step, 7.2 MB per 100 units of arc at the default step.  The tables
-    extend only from one thread: two threads extending at once would append
-    the same step twice.  Evaluate from a single thread until the v-range
-    of interest has been visited once; reads of covered ranges are safe to
-    share.
+    constant_kappa is b for a circle built by SphericalCurve.circle (alias
+    circle_curve), which knows at construction that its kappa is constant;
+    it is None for a curve built from any ScalarFn, ScalarFn.constant
+    included.  The elliptic circle's frame is the latitude circle in closed
+    form.  Every other curve, the hyperbolic circle included, is realized by
+    Frenet integration: the frame table is integrated lazily with classical
+    RK4 at DEFAULT_STEP and cached, so repeated evaluations are cheap and
+    deterministic.  Each direction's table is a flat array('d') of 9
+    doubles per step: 72 B per step, 7.2 MB per 100 units of arc at the
+    default step.  The tables extend only from one thread: two threads
+    extending at once would append the same step twice.  Evaluate from a
+    single thread until the v-range of interest has been visited once;
+    reads of covered ranges are safe to share.
     """
 
-    def __init__(self, kappa, geometry: Geometry,
+    def __init__(self, kappa: ScalarFn, geometry: Geometry,
                  l0: Optional[Vec4] = None, t0: Optional[Vec4] = None,
                  n0: Optional[Vec4] = None):
-        if not isinstance(kappa, ScalarFn):
-            kappa = ScalarFn.constant(float(kappa), name="kappa")
         self.kappa = kappa
         self.geometry = geometry
+        self.constant_kappa: Optional[float] = None
+        self._latitude: Optional[tuple[float, float]] = None  # sin, cos rho
         if l0 is None and t0 is None and n0 is None:
             l0, t0, n0 = _default_initial_frame(geometry)
         elif l0 is None or t0 is None or n0 is None:
@@ -152,7 +158,26 @@ class SphericalCurve:
                   + _project(geometry, n0))
         self._fwd = array("d", state0)   # state j at v = j*step: [9j, 9j+9)
         self._bwd = array("d", state0)   # state j at v = -j*step
-        self._closed_frame = None    # optional exact realization
+
+    @classmethod
+    def circle(cls, b: float, geometry: Geometry) -> SphericalCurve:
+        """Constant-curvature curve with kappa(v) = b, arc-length
+        parameterized from the standard frame; its constant_kappa is b.
+
+        Elliptic: the latitude circle of spherical radius rho with
+        cot(rho) = b, in closed form.  Hyperbolic: realized by Frenet
+        integration; arc-length parameterization forces the tangent to be
+        spacelike, so every finite b yields a supported (spacelike) orbit.
+        """
+        if not math.isfinite(b):
+            raise UnsupportedGeometryError(
+                "constant curvature b must be finite")
+        curve = cls(ScalarFn.constant(float(b), name="kappa"), geometry)
+        curve.constant_kappa = float(b)
+        if geometry is Geometry.ELLIPTIC:
+            curve._latitude = (1.0 / math.sqrt(1.0 + b * b),
+                               b / math.sqrt(1.0 + b * b))
+        return curve
 
     # -- integration --------------------------------------------------------
 
@@ -214,9 +239,13 @@ class SphericalCurve:
 
     def frame(self, v: float) -> FrenetFrame:
         """Frenet frame {l, t, n} at arc length v."""
-        if self._closed_frame is not None:
-            l, t, n = self._closed_frame(v)
-            return FrenetFrame(l, t, n)
+        if self._latitude is not None:     # the elliptic circle
+            sr, cr = self._latitude
+            w = v / sr
+            cw, sw = math.cos(w), math.sin(w)
+            return FrenetFrame(Vec4(sr * cw, sr * sw, cr, 0.0),
+                               Vec4(-sw, cw, 0.0, 0.0),
+                               Vec4(-cr * cw, -cr * sw, sr, 0.0))
         s = self._state_at(v)
         g = self.geometry
         return FrenetFrame(_embed(g, s[0:3]), _embed(g, s[3:6]), _embed(g, s[6:9]))
@@ -224,46 +253,9 @@ class SphericalCurve:
     def kappa_jet(self, v: float) -> Jet2:
         return self.kappa.jet2(v)
 
-    def is_constant_kappa(self) -> bool:
-        """Whether kappa agrees with kappa(0) to 1e-12 (relative above 1) at
-        32 points of [0, 2 pi]."""
-        vs = [2.0 * math.pi * i / 31 for i in range(32)]
-        k0 = self.kappa(vs[0])
-        return all(abs(self.kappa(v) - k0) <= 1e-12 * max(1.0, abs(k0))
-                   for v in vs)
 
-
-def frenet_frame(curve: SphericalCurve, v: float) -> FrenetFrame:
-    """Frame of the directing curve at v (see SphericalCurve.frame)."""
-    return curve.frame(v)
-
-
-def circle_curve(b: float, geometry: Geometry) -> SphericalCurve:
-    """Constant-curvature curve with kappa(v) = b, arc-length parameterized.
-
-    Elliptic: the latitude circle of spherical radius rho with cot(rho) = b,
-    realized in closed form.  Hyperbolic: realized by Frenet integration from
-    the standard frame; arc-length parameterization forces the tangent to be
-    spacelike, so every finite b yields a supported (spacelike) orbit.
-    """
-    if not math.isfinite(b):
-        raise UnsupportedGeometryError("constant curvature b must be finite")
-    kappa = ScalarFn.constant(float(b), name="kappa")
-    curve = SphericalCurve(kappa, geometry)
-    if geometry is Geometry.ELLIPTIC:
-        sr = 1.0 / math.sqrt(1.0 + b * b)      # sin(rho)
-        cr = b / math.sqrt(1.0 + b * b)        # cos(rho)
-
-        def closed(v: float):
-            w = v / sr
-            cw, sw = math.cos(w), math.sin(w)
-            l = Vec4(sr * cw, sr * sw, cr, 0.0)
-            t = Vec4(-sw, cw, 0.0, 0.0)
-            n = Vec4(-cr * cw, -cr * sw, sr, 0.0)
-            return l, t, n
-
-        curve._closed_frame = closed
-    return curve
+#: The module-level name of SphericalCurve.circle.
+circle_curve = SphericalCurve.circle
 
 
 # ---------------------------------------------------------------------------
@@ -477,27 +469,26 @@ def _step_dips_inadmissible(y: ScalarFn, geometry: Geometry, a: float,
     return math.isnan(_slope_admissible(y, 0.5 * (a + b), geometry))
 
 
-def _slope_table(y: ScalarFn, f0: float, geometry: Geometry, u_span: float,
-                 step: float) -> tuple[list[float], list[float], list[float]]:
-    """RK4 table of fdot = y(f) from f0: the abscissae us = i*step, the values
-    fs and the slopes ds = y(fs), up to u_span or to the last step that keeps
-    the profile admissible and its cubic Hermite read monotone; y(f0) itself
-    must be admissible for the geometry (y > 1 elliptic, 0 < y < 1
-    hyperbolic)."""
-    if not 0.0 < step < math.inf:
-        raise ValueError("step must be positive and finite")
+def _slope_table(
+        y: ScalarFn, f0: float, geometry: Geometry,
+        u_span: float) -> tuple[list[float], list[float], list[float]]:
+    """RK4 table of fdot = y(f) from f0: the abscissae us = i*DEFAULT_STEP,
+    the values fs and the slopes ds = y(fs), up to u_span or to the last
+    step that keeps the profile admissible and its cubic Hermite read
+    monotone; y(f0) itself must be admissible for the geometry (y > 1
+    elliptic, 0 < y < 1 hyperbolic)."""
     if not 0.0 < u_span < math.inf:
         raise ValueError("u_span must be positive and finite")
-    if u_span / step > _MAX_SLOPE_STEPS:
-        raise DomainError(
-            f"u_span / step = {u_span / step:.9g} exceeds the "
-            f"{_MAX_SLOPE_STEPS} steps of a slope build")
+    if u_span > _MAX_SLOPE_SPAN:
+        raise DomainError(f"u_span = {u_span:.9g} exceeds "
+                          f"{_MAX_SLOPE_SPAN:g}, the longest slope build")
     d0 = _slope_admissible(y, f0, geometry)
     if math.isnan(d0):
         kind = "y(f0) > 1" if geometry is Geometry.ELLIPTIC else "0 < y(f0) < 1"
         raise ProfileDomainError(
             f"slope inadmissible at f0 = {f0!r}: geometry requires {kind}")
 
+    step = DEFAULT_STEP
     n_steps = max(1, round(u_span / step))
     us, fs, ds = [0.0], [f0], [d0]
     f, dV = f0, _normalization_rate(y, geometry, f0)
@@ -534,16 +525,16 @@ def _slope_table(y: ScalarFn, f0: float, geometry: Geometry, u_span: float,
 
 
 def profile_from_slope_ode(y: ScalarFn, f0: float, geometry: Geometry,
-                           g0: float, u_span: float,
-                           step: float = DEFAULT_STEP) -> MeridianProfile:
-    """Profile from the substitution fdot = y(f), integrated by fixed-step RK4.
+                           g0: float, u_span: float) -> MeridianProfile:
+    """Profile from the substitution fdot = y(f), integrated by RK4 at
+    DEFAULT_STEP up to u_span <= 1000.
 
     f is the cubic Hermite read of the RK4 table (dense output); fdot,
     fddot = y(f)*y'(f) and the third derivative come exactly from the jets
     of y at that f.  Integration stops early with a truncated domain as soon
     as admissibility fails (see _slope_table).
     """
-    us, fs, ds = _slope_table(y, f0, geometry, u_span, step)
+    us, fs, ds = _slope_table(y, f0, geometry, u_span)
     read = jets.hermite_fn(us, fs, ds, name="f")
 
     def body(u):

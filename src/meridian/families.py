@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from . import jets
-from .curves import (DEFAULT_STEP, Geometry, MeridianProfile, ProfileColumn,
+from .curves import (Geometry, MeridianProfile, ProfileColumn,
                      SphericalCurve, circle_curve, profile_from_f,
                      profile_from_slope_ode, _sample_violation)
 from .errors import FamilyDomainError, MisuseError
@@ -37,10 +37,10 @@ class FamilyKind(Enum):
 # ---------------------------------------------------------------------------
 
 REQUIRED = None     # the default of a parameter that has none
-_POSITIVE, DOMAIN_PARAMS = ("u_span", "step"), ("u_min", "u_max")
+DOMAIN_PARAMS = ("u_min", "u_max")
 _AB = {"a": REQUIRED, "b": REQUIRED}
 _CLOSED = {"u_min": REQUIRED, "u_max": REQUIRED, "g0": 0.0}
-_SLOPE = {"f0": REQUIRED, "u_span": 1.0, "step": DEFAULT_STEP, "g0": 0.0}
+_SLOPE = {"f0": REQUIRED, "u_span": 1.0, "g0": 0.0}
 _BETAS = "max(|beta1|, |beta2|)"
 
 
@@ -87,7 +87,7 @@ def _checked(fields: dict, given: dict, owner: str) -> _Values:
     for key, value in given.items():
         if key not in fields:
             raise FamilyDomainError(f"{owner} takes no parameter {key!r}")
-        positive = key in _POSITIVE
+        positive = key == "u_span"
         if not (isinstance(value, (int, float)) and math.isfinite(value)
                 and (value > 0.0 or not positive)):
             need = "positive and finite" if positive else "a finite number"
@@ -496,7 +496,7 @@ def family_profile(spec: FamilySpec) -> MeridianProfile:
         return parallel_profile_case_a(
             p["c"], p["d"], g, (p["u_min"], p["u_max"]), g0=p["g0"])
     return profile_from_slope_ode(family_slope(spec), p["f0"], g, p["g0"],
-                                  p["u_span"], step=p["step"])
+                                  p["u_span"])
 
 
 def family_curve(spec: FamilySpec) -> SphericalCurve:
@@ -510,12 +510,19 @@ def family_curve(spec: FamilySpec) -> SphericalCurve:
 
 def build_family_surface(spec: FamilySpec,
                          curve: Optional[SphericalCurve] = None) -> MeridianSurface:
+    """The family's surface over ``curve``, by default family_curve(spec).
+
+    Parallel case (b) needs a directing curve of constant curvature, and a
+    curve knows that only when it was built as one: a curve whose
+    constant_kappa is None (any ScalarFn kappa, ScalarFn.constant included)
+    raises MisuseError; use circle_curve.
+    """
     if curve is None:
         curve = family_curve(spec)
-    elif spec.kind is FamilyKind.PARALLEL_B and not curve.is_constant_kappa():
+    elif spec.kind is FamilyKind.PARALLEL_B and curve.constant_kappa is None:
         raise MisuseError(
             "parallel case (b) requires a directing curve of constant "
-            "curvature")
+            "curvature, built by circle_curve")
     return MeridianSurface(family_profile(spec), curve)
 
 

@@ -248,13 +248,8 @@ def default_step(u: float) -> float:
     return max(1e-5, 1e-5 * abs(u))
 
 
-def lift2(fn: ScalarFn, u: float) -> Jet2:
-    """(f(u), f'(u), f''(u)) with derivatives exact for analytic families."""
-    return fn.jet2(u)
-
-
 def fd_jet2(fn: ScalarFn, u: float, h: Optional[float] = None) -> Jet2:
-    """Central-difference 2-jet, the independent oracle for lift2.
+    """Central-difference 2-jet, the independent oracle for ScalarFn.jet2.
 
     d1 = (f(u+h) - f(u-h)) / 2h, d2 = (f(u+h) - 2 f(u) + f(u-h)) / h^2,
     both with O(h^2) truncation error.

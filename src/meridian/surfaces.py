@@ -67,10 +67,6 @@ class MeridianSurface:
             yield row
 
 
-def position(surface: MeridianSurface, u: float, v: float) -> Vec4:
-    return surface.position(u, v)
-
-
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Orthonormal frame {X, Y, n1, n2} with Gram diag(1, 1, 1, -1)."""

@@ -639,18 +639,22 @@ _PARALLEL_A_ELL = ["verify", "--family", "parallel_a", "--geometry",
 
 @pytest.mark.parametrize("argv,needle", [
     (_PARALLEL_A_ELL + ["--g-sign", "2"], "unrecognized arguments: --g-sign"),
-    (_CHEN_ELL + ["--step", "0"], "step must be positive and finite"),
-    (_CHEN_ELL + ["--step=nan"], "step must be positive and finite"),
+    (_CHEN_ELL + ["--step", "0"], "unrecognized arguments: --step 0"),
+    (_CHEN_ELL + ["--step=nan"], "unrecognized arguments: --step=nan"),
     (_CHEN_ELL + ["--u-span=-1"], "u_span must be positive and finite"),
     (_CHEN_ELL + ["--u-span=inf"], "u_span must be positive and finite"),
-    (_CHEN_ELL + ["--step=1e-300"], "exceeds the 1000000 steps"),
+    (_CHEN_ELL + ["--step=1e-300"], "unrecognized arguments: --step=1e-300"),
+    (_CHEN_ELL + ["--step=0.01"], "unrecognized arguments: --step=0.01"),
+    (_CHEN_ELL + ["--u-span=1001"],
+     "u_span = 1001 exceeds 1000, the longest slope build"),
     (_CHEN_ELL + ["--epsilon-branch", "foo"],
      "argument --epsilon-branch: invalid choice: 'foo'"),
     (_CHEN_ELL + ["--tol", "nan"], "--tol must be finite and >= 0, got nan"),
     (_CHEN_ELL + ["--tol=-1"], "--tol must be finite and >= 0, got -1.0"),
     (_CHEN_ELL + ["--tol=inf"], "--tol must be finite and >= 0, got inf"),
 ], ids=["g-sign-2", "step-0", "step-nan", "u-span-neg", "u-span-inf",
-        "step-tiny", "epsilon-branch-foo", "tol-nan", "tol-neg", "tol-inf"])
+        "step-tiny", "step-valid", "u-span-huge", "epsilon-branch-foo",
+        "tol-nan", "tol-neg", "tol-inf"])
 def test_verify_bad_flag_exit2(tmp_path, capsys, argv, needle):
     out = tmp_path / "rep.json"
     assert main(argv + ["--out", str(out)]) == 2
@@ -672,13 +676,17 @@ def test_verify_bad_flag_exit2(tmp_path, capsys, argv, needle):
     ({"kind": "slope_ode", "family": "chen", "a": -1, "b": 1, "f0": 1.2,
       "branch": 1.5}, "branch must be +1 or -1"),
     ({"kind": "slope_ode", "family": "constant_k", "a": 1, "b": 1, "f0": 1,
-      "step": 0}, "step must be positive and finite, got 0.0"),
+      "step": 0}, "constant_k family takes no parameter 'step'"),
     ({"kind": "slope_ode", "family": "constant_k", "a": 1, "b": 1, "f0": 1,
       "u_span": 0}, "u_span must be positive and finite, got 0.0"),
     ({"kind": "slope_ode", "family": "constant_k", "a": 1, "b": 1, "f0": 1,
-      "step": 1e-300}, "exceeds the 1000000 steps of a slope build"),
+      "step": 1e-300}, "constant_k family takes no parameter 'step'"),
+    ({"kind": "slope_ode", "family": "chen", "a": -1, "b": 1, "f0": 1.2,
+      "step": 0.01}, "chen family takes no parameter 'step'"),
+    ({"kind": "slope_ode", "family": "constant_k", "a": 1, "b": 1, "f0": 1,
+      "u_span": 1e300}, "exceeds 1000, the longest slope build"),
 ], ids=["g-sign-2", "g-sign-half", "g-sign-1.7", "sign-1.5", "branch-1.5",
-        "step-0", "u-span-0", "step-tiny"])
+        "step-0", "u-span-0", "step-tiny", "step-valid", "u-span-huge"])
 def test_bad_family_config_exit2(tmp_path, capsys, profile, needle):
     cfg = write_config(tmp_path / "fam.json", {
         "geometry": "elliptic", "curve": {"kind": "constant", "b": 1.0},

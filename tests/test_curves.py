@@ -7,10 +7,10 @@ from conftest import (boosted_hyperbolic_frame, close, cos_fn, cos_profile,
                       rotated_elliptic_frame, sinh_fn, sinh_profile,
                       wavy_kappa)
 from meridian import jets
-from meridian.curves import (_MAX_SLOPE_STEPS, ADMISSIBILITY_MARGIN,
+from meridian.curves import (_MAX_SLOPE_SPAN, ADMISSIBILITY_MARGIN,
                              DEFAULT_STEP, Geometry, MeridianProfile,
                              ProfileColumn, SphericalCurve, _slope_table,
-                             circle_curve, frenet_frame, profile_from_f,
+                             circle_curve, profile_from_f,
                              profile_from_slope_ode)
 from meridian.errors import DomainError, FrameError, ProfileDomainError
 from meridian.families import (constant_k_ode_residual, constant_k_slope,
@@ -30,7 +30,7 @@ def coords_close(vec, expected, tol=1e-9):
 
 def test_elliptic_great_circle_quarter_turn():
     c = SphericalCurve(ScalarFn.constant(0.0), Geometry.ELLIPTIC)
-    fr = frenet_frame(c, math.pi / 2)
+    fr = c.frame(math.pi / 2)
     assert coords_close(fr.l, (0, 1, 0, 0))
     assert coords_close(fr.t, (-1, 0, 0, 0))
     assert coords_close(fr.n, (0, 0, 1, 0))
@@ -188,11 +188,53 @@ def test_hyperbolic_circle_curvature_via_fd():
     assert abs(inner(tp, c.frame(v).n) - 1.0) <= 1e-8
 
 
+def _hyperbolic_circle_frame(kappa, v):
+    """Exact frame of circle_curve(kappa, HYPERBOLIC) at v.  From l' = t,
+    t' = -kappa n - l and n' = -kappa t, t'' = -w2 t with w2 = 1 - kappa^2,
+    so t = t0 C + t0' S, l = l0 + t0 S + t0' D and n = n0 - kappa (l - l0),
+    where t0' = -kappa n0 - l0, C = cos(w v), S = sin(w v) / w and
+    D = (1 - C) / w2 (cosh and sinh for w2 < 0; S = v, D = v^2/2 at 0)."""
+    l0, t0, n0 = ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
+                  (0.0, 0.0, 0.0, 1.0))
+    dt0 = [-kappa * n - l for l, n in zip(l0, n0)]
+    w2 = 1.0 - kappa * kappa
+    if w2 > 0.0:
+        w = math.sqrt(w2)
+        C, S = math.cos(w * v), math.sin(w * v) / w
+        D = (1.0 - C) / w2
+    elif w2 < 0.0:
+        w = math.sqrt(-w2)
+        C, S = math.cosh(w * v), math.sinh(w * v) / w
+        D = (1.0 - C) / w2
+    else:
+        C, S, D = 1.0, v, v * v / 2.0
+    l = [a + b * S + c * D for a, b, c in zip(l0, t0, dt0)]
+    t = [b * C + c * S for b, c in zip(t0, dt0)]
+    n = [c - kappa * (x - a) for a, c, x in zip(l0, n0, l)]
+    return l, t, n
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.7, 1.0, 1.5])
+def test_hyperbolic_circle_matches_closed_form(kappa):
+    # the hyperbolic circle is integrated by RK4; its trigonometric (0.3,
+    # 0.7), polynomial (1.0) and hyperbolic (1.5) exact frames agree to
+    # about 2e-13 relative on both tables
+    c = circle_curve(kappa, Geometry.HYPERBOLIC)
+    for i in range(-64, 65):
+        v = 4.0 * math.pi * i / 64
+        fr, exact = c.frame(v), _hyperbolic_circle_frame(kappa, v)
+        for got, want in zip((fr.l, fr.t, fr.n), exact):
+            scale = max(1.0, max(abs(x) for x in want))
+            assert max(abs(g - w) for g, w in zip(got.coords(), want)) \
+                <= 1e-10 * scale, (v, got, want)
+
+
 def test_constant_curve_has_zero_kappa_rate():
     c = circle_curve(1.0, Geometry.ELLIPTIC)
     assert c.kappa_jet(1.7).d1 == 0.0
-    assert c.is_constant_kappa()
-    assert not SphericalCurve(wavy_kappa(), Geometry.ELLIPTIC).is_constant_kappa()
+    assert c.constant_kappa == 1.0
+    wavy = SphericalCurve(wavy_kappa(), Geometry.ELLIPTIC)
+    assert wavy.constant_kappa is None
 
 
 # -- profiles -----------------------------------------------------------------
@@ -307,14 +349,10 @@ def test_parallel_b_slope_ode_residual():
 
 
 def test_slope_ode_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        profile_from_slope_ode(ScalarFn.constant(2.0), 1.0,
-                               Geometry.ELLIPTIC, 0.0, 1.0, step=0.0)
-    for u_span, step in ((1.0, math.inf), (1.0, math.nan), (math.inf, 1e-3),
-                         (math.nan, 1e-3), (-1.0, 1e-3)):
+    for u_span in (math.inf, math.nan, -1.0, 0.0):
         with pytest.raises(ValueError, match="positive and finite"):
             profile_from_slope_ode(ScalarFn.constant(2.0), 1.0,
-                                   Geometry.ELLIPTIC, 0.0, u_span, step=step)
+                                   Geometry.ELLIPTIC, 0.0, u_span)
     with pytest.raises(ProfileDomainError):  # y(f0) = 0.5 not > 1
         profile_from_slope_ode(ScalarFn.constant(0.5), 1.0,
                                Geometry.ELLIPTIC, 0.0, 1.0)
@@ -324,16 +362,17 @@ def test_slope_ode_rejects_bad_inputs():
 
 
 def test_slope_ode_step_count_is_bounded():
-    # just above the bound the build fails before y is first evaluated,
-    # so no table is allocated
+    # u_span <= 1000 holds the table to 10^6 steps of DEFAULT_STEP; just
+    # above it the build fails before y is first evaluated, so no table is
+    # allocated
+    assert _MAX_SLOPE_SPAN == 1000.0
+    assert round(_MAX_SLOPE_SPAN / DEFAULT_STEP) == 10**6
     calls = []
     y = ScalarFn(lambda t: calls.append(t) or 2.0)
-    for u_span, step in ((math.nextafter(float(_MAX_SLOPE_STEPS), math.inf),
-                          1.0),
-                         (1.0, 1e-300), (1e300, 1e-300)):
-        with pytest.raises(DomainError, match="steps of a slope build"):
-            profile_from_slope_ode(y, 1.0, Geometry.ELLIPTIC, 0.0, u_span,
-                                   step=step)
+    for u_span in (math.nextafter(_MAX_SLOPE_SPAN, math.inf), 1001.0,
+                   1e300):
+        with pytest.raises(DomainError, match="the longest slope build"):
+            profile_from_slope_ode(y, 1.0, Geometry.ELLIPTIC, 0.0, u_span)
     assert calls == []
 
 
@@ -342,7 +381,7 @@ def test_slope_table_stops_before_a_non_monotone_step():
     # u = 1.644 takes f from 2,539 to 70,018 with step*d/df = 36.3, and the
     # cubic Hermite of that step dips to f = -230,978
     y = constant_k_slope(1.0, 1.0, 0.0, Geometry.ELLIPTIC)
-    us, fs, ds = _slope_table(y, 1.0, Geometry.ELLIPTIC, 2.0, DEFAULT_STEP)
+    us, fs, ds = _slope_table(y, 1.0, Geometry.ELLIPTIC, 2.0)
     assert len(us) == 1645 and 2539.0 < fs[-1] < 2540.0
     for i in range(len(us) - 1):
         df = fs[i + 1] - fs[i]

@@ -22,6 +22,7 @@ from meridian.families import (FamilyKind, FamilySpec, build_family_surface,
 from meridian.cli import _json_float
 from meridian.families import (EXPLICIT_PROFILES, FAMILY_TABLE,
                                _sweep_profile_residual)
+from meridian import jets
 from meridian.jets import ScalarFn, fd_jet2
 from meridian.surfaces import (MeridianSurface, allied_coefficient,
                                eight_invariants)
@@ -252,6 +253,35 @@ def test_parallel_b_rejects_nonconstant_kappa():
     curve = SphericalCurve(wavy_kappa(), E)
     with pytest.raises(MisuseError):
         build_family_surface(s, curve=curve)
+
+
+def test_parallel_b_needs_a_curve_built_constant():
+    # 1 + 0.3 sin(15.5 v) equals 1 at the 32 points 2 pi i / 31 that a
+    # sampled constancy check would read, yet is not constant
+    s = spec("parallel_b", E, a=1.0, c=1.0, b=2.0, f0=2.0, u_span=1.0)
+    aliased = SphericalCurve(
+        ScalarFn(lambda t: 1.0 + 0.3 * jets.sin(15.5 * t)), E)
+    with pytest.raises(MisuseError):
+        build_family_surface(s, curve=aliased)
+    with pytest.raises(MisuseError):
+        verify_family(s, curve=aliased)
+    for geometry in (E, H):
+        for b in (2.0, 0.7, 0.0, -1.3):
+            assert circle_curve(b, geometry).constant_kappa == b
+            assert SphericalCurve(ScalarFn.constant(b),
+                                  geometry).constant_kappa is None
+    assert verify_family(s, curve=circle_curve(0.7, E)).passed
+
+
+@pytest.mark.parametrize("kind", ["constant_mean", "constant_k", "chen",
+                                  "parallel_b"])
+def test_slope_family_takes_no_step(kind):
+    # the slope build integrates at the fixed DEFAULT_STEP; a step of any
+    # value, the default included, is an unknown parameter
+    for step in (1e-3, 0.01, 0.0, math.nan):
+        with pytest.raises(FamilyDomainError,
+                           match=f"{kind} family takes no parameter 'step'"):
+            spec(kind, E, a=1.0, b=1.0, f0=1.0, step=step)
 
 
 def test_parallel_b_fails_for_nonconstant_kappa():

@@ -9,7 +9,7 @@ from meridian.families import (chen_slope, constant_k_slope,
                                constant_mean_slope, harmonic_fn,
                                parallel_slope_case_b, sqrt_quadratic_fn)
 from meridian.jets import (Jet2, ScalarFn, fd_jet2, fd_partials2, hermite_fn,
-                           lift2, third_derivative)
+                           third_derivative)
 from meridian.mink4 import Vec4
 from meridian.curves import Geometry
 from meridian.surfaces import MeridianSurface
@@ -17,17 +17,17 @@ from meridian.surfaces import MeridianSurface
 
 def test_lift2_square():
     fn = ScalarFn(lambda t: t * t)
-    assert lift2(fn, 3.0) == Jet2(9.0, 6.0, 2.0)
+    assert fn.jet2(3.0) == Jet2(9.0, 6.0, 2.0)
 
 
 def test_lift2_sinh_at_zero():
-    j = lift2(sinh_fn(), 0.0)
+    j = sinh_fn().jet2(0.0)
     assert (j.v, j.d1, j.d2) == (0.0, 1.0, 0.0)
 
 
 def test_lift2_sqrt_composite_vs_hand_and_fd():
     fn = ScalarFn(lambda t: jets.sqrt(t * t - 1.0))
-    j = lift2(fn, 2.0)
+    j = fn.jet2(2.0)
     # by hand: f = sqrt(u^2-1), f' = u/sqrt(u^2-1), f'' = -1/(u^2-1)^(3/2)
     assert abs(j.v - math.sqrt(3)) < 1e-12
     assert abs(j.d1 - 2 / math.sqrt(3)) < 1e-12
@@ -40,7 +40,7 @@ def test_lift2_sqrt_composite_vs_hand_and_fd():
 def test_product_rule_hand_derived():
     fn = ScalarFn(lambda t: t * t * jets.sin(t))
     u = 1.3
-    j = lift2(fn, u)
+    j = fn.jet2(u)
     assert close(j.d1, 2 * u * math.sin(u) + u * u * math.cos(u), 1e-14)
     assert close(j.d2, 2 * math.sin(u) + 4 * u * math.cos(u)
                  - u * u * math.sin(u), 1e-14)
@@ -49,7 +49,7 @@ def test_product_rule_hand_derived():
 def test_quotient_rule_hand_derived():
     fn = ScalarFn(lambda t: jets.sin(t) / (t * t))
     u = 0.9
-    j = lift2(fn, u)
+    j = fn.jet2(u)
     d1 = math.cos(u) / u ** 2 - 2 * math.sin(u) / u ** 3
     d2 = (-math.sin(u) / u ** 2 - 4 * math.cos(u) / u ** 3
           + 6 * math.sin(u) / u ** 4)
@@ -60,7 +60,7 @@ def test_quotient_rule_hand_derived():
 def test_chain_rule_hand_derived():
     fn = ScalarFn(lambda t: jets.exp(jets.cos(2.0 * t)))
     u = 0.4
-    j = lift2(fn, u)
+    j = fn.jet2(u)
     val = math.exp(math.cos(2 * u))
     d1 = val * (-2 * math.sin(2 * u))
     d2 = val * (4 * math.sin(2 * u) ** 2 - 4 * math.cos(2 * u))
@@ -96,7 +96,7 @@ FAMILY_FNS = [
 
 @pytest.mark.parametrize("fn,u", FAMILY_FNS)
 def test_family_fns_lift2_matches_fd(fn, u):
-    j, fd = lift2(fn, u), fd_jet2(fn, u, 3e-4)
+    j, fd = fn.jet2(u), fd_jet2(fn, u, 3e-4)
     assert close(fd.d1, j.d1, 1e-6)
     assert close(fd.d2, j.d2, 1e-6)
 
@@ -105,7 +105,7 @@ def test_family_fns_lift2_matches_fd(fn, u):
 def test_family_fns_richardson_slope(fn, u):
     # halving h should quarter the O(h^2) truncation error (within 20%)
     h = 2e-3
-    exact = lift2(fn, u)
+    exact = fn.jet2(u)
     err = lambda hh: abs(fd_jet2(fn, u, hh).d1 - exact.d1)
     e1, e2 = err(h), err(h / 2)
     assert e1 > 1e-12  # otherwise the ratio is noise

@@ -19,7 +19,7 @@ from meridian.surfaces import (KType, MeridianSurface, PointTag,
                                basic_invariants, classify_point,
                                eight_invariants, fundamental_forms_numeric,
                                geometric_frame, invariants_from_forms,
-                               mean_curvature_vector, position)
+                               mean_curvature_vector)
 
 SQ2 = math.sqrt(2.0)
 
@@ -51,14 +51,14 @@ def hyperbolic_cos_surface(worked_surface):
 
 
 def test_position_elliptic_example(elliptic_sinh_surface):
-    z = position(elliptic_sinh_surface, 1.0, 0.0)
+    z = elliptic_sinh_surface.position(1.0, 0.0)
     assert max(abs(a - b) for a, b in zip(
         z.coords(), (math.sinh(1.0), 0.0, 0.0, math.cosh(1.0)))) <= 1e-10
     assert abs(inner(z, z) - (-1.0)) <= 1e-10  # sinh^2 - cosh^2
 
 
 def test_position_hyperbolic_example(hyperbolic_cos_surface):
-    z = position(hyperbolic_cos_surface, math.pi / 4, 0.0)
+    z = hyperbolic_cos_surface.position(math.pi / 4, 0.0)
     assert max(abs(a - b) for a, b in zip(
         z.coords(), (SQ2 / 2, SQ2 / 2, 0.0, 0.0))) <= 1e-10
 
@@ -312,7 +312,7 @@ def test_worked_point_invariants(hyperbolic_cos_surface):
 def test_constant_kappa_betas_antisymmetric(rng):
     for _ in range(6):
         s = random_surface(rng)
-        if not s.curve.is_constant_kappa():
+        if s.curve.constant_kappa is None:
             continue
         u, v = interior_point(rng, s)
         try:
@@ -409,3 +409,12 @@ def test_classify_trapped_flag():
     s = MeridianSurface(cos_profile(),
                         circle_curve(2.0 * math.cos(u0), Geometry.HYPERBOLIC))
     assert classify_point(s, u0, 0.5).trapped
+
+
+# -- package exports ----------------------------------------------------------
+
+
+def test_every_exported_name_resolves():
+    import meridian
+    assert [n for n in meridian.__all__ if not hasattr(meridian, n)] == []
+    assert len(set(meridian.__all__)) == len(meridian.__all__)

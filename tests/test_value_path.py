@@ -247,7 +247,7 @@ def test_slope_tables_match_jet_route(kind, geometry, params, eps, scale, f0,
                                 epsilon_branch=eps, slope_scale=scale))
     ref, why = _ref_build(y, f0, geometry, 2.0)
     assert why == stop
-    for got, want in zip(_slope_table(y, f0, geometry, 2.0, 1e-3), ref):
+    for got, want in zip(_slope_table(y, f0, geometry, 2.0), ref):
         assert array("d", got).tobytes() == array("d", want).tobytes()
 
 
@@ -258,7 +258,7 @@ def test_slope_build_reads_one_jet_per_point(monkeypatch):
     jet2 = ScalarFn.jet2
     monkeypatch.setattr(ScalarFn, "jet2",
                         lambda self, u: calls.append(u) or jet2(self, u))
-    us, _, _ = _slope_table(chen_slope(-0.9, 1.9, E), 1.5, E, 1.0, 1e-3)
+    us, _, _ = _slope_table(chen_slope(-0.9, 1.9, E), 1.5, E, 1.0)
     assert len(us) == 1001
     assert len(calls) == len(us) + 60
 
@@ -287,7 +287,7 @@ def _bits(x):
 @pytest.mark.parametrize("name,y,f0,geometry,u_span", _SLOPE_PROFILES,
                          ids=[c[0] for c in _SLOPE_PROFILES])
 def test_slope_f_is_the_table_hermite(name, y, f0, geometry, u_span):
-    us, fs, ds = _slope_table(y, f0, geometry, u_span, 1e-3)
+    us, fs, ds = _slope_table(y, f0, geometry, u_span)
     prof = profile_from_slope_ode(y, f0, geometry, 0.0, u_span)
     assert prof.domain == (us[0], us[-1])
     f = prof.f
