@@ -134,6 +134,8 @@ def _profile_from_config(cfg: dict, geometry: Geometry):
         if clash:
             raise ConfigError(f"profile.{clash[0]}: the domain is domain.u")
         params.update(domain)
+    elif "u" in cfg.get("domain", {}):
+        _u_domain(cfg)      # checked, not read: u_span sets the domain
     return family_profile(FamilySpec(fkind, geometry, params=params,
                                      epsilon_branch=eps_branch))
 
@@ -152,12 +154,12 @@ def _grid(cfg: dict, override: Optional[str]) -> tuple[int, int]:
         except ValueError:
             raise ConfigError(f"--grid expects NU,NV, got {override!r}") from None
     else:
-        g = cfg.get("grid", {})
-        try:
-            nu, nv = int(g.get("nu", 33)), int(g.get("nv", 33))
-        except (TypeError, ValueError):
-            raise ConfigError(f"grid sizes must be integers, got {g!r}") \
-                from None
+        nu, nv = (cfg.get("grid", {}).get(key, 33) for key in ("nu", "nv"))
+        for key, n in (("nu", nu), ("nv", nv)):
+            if not (type(n) is int or type(n) is float and n.is_integer()):
+                raise ConfigError(
+                    f"grid sizes must be integers, got grid.{key} = {n!r}")
+        nu, nv = int(nu), int(nv)
     if nu < 1 or nv < 1:
         raise ConfigError("grid sizes must be >= 1")
     return nu, nv

@@ -30,7 +30,7 @@ ADMISSIBILITY_MARGIN = 1e-8
 #: Fixed RK4 step shared by the Frenet and slope integrators.
 DEFAULT_STEP = 1e-3
 
-_MAX_ARC = 1e4  # runaway guard for lazy Frenet table extension
+_MAX_ARC = 1e4  # the |v| a curve supports; bounds its Frenet tables
 
 #: Largest u_span a slope build integrates: its three tables then hold
 #: 10^6 steps, about 100 MB of floats.
@@ -214,8 +214,6 @@ class SphericalCurve:
         return out
 
     def _state_at(self, v: float) -> Sequence[float]:
-        if abs(v) > _MAX_ARC:
-            raise DomainError(f"curve parameter {v!r} exceeds supported range")
         h = DEFAULT_STEP if v >= 0.0 else -DEFAULT_STEP
         table = self._fwd if v >= 0.0 else self._bwd
         j = int(abs(v) / DEFAULT_STEP)
@@ -238,7 +236,10 @@ class SphericalCurve:
     # -- public surface ------------------------------------------------------
 
     def frame(self, v: float) -> FrenetFrame:
-        """Frenet frame {l, t, n} at arc length v."""
+        """Frenet frame {l, t, n} at arc length v, |v| <= 1e4 on every
+        curve."""
+        if abs(v) > _MAX_ARC:
+            raise DomainError(f"curve parameter {v!r} exceeds supported range")
         if self._latitude is not None:     # the elliptic circle
             sr, cr = self._latitude
             w = v / sr

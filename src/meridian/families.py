@@ -3,8 +3,9 @@
 Each family fixes either the profile f in closed form (constant Gauss
 curvature, parallel-bundle case (a)) or the slope function y with
 fdot = y(f) (constant mean curvature, constant invariant k, Chen,
-parallel-bundle case (b)).  ``verify_family`` sweeps the generated surface
-and reports the worst residual of the family's defining property.
+parallel-bundle case (b)).  A family is one FAMILY_TABLE row: its
+parameters, its builder, the directing curve it needs and the residual
+that ``verify_family`` reports, the worst over a sweep of its surface.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class FamilyKind(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Parameter tables: which values each family takes, and their defaults
+# The family table: what each family is
 # ---------------------------------------------------------------------------
 
 REQUIRED = None     # the default of a parameter that has none
@@ -45,30 +46,62 @@ _BETAS = "max(|beta1|, |beta2|)"
 
 
 class FamilyRow(NamedTuple):
-    """A family's parameters (name -> default or REQUIRED); whether f comes
-    from the slope ODE, else in closed form on [u_min, u_max]; the residual
-    verify_family reports.  Verify's default directing curve is the circle
-    of curvature b for a family that takes b."""
+    """What a family is, in one place.
+
+    params: name -> default or REQUIRED.  build(params, geometry,
+    epsilon_branch): the slope y of fdot = y(f) when slope_ode, else the
+    closed-form profile on [u_min, u_max].  residual(record, params): the
+    value at a PointRecord that verify_family reports as property.  The
+    curve rule: a slope family needs a directing curve built constant, one
+    of |kappa| = |b| when kappa_b; a closed-form family takes any curve.
+    Verify's default curve is the circle of curvature b for a family that
+    takes b."""
 
     params: dict
+    build: Callable
     slope_ode: bool
+    kappa_b: bool
+    residual: Callable[[PointRecord, dict], float]
     property: str
+
+
+def _betas(rec: PointRecord, p: dict) -> float:
+    return max(abs(rec.frame.beta1), abs(rec.frame.beta2))
 
 
 FAMILY_TABLE = {
     FamilyKind.CONSTANT_GAUSS: FamilyRow(
         {"K0": REQUIRED, "alpha": 0.0, "beta": 0.0, **_CLOSED, "b": REQUIRED},
-        False, "|K - K0|"),
+        lambda p, g, eps: constant_gauss_profile(
+            p["K0"], p["alpha"], p["beta"], g, (p["u_min"], p["u_max"]),
+            p["g0"]),
+        False, False, lambda rec, p: abs(rec.column.gaussK - p["K0"]),
+        "|K - K0|"),
     FamilyKind.CONSTANT_MEAN: FamilyRow(
-        {**_AB, "C": 0.0, "sign": 1, **_SLOPE}, True, "||H| - a|"),
+        {**_AB, "C": 0.0, "sign": 1, **_SLOPE},
+        lambda p, g, eps: constant_mean_slope(p["a"], p["b"], p["C"], g,
+                                              p["sign"], eps),
+        True, True, lambda rec, p: abs(rec.meanH - abs(p["a"])),
+        "||H| - a|"),
     FamilyKind.CONSTANT_K: FamilyRow(
-        {**_AB, "C": 0.0, "sign": 1, **_SLOPE}, True, "|k + a^2|"),
-    FamilyKind.CHEN: FamilyRow({**_AB, "branch": 1, **_SLOPE}, True,
-                               "|lambda|"),
+        {**_AB, "C": 0.0, "sign": 1, **_SLOPE},
+        lambda p, g, eps: constant_k_slope(p["a"], p["b"], p["C"], g,
+                                           p["sign"]),
+        True, True, lambda rec, p: abs(rec.k + p["a"] * p["a"]),
+        "|k + a^2|"),
+    FamilyKind.CHEN: FamilyRow(
+        {**_AB, "branch": 1, **_SLOPE},
+        lambda p, g, eps: chen_slope(p["a"], p["b"], g, p["branch"]),
+        True, True, lambda rec, p: abs(rec.frame.lam), "|lambda|"),
     FamilyKind.PARALLEL_A: FamilyRow(
-        {"c": REQUIRED, "d": REQUIRED, **_CLOSED}, False, _BETAS),
-    FamilyKind.PARALLEL_B: FamilyRow({**_AB, "c": REQUIRED, **_SLOPE}, True,
-                                     _BETAS),
+        {"c": REQUIRED, "d": REQUIRED, **_CLOSED},
+        lambda p, g, eps: parallel_profile_case_a(
+            p["c"], p["d"], g, (p["u_min"], p["u_max"]), p["g0"]),
+        False, False, _betas, _BETAS),
+    FamilyKind.PARALLEL_B: FamilyRow(
+        {**_AB, "c": REQUIRED, **_SLOPE},
+        lambda p, g, eps: parallel_slope_case_b(p["a"], p["c"], g),
+        True, False, _betas, _BETAS),
 }
 
 
@@ -466,138 +499,100 @@ def _wavy_kappa() -> ScalarFn:
 def family_slope(spec: FamilySpec) -> ScalarFn:
     """The slope function of a slope-defined family spec (scaled by
     spec.slope_scale)."""
-    kind, g, p = spec.kind, spec.geometry, spec.params
-    if kind is FamilyKind.CONSTANT_MEAN:
-        branch = spec.epsilon_branch
-        branch = (-1 if branch == "printed-vs-eq18"
-                  else 1 if branch is None else branch)
-        y = constant_mean_slope(p["a"], p["b"], p["C"], g, sign=p["sign"],
-                                epsilon_branch=branch)
-    elif kind is FamilyKind.CONSTANT_K:
-        y = constant_k_slope(p["a"], p["b"], p["C"], g, sign=p["sign"])
-    elif kind is FamilyKind.CHEN:
-        y = chen_slope(p["a"], p["b"], g, branch=p["branch"])
-    elif kind is FamilyKind.PARALLEL_B:
-        y = parallel_slope_case_b(p["a"], p["c"], g)
-    else:
-        raise FamilyDomainError(f"{kind.value} is not a slope-defined family")
+    row, eps = FAMILY_TABLE[spec.kind], spec.epsilon_branch
+    if not row.slope_ode:
+        raise FamilyDomainError(
+            f"{spec.kind.value} is not a slope-defined family")
+    eps = -1 if eps == "printed-vs-eq18" else 1 if eps is None else eps
+    y = row.build(spec.params, spec.geometry, eps)
     if spec.slope_scale != 1.0:
         y = y.scaled(spec.slope_scale)
     return y
 
 
 def family_profile(spec: FamilySpec) -> MeridianProfile:
-    kind, g, p = spec.kind, spec.geometry, spec.params
-    if kind is FamilyKind.CONSTANT_GAUSS:
-        return constant_gauss_profile(
-            p["K0"], p["alpha"], p["beta"], g, (p["u_min"], p["u_max"]),
-            g0=p["g0"])
-    if kind is FamilyKind.PARALLEL_A:
-        return parallel_profile_case_a(
-            p["c"], p["d"], g, (p["u_min"], p["u_max"]), g0=p["g0"])
-    return profile_from_slope_ode(family_slope(spec), p["f0"], g, p["g0"],
-                                  p["u_span"])
-
-
-def family_curve(spec: FamilySpec) -> SphericalCurve:
-    """Default directing curve: constant curvature b for the families that
-    require it, a non-constant curvature for parallel case (a), which holds
-    for arbitrary kappa(v)."""
-    if "b" not in FAMILY_TABLE[spec.kind].params:
-        return SphericalCurve(_wavy_kappa(), spec.geometry)
-    return circle_curve(spec.params["b"], spec.geometry)
+    row, p = FAMILY_TABLE[spec.kind], spec.params
+    if not row.slope_ode:
+        return row.build(p, spec.geometry, spec.epsilon_branch)
+    return profile_from_slope_ode(family_slope(spec), p["f0"], spec.geometry,
+                                  p["g0"], p["u_span"])
 
 
 def build_family_surface(spec: FamilySpec,
                          curve: Optional[SphericalCurve] = None) -> MeridianSurface:
-    """The family's surface over ``curve``, by default family_curve(spec).
+    """The family's surface over ``curve``.  By default that is the circle
+    of curvature b for a family that takes b, and a non-constant curvature
+    for parallel case (a), which holds for arbitrary kappa(v).
 
-    Parallel case (b) needs a directing curve of constant curvature, and a
-    curve knows that only when it was built as one: a curve whose
+    A given curve must be one the family's FAMILY_TABLE row allows.  A slope
+    family needs a directing curve of constant curvature, and a curve knows
+    that only when it was built as one (circle_curve): one whose
     constant_kappa is None (any ScalarFn kappa, ScalarFn.constant included)
-    raises MisuseError; use circle_curve.
+    raises MisuseError naming the family.  Constant mean, constant k and
+    Chen also need |kappa| = |b|, else MisuseError names that curvature.
+    Parallel case (b) takes any constant kappa, and the closed-form families
+    any curve.
     """
+    row, p = FAMILY_TABLE[spec.kind], spec.params
     if curve is None:
-        curve = family_curve(spec)
-    elif spec.kind is FamilyKind.PARALLEL_B and curve.constant_kappa is None:
-        raise MisuseError(
-            "parallel case (b) requires a directing curve of constant "
-            "curvature, built by circle_curve")
+        curve = (circle_curve(p["b"], spec.geometry) if "b" in row.params
+                 else SphericalCurve(_wavy_kappa(), spec.geometry))
+    elif row.slope_ode:
+        kappa = curve.constant_kappa
+        b = abs(p["b"]) if row.kappa_b else None   # parallel (b): any kappa
+        if kappa is None or b is not None and abs(kappa) != b:
+            need = "" if b is None else f" |kappa| = {b!r}"
+            raise MisuseError(
+                f"{spec.kind.value} family requires a directing curve of "
+                f"constant curvature{need}, built by circle_curve")
     return MeridianSurface(family_profile(spec), curve)
-
-
-def _point_residual(spec: FamilySpec, rec: PointRecord) -> float:
-    kind, p = spec.kind, spec.params
-    if kind is FamilyKind.CONSTANT_GAUSS:
-        return abs(rec.column.gaussK - p["K0"])
-    if kind is FamilyKind.CONSTANT_MEAN:
-        return abs(rec.meanH - abs(p["a"]))
-    if kind is FamilyKind.CONSTANT_K:
-        a = p["a"]
-        return abs(rec.k + a * a)
-    if kind is FamilyKind.CHEN:
-        return abs(rec.frame.lam)
-    return max(abs(rec.frame.beta1), abs(rec.frame.beta2))
 
 
 def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
                   tol: float = 1e-6,
                   curve: Optional[SphericalCurve] = None) -> ResidualReport:
-    """Sweep the generated surface on a grid over v in [0, 2 pi] and report
-    the worst residual of the family's defining property.  Flat and
-    marginally trapped samples are skipped and counted.
+    """Sweep the surface of build_family_surface(spec, curve) on a grid over
+    v in [0, 2 pi] and report the worst residual of the family's defining
+    property, as its FAMILY_TABLE row computes it.  The grid's u values are
+    its profile domain shrunk by 1% of its width at each end (the midpoint
+    when grid[0] = 1).  Flat and marginally trapped samples are skipped and
+    counted; a NaN residual is the worst, and no evaluated sample fails.
 
     With epsilon_branch = "printed-vs-eq18" (hyperbolic constant mean) the
-    arcsin slope is tested against the plus-sign defining ODE; the two
-    belong to opposite sign branches, so this check is expected to fail.
+    arcsin slope is tested against the plus-sign defining ODE at the grid's
+    u values, through the same worst-residual loop; the two belong to
+    opposite sign branches, so this check is expected to fail.
     """
-    p = spec.params
-    if spec.epsilon_branch == "printed-vs-eq18":   # constant mean only
-        if spec.geometry is not Geometry.HYPERBOLIC:
-            raise FamilyDomainError(
-                "printed-vs-eq18 applies to the hyperbolic family only")
-        profile = family_profile(spec)
-        residual = cmc_ode_residual(profile, p["a"], p["b"], plus_sign=True)
-        return _sweep_profile_residual(profile, residual, grid[0], tol,
-                                       "plus-sign ODE residual of arcsin slope")
-
-    surface = build_family_surface(spec, curve)
-    u_lo, us = _inset_samples(surface.profile.domain, grid[0])
-    vs = [2.0 * math.pi * (j / (grid[1] - 1) if grid[1] > 1 else 0.5)
-          for j in range(grid[1])]
-    worst, arg = -1.0, (u_lo, 0.0)
+    row, p, (nu, nv) = FAMILY_TABLE[spec.kind], spec.params, grid
+    u_only = spec.epsilon_branch == "printed-vs-eq18"   # constant mean only
+    if u_only and spec.geometry is not Geometry.HYPERBOLIC:
+        raise FamilyDomainError(
+            "printed-vs-eq18 applies to the hyperbolic family only")
+    surface = None if u_only else build_family_surface(spec, curve)
+    profile = family_profile(spec) if u_only else surface.profile
+    lo, hi = profile.domain
+    lo, hi = lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo)
+    us = [lo + (hi - lo) * (i / (nu - 1) if nu > 1 else 0.5)
+          for i in range(nu)]
+    if u_only:
+        ode = cmc_ode_residual(profile, p["a"], p["b"], plus_sign=True)
+        samples = ((abs(ode(u)), u, 0.0) for u in us)
+        tag = "plus-sign ODE residual of arcsin slope"
+    else:
+        vs = [2.0 * math.pi * (j / (nv - 1) if nv > 1 else 0.5)
+              for j in range(nv)]
+        samples = ((None if rec.frame is None else row.residual(rec, p),
+                    rec.column.u, rec.v) for rec in sweep(surface, us, vs))
+        tag = row.property
+    worst, arg = -1.0, (lo, 0.0)
     n_eval, skipped = 0, 0
-    for rec in sweep(surface, us, vs):
-        if rec.frame is None:
+    for r, u, v in samples:
+        if r is None:
             skipped += 1
             continue
-        r = _point_residual(spec, rec)
         n_eval += 1
         if not r <= worst and worst == worst:   # a NaN r stays the worst
-            worst, arg = r, (rec.column.u, rec.v)
+            worst, arg = r, (u, v)
     if n_eval == 0:
         worst = math.nan    # fails the comparison below
-    return ResidualReport(worst, arg, n_eval, FAMILY_TABLE[spec.kind].property,
-                          worst <= tol, tol, skipped)
-
-
-def _inset_samples(domain: tuple[float, float],
-                   n: int) -> tuple[float, list[float]]:
-    """The domain shrunk by 1% of its width at each end: its left end and
-    n evenly spaced samples (the midpoint when n = 1)."""
-    width = domain[1] - domain[0]
-    lo, hi = domain[0] + 0.01 * width, domain[1] - 0.01 * width
-    return lo, [lo + (hi - lo) * (i / (n - 1) if n > 1 else 0.5)
-                for i in range(n)]
-
-
-def _sweep_profile_residual(profile: MeridianProfile,
-                            residual: Callable[[float], float],
-                            n: int, tol: float, tag: str) -> ResidualReport:
-    u_lo, us = _inset_samples(profile.domain, n)
-    worst, arg = -1.0, (u_lo, 0.0)
-    for u in us:
-        r = abs(residual(u))
-        if not r <= worst and worst == worst:   # a NaN r stays the worst
-            worst, arg = r, (u, 0.0)
-    return ResidualReport(worst, arg, n, tag, worst <= tol, tol, 0)
+    return ResidualReport(worst, arg, n_eval, tag, worst <= tol, tol, skipped)

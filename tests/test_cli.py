@@ -233,6 +233,13 @@ def test_non_finite_domain_exit2(tmp_path, capsys, domain):
     ({"curve": {"kind": "function", "samples": [[1, 1, 0], [0, 1, 0]]}},
      "strictly increasing"),
     ({"grid": {"nu": None}}, "grid sizes"),
+    # int() would truncate these to 3, 1 and 5 rows of u
+    ({"grid": {"nu": 3.7}}, "grid.nu = 3.7"),
+    ({"grid": {"nu": True}}, "grid.nu = True"),
+    ({"grid": {"nv": "5"}}, "grid.nv = '5'"),
+    # a slope profile does not read domain.u, but it is checked when given
+    ({"profile": {"kind": "slope_ode", "family": "constant_k", "a": 1,
+                  "b": 1, "f0": 1}, "domain": {"u": "junk"}}, "domain.u"),
 ])
 def test_bad_field_type_exit2(tmp_path, capsys, override, field):
     cfg = worked_config(tmp_path, **override)

@@ -237,6 +237,23 @@ def test_constant_curve_has_zero_kappa_rate():
     assert wavy.constant_kappa is None
 
 
+@pytest.mark.parametrize("make", [
+    lambda: circle_curve(1.0, Geometry.ELLIPTIC),
+    lambda: circle_curve(1.0, Geometry.HYPERBOLIC),
+    lambda: SphericalCurve(ScalarFn.constant(1.0), Geometry.ELLIPTIC),
+], ids=["elliptic-circle", "hyperbolic-circle", "scalarfn-constant"])
+def test_frame_range_is_the_same_for_every_curve(make):
+    # |v| <= 1e4 is the curve's contract, checked before any RK4 step (an
+    # RK4 table out to 1e4 would hold about 0.72 GB, so none is built here)
+    c = make()
+    for v in (2e4, -2e4):
+        with pytest.raises(DomainError,
+                           match=f"curve parameter {v!r} exceeds supported "
+                                 f"range"):
+            c.frame(v)
+    assert len(c._fwd) == 9 and len(c._bwd) == 9
+
+
 # -- profiles -----------------------------------------------------------------
 
 

@@ -20,9 +20,8 @@ from meridian.families import (FamilyKind, FamilySpec, build_family_surface,
                                parallel_profile_case_a, parallel_slope_case_b,
                                verify_family)
 from meridian.cli import _json_float
-from meridian.families import (EXPLICIT_PROFILES, FAMILY_TABLE,
-                               _sweep_profile_residual)
-from meridian import jets
+from meridian.families import EXPLICIT_PROFILES, FAMILY_TABLE
+from meridian import families, jets
 from meridian.jets import ScalarFn, fd_jet2
 from meridian.surfaces import (MeridianSurface, allied_coefficient,
                                eight_invariants)
@@ -271,6 +270,34 @@ def test_parallel_b_needs_a_curve_built_constant():
             assert SphericalCurve(ScalarFn.constant(b),
                                   geometry).constant_kappa is None
     assert verify_family(s, curve=circle_curve(0.7, E)).passed
+    # b only picks the default curve of parallel (b)
+    no_b = spec("parallel_b", E, a=1.0, c=1.0, f0=2.0, u_span=1.0)
+    assert verify_family(no_b, curve=circle_curve(0.7, E)).passed
+
+
+_CURVE_B = [
+    spec("constant_mean", E, a=1.0, b=4.0, C=0.0, f0=0.5, u_span=0.5),
+    spec("constant_k", E, a=1.0, b=1.0, f0=1.0),
+    spec("chen", E, a=-1.0, b=1.0, f0=1.2, u_span=0.8),
+]
+
+
+@pytest.mark.parametrize("s", _CURVE_B, ids=[s.kind.value for s in _CURVE_B])
+def test_slope_built_for_b_needs_a_circle_of_b(s):
+    # these slopes solve their defining ODE only when kappa = +-b
+    b = s.params["b"]
+    wrong = [circle_curve(0.5 * b, E), circle_curve(2.0 * b, E),
+             SphericalCurve(ScalarFn(lambda t: b + 0.3 * jets.sin(t)), E),
+             SphericalCurve(ScalarFn.constant(b), E)]
+    need = re.escape(f"{s.kind.value} family requires a directing curve of "
+                     f"constant curvature |kappa| = {abs(b)!r}")
+    for curve in wrong:
+        with pytest.raises(MisuseError, match=need):
+            build_family_surface(s, curve=curve)
+        with pytest.raises(MisuseError, match=need):
+            verify_family(s, curve=curve)
+    for kappa in (b, -b):
+        assert verify_family(s, curve=circle_curve(kappa, E)).passed
 
 
 @pytest.mark.parametrize("kind", ["constant_mean", "constant_k", "chen",
@@ -385,17 +412,23 @@ def test_family_spec_fills_defaults():
                                   u_min=0.5, u_max=2.0))
 
 
-def test_nan_residual_fails_verification():
-    # every residual is NaN: the report must fail, not pass at -1
+def test_nan_residual_fails_verification(monkeypatch):
+    # every residual is NaN: the report must fail, not pass at -1; parallel
+    # (a) takes any directing curve, this one of NaN curvature included
     curve = SphericalCurve(ScalarFn(lambda t: 0.0 * t + math.nan), E)
-    rep = verify_family(spec("constant_k", E, **_K_ELL), grid=(5, 5),
+    rep = verify_family(spec("parallel_a", E, **_PA_ELL), grid=(5, 5),
                         curve=curve)
     assert not rep.passed
     assert math.isnan(rep.max_abs_residual)
     assert _json_float(rep.max_abs_residual) is None
-    prof = family_profile(spec("constant_k", E, **_K_ELL))
-    rep = _sweep_profile_residual(prof, lambda u: math.nan, 5, 1e-6, "nan")
+    # the u-only printed-vs-eq18 route goes through the same loop
+    monkeypatch.setattr(families, "cmc_ode_residual",
+                        lambda *args, **kw: lambda u: math.nan)
+    rep = verify_family(spec("constant_mean", H, eps="printed-vs-eq18",
+                             a=0.5, b=1.0, C=0.0, f0=0.5, u_span=0.5),
+                        grid=(5, 5))
     assert not rep.passed and math.isnan(rep.max_abs_residual)
+    assert rep.n_samples == 5 and rep.skipped == 0
 
 
 def test_family_accepts_float_signs():
