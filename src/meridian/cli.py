@@ -252,29 +252,37 @@ def cmd_invariants(args) -> int:
     us = _grid_points(*surface.profile.domain, nu)
     vs = _grid_points(*_v_domain(cfg), nv)
     lines = [CSV_HEADER]
-    col = None
+    col = last = None
     # u-only cells are formatted once per column and v cells once per row;
-    # per-cell numbers use _fmt's format spec inline (this loop is hot)
+    # a record's tail, the cells after v, is formatted once per record, so
+    # once per column over a curve built constant (sweep then yields one
+    # record for every v).  This loop is hot: numbers use _fmt's format spec
+    # inline, and each branch builds its tail in one f-string
     for rec, v_cell in zip(sweep(surface, us, vs, flat_tol),
                            itertools.cycle([_fmt(v) for v in vs])):
-        if rec.column is not col:
-            col = rec.column
-            u_cell, G_cell = _fmt(col.u), _fmt(col.ff)
-            K_cell = _fmt(col.gaussK)
-            gamma_cell = None
-        head = (f"{u_cell},{v_cell},1,0,{G_cell},{rec.k:.9g},0,{K_cell},"
-                f"{rec.H2:.9g},{rec.meanH:.9g},")
-        inv = rec.frame
-        if inv is None:
-            lines.append(head + ",,,,,,,,," + (
-                "trapped" if rec.tag is PointTag.GENERAL else rec.tag.value))
-            continue
-        if gamma_cell is None:
-            gamma_cell = _fmt(inv.gamma1)
-        nu_cell = _fmt(inv.nu1)
-        lines.append(f"{head}{inv.epsilon},{gamma_cell},{gamma_cell},"
-                     f"{nu_cell},{nu_cell},{inv.lam:.9g},{inv.mu:.9g},"
-                     f"{inv.beta1:.9g},{inv.beta2:.9g},general")
+        if rec is not last:
+            last = rec
+            if rec.column is not col:
+                col = rec.column
+                u_cell, G_cell = _fmt(col.u), _fmt(col.ff)
+                K_cell = _fmt(col.gaussK)
+                gamma_cell = None
+            inv = rec.frame
+            if inv is None:
+                tail = (f"1,0,{G_cell},{rec.k:.9g},0,{K_cell},{rec.H2:.9g},"
+                        f"{rec.meanH:.9g},,,,,,,,,,") + (
+                    "trapped" if rec.tag is PointTag.GENERAL
+                    else rec.tag.value)
+            else:
+                if gamma_cell is None:
+                    gamma_cell = _fmt(inv.gamma1)
+                nu_cell = _fmt(inv.nu1)
+                tail = (f"1,0,{G_cell},{rec.k:.9g},0,{K_cell},{rec.H2:.9g},"
+                        f"{rec.meanH:.9g},{inv.epsilon},{gamma_cell},"
+                        f"{gamma_cell},{nu_cell},{nu_cell},{inv.lam:.9g},"
+                        f"{inv.mu:.9g},{inv.beta1:.9g},{inv.beta2:.9g},"
+                        "general")
+        lines.append(f"{u_cell},{v_cell},{tail}")
     text = "\n".join(lines) + "\n"
     # finite input can overflow (1e308**2); below the header only "inf" has i
     if text.find("i", len(CSV_HEADER)) >= 0 or "nan" in text:

@@ -238,7 +238,7 @@ class SphericalCurve:
     def frame(self, v: float) -> FrenetFrame:
         """Frenet frame {l, t, n} at arc length v, |v| <= 1e4 on every
         curve."""
-        if abs(v) > _MAX_ARC:
+        if not abs(v) <= _MAX_ARC:     # NaN fails this test too
             raise DomainError(f"curve parameter {v!r} exceeds supported range")
         if self._latitude is not None:     # the elliptic circle
             sr, cr = self._latitude

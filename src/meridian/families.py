@@ -10,6 +10,7 @@ that ``verify_family`` reports, the worst over a sweep of its surface.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -548,6 +549,19 @@ def build_family_surface(spec: FamilySpec,
     return MeridianSurface(family_profile(spec), curve)
 
 
+def _sweep_residuals(surface: MeridianSurface, us: list, vs: list,
+                     row: FamilyRow, p: dict):
+    """(residual, or None where skipped, u, v) over sweep(surface, us, vs).
+    A residual is evaluated once per record, so once per column over a
+    curve built constant, where sweep yields one record for every v."""
+    last = r = None
+    for rec, v in zip(sweep(surface, us, vs), itertools.cycle(vs)):
+        if rec is not last:
+            last = rec
+            r = None if rec.frame is None else row.residual(rec, p)
+        yield r, rec.column.u, v
+
+
 def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
                   tol: float = 1e-6,
                   curve: Optional[SphericalCurve] = None) -> ResidualReport:
@@ -561,13 +575,17 @@ def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
     With epsilon_branch = "printed-vs-eq18" (hyperbolic constant mean) the
     arcsin slope is tested against the plus-sign defining ODE at the grid's
     u values, through the same worst-residual loop; the two belong to
-    opposite sign branches, so this check is expected to fail.
+    opposite sign branches, so this check is expected to fail.  That check
+    reads the profile alone, so a given curve raises MisuseError.
     """
     row, p, (nu, nv) = FAMILY_TABLE[spec.kind], spec.params, grid
     u_only = spec.epsilon_branch == "printed-vs-eq18"   # constant mean only
     if u_only and spec.geometry is not Geometry.HYPERBOLIC:
         raise FamilyDomainError(
             "printed-vs-eq18 applies to the hyperbolic family only")
+    if u_only and curve is not None:
+        raise MisuseError("printed-vs-eq18 checks the profile alone; the "
+                          "given curve is not used there")
     surface = None if u_only else build_family_surface(spec, curve)
     profile = family_profile(spec) if u_only else surface.profile
     lo, hi = profile.domain
@@ -581,8 +599,7 @@ def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
     else:
         vs = [2.0 * math.pi * (j / (nv - 1) if nv > 1 else 0.5)
               for j in range(nv)]
-        samples = ((None if rec.frame is None else row.residual(rec, p),
-                    rec.column.u, rec.v) for rec in sweep(surface, us, vs))
+        samples = _sweep_residuals(surface, us, vs, row, p)
         tag = row.property
     worst, arg = -1.0, (lo, 0.0)
     n_eval, skipped = 0, 0

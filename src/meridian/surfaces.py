@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .curves import (SQRT2, Geometry, MeridianProfile, ProfileColumn,
@@ -150,10 +151,10 @@ class PointClass:
 
 class PointRecord(NamedTuple):
     """One cell of the point kernel; ``frame`` holds the frame invariants at
-    general, untrapped points and is None elsewhere."""
+    general, untrapped points and is None elsewhere.  A record carries no v:
+    over a curve built constant, one record serves every v of its column."""
 
     column: ProfileColumn
-    v: float
     kappa: float
     k: float
     D: float          # signed discriminant; <H,H> = D / (4 f^2 V)
@@ -164,9 +165,9 @@ class PointRecord(NamedTuple):
     frame: Optional[InvariantSet]
 
 
-def _cell(col: ProfileColumn, v: float, kj: Jet2, flat_tol: float,
+def _cell(col: ProfileColumn, kj: Jet2, flat_tol: float,
           frame: bool) -> PointRecord:
-    """Combine a u-column with the curvature jet kj at v: O(1) arithmetic."""
+    """Combine a u-column with a curvature jet kj: O(1) arithmetic."""
     kappa = kj.v
     kkV = kappa * kappa * col.V
     D = kkV - col.phi2 if col.sign > 0.0 else col.phi2 - kkV
@@ -192,25 +193,35 @@ def _cell(col: ProfileColumn, v: float, kj: Jet2, flat_tol: float,
             -V * (kappa * Pdu - dkP) / (SQRT2 * absD),
             V * (kappa * Pdu + dkP) / (SQRT2 * absD),
             eps, k, 0.0, col.gaussK, meanH, H2)
-    return PointRecord(col, v, kappa, k, D, H2, meanH, tag, trapped, inv)
+    return PointRecord(col, kappa, k, D, H2, meanH, tag, trapped, inv)
 
 
 def sweep(s: MeridianSurface, us: Sequence[float], vs: Sequence[float],
           flat_tol: float = FLAT_TOL) -> Iterator[PointRecord]:
     """Point records over the grid us x vs, streamed in row-major (u-outer)
     order.  The profile jets are evaluated once per u and the curvature jet
-    once per v; each cell is O(1) arithmetic.  The flat-point tag and the
-    frame-invariant guard both use ``flat_tol``."""
+    once per v; each cell is O(1) arithmetic.  Over a curve built constant
+    (its constant_kappa is set) the curvature jet is evaluated once, the
+    cell once per u, and that one record object is yielded for every v of
+    the column; callers may reuse what they derived from a record while the
+    next one ``is`` it.  The flat-point tag and the frame-invariant guard
+    both use ``flat_tol``."""
+    if s.curve.constant_kappa is not None and vs:
+        kj, nv = s.curve.kappa_jet(vs[0]), len(vs)
+        for u in us:
+            yield from repeat(
+                _cell(ProfileColumn(s.profile, u), kj, flat_tol, True), nv)
+        return
     rows = [s.curve.kappa_jet(v) for v in vs]
     for u in us:
         col = ProfileColumn(s.profile, u)
-        for v, kj in zip(vs, rows):
-            yield _cell(col, v, kj, flat_tol, True)
+        for kj in rows:
+            yield _cell(col, kj, flat_tol, True)
 
 
 def _point(s: MeridianSurface, u: float, v: float,
            frame: bool) -> PointRecord:
-    return _cell(ProfileColumn(s.profile, u), v, s.curve.kappa_jet(v),
+    return _cell(ProfileColumn(s.profile, u), s.curve.kappa_jet(v),
                  FLAT_TOL, frame)
 
 

@@ -498,6 +498,42 @@ def test_golden_export_csv4_hyperbolic(tmp_path):
     assert sha256_of(out) == GOLDEN_CSV4_HYPERBOLIC
 
 
+# sha256 of 17x17 invariants CSVs over circles, at the nominal parameters of
+# the four constant-kappa sweep kinds, recorded while sweep still evaluated
+# one kernel cell per (u, v): one cell per u-column must keep every byte.
+GOLDEN_CONSTANT_KAPPA = {
+    "cos-hyp": ("hyperbolic", 1.0, {
+        "kind": "explicit_f", "family": "cos", "g0": math.sin(0.3)},
+        [0.3, 1.2],
+        "060f51f179143ae794d65a85034c4294c9184c3e5655a7dc78c29497393caf20"),
+    "harmonic-hyp": ("hyperbolic", 0.8, {
+        "kind": "explicit_f", "family": "harmonic", "alpha": 0.8,
+        "beta": 0.0, "omega": 1.0}, [0.2, 1.2],
+        "82be9c0dd2e041604d48be5d3fd1079fa0e5225fd6afa6d691bb26f173d03d84"),
+    "constant_k-ell": ("elliptic", 1.0, {
+        "kind": "slope_ode", "family": "constant_k", "a": 1.0, "b": 1.0,
+        "C": 0.0, "f0": 1.0, "u_span": 1.0}, None,
+        "2955b01bda5c72dfb99306ddb46fd9509762164e9470290a2fc9269f35c27484"),
+    "chen-hyp": ("hyperbolic", 0.5, {
+        "kind": "slope_ode", "family": "chen", "a": -1.0, "b": 0.5,
+        "f0": 0.7, "u_span": 1.2}, None,
+        "deec56e16aa3b19c044592c0ed7de7dd3ab56a189246d135071bd8eab4042298"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONSTANT_KAPPA))
+def test_golden_invariants_constant_kappa(tmp_path, name):
+    geometry, b, profile, u, digest = GOLDEN_CONSTANT_KAPPA[name]
+    domain = {"v": [0.0, 6.25]} if u is None else {"u": u, "v": [0.0, 6.25]}
+    cfg = write_config(tmp_path / f"{name}.json", {
+        "geometry": geometry, "curve": {"kind": "constant", "b": b},
+        "profile": profile, "domain": domain})
+    out = tmp_path / f"{name}.csv"
+    assert main(["invariants", "--config", cfg, "--out", str(out),
+                 "--grid", "17,17"]) == 0
+    assert sha256_of(out) == digest
+
+
 def test_golden_verify_record(tmp_path):
     out = tmp_path / "rep.jsonl"
     assert main(["verify", "--family", "parallel_a", "--geometry",

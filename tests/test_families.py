@@ -129,6 +129,17 @@ def test_cmc_mismatched_branch_documented_failure():
     assert rep.max_abs_residual > 1e-2
 
 
+def test_cmc_printed_vs_eq18_takes_no_curve():
+    # that route checks the profile alone: a given curve would be ignored
+    s = spec("constant_mean", H, eps="printed-vs-eq18", a=0.5, b=1.0,
+             f0=0.5, u_span=0.5)
+    for curve in (SphericalCurve(ScalarFn(lambda t: 1.0 + 0.3 * t), H),
+                  circle_curve(1.0, H)):
+        with pytest.raises(MisuseError, match="curve is not used"):
+            verify_family(s, curve=curve)
+    assert not verify_family(s).passed
+
+
 def test_cmc_rejects_degenerate_parameters():
     with pytest.raises(FamilyDomainError):
         constant_mean_slope(0.0, 1.0, 0.0, E)
@@ -429,6 +440,34 @@ def test_nan_residual_fails_verification(monkeypatch):
                         grid=(5, 5))
     assert not rep.passed and math.isnan(rep.max_abs_residual)
     assert rep.n_samples == 5 and rep.skipped == 0
+
+
+@pytest.mark.parametrize("kind, params", [("parallel_a", _PA_ELL),
+                                          ("constant_gauss", _CG_ELL)])
+@pytest.mark.parametrize("nan_from", [None, 0.5])
+def test_verify_over_circle_and_scalarfn_constant_alike(monkeypatch, kind,
+                                                        params, nan_from):
+    # one record per column over the circle, one per (u, v) over the same
+    # constant as a ScalarFn: the reports are equal, argmax and counts too.
+    # With nan_from, residuals past that fraction of the u-range are NaN and
+    # the loop keeps the first NaN sample as the worst.
+    s = spec(kind, E, **params)
+    if nan_from is not None:
+        row = FAMILY_TABLE[s.kind]
+        lo, hi = family_profile(s).domain
+        cut = lo + nan_from * (hi - lo)
+        monkeypatch.setitem(FAMILY_TABLE, s.kind, row._replace(
+            residual=lambda rec, p: math.nan if rec.column.u > cut
+            else row.residual(rec, p)))
+    b = params.get("b", 1.0)
+    reps = [verify_family(s, grid=(9, 7), curve=curve)
+            for curve in (circle_curve(b, E),
+                          SphericalCurve(ScalarFn.constant(b), E))]
+    assert reps[0] == reps[1]
+    assert reps[0].n_samples + reps[0].skipped == 63
+    if nan_from is not None:
+        assert math.isnan(reps[0].max_abs_residual)
+        assert reps[0].argmax[0] > cut and reps[0].argmax[1] == 0.0
 
 
 def test_family_accepts_float_signs():

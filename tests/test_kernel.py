@@ -6,12 +6,16 @@ import random
 import pytest
 
 from conftest import cos_profile, random_surface, sinh_profile
-from meridian import jets
-from meridian.curves import Geometry, circle_curve, profile_from_f
+from meridian import jets, surfaces
+from meridian.curves import (Geometry, SphericalCurve, circle_curve,
+                             profile_from_f)
 from meridian.errors import FlatPointError, TrappedPointError
+from meridian.families import FamilyKind, FamilySpec, family_profile
 from meridian.jets import ScalarFn
 from meridian.surfaces import (MeridianSurface, PointTag, basic_invariants,
                                classify_point, eight_invariants, sweep)
+
+E, H = Geometry.ELLIPTIC, Geometry.HYPERBOLIC
 
 
 def grid(surface, nu=7, nv=6):
@@ -24,10 +28,9 @@ def grid(surface, nu=7, nv=6):
 def assert_matches_views(surface, us, vs):
     """Every sweep record equals the one-point views bit for bit."""
     records = list(sweep(surface, us, vs))
-    assert [(r.column.u, r.v) for r in records] == \
-        [(u, v) for u in us for v in vs]
-    for rec in records:
-        u, v = rec.column.u, rec.v
+    assert [r.column.u for r in records] == [u for u in us for v in vs]
+    for rec, v in zip(records, vs * len(us)):
+        u = rec.column.u
         basic = basic_invariants(surface, u, v)
         assert (rec.k, rec.H2, rec.meanH, rec.column.gaussK) == \
             (basic.k, basic.H2, basic.meanH, basic.gaussK)
@@ -90,23 +93,90 @@ def test_sweep_flat_tolerance_guards_the_frame():
 
 
 def test_sweep_evaluates_each_jet_once():
-    calls = {"f": 0, "kappa": 0}
+    # a curve built constant needs its curvature jet once, any other curve,
+    # ScalarFn.constant included, once per v
     f = ScalarFn(jets.sinh, d3=math.cosh)
-    profile = profile_from_f(f, Geometry.ELLIPTIC, 0.0, (0.5, 2.0))
-    curve = circle_curve(1.0, Geometry.ELLIPTIC)
-    surface = MeridianSurface(profile, curve)
-    f_jet, kappa_jet = profile.f_jet, curve.kappa_jet
+    for curve, kappa_calls in (
+            (circle_curve(1.0, Geometry.ELLIPTIC), 1),
+            (SphericalCurve(ScalarFn.constant(1.0), Geometry.ELLIPTIC), 3)):
+        calls = {"f": 0, "kappa": 0}
+        profile = profile_from_f(f, Geometry.ELLIPTIC, 0.0, (0.5, 2.0))
+        surface = MeridianSurface(profile, curve)
+        f_jet, kappa_jet = profile.f_jet, curve.kappa_jet
 
-    def counted_f(u):
-        calls["f"] += 1
-        return f_jet(u)
+        def counted_f(u):
+            calls["f"] += 1
+            return f_jet(u)
 
-    def counted_kappa(v):
-        calls["kappa"] += 1
-        return kappa_jet(v)
+        def counted_kappa(v):
+            calls["kappa"] += 1
+            return kappa_jet(v)
 
-    profile.f_jet = counted_f
-    curve.kappa_jet = counted_kappa
-    records = list(sweep(surface, [0.6, 1.0, 1.4, 1.8], [0.0, 1.0, 2.0]))
-    assert len(records) == 12
-    assert calls == {"f": 4, "kappa": 3}
+        profile.f_jet = counted_f
+        curve.kappa_jet = counted_kappa
+        records = list(sweep(surface, [0.6, 1.0, 1.4, 1.8], [0.0, 1.0, 2.0]))
+        assert len(records) == 12
+        assert calls == {"f": 4, "kappa": kappa_calls}
+
+
+@pytest.mark.parametrize("geometry", [E, H])
+def test_sweep_evaluates_one_cell_per_column_over_a_circle(monkeypatch,
+                                                           geometry):
+    profile = sinh_profile() if geometry is E else cos_profile()
+    cell, calls = surfaces._cell, [0]
+
+    def counted_cell(*args):
+        calls[0] += 1
+        return cell(*args)
+
+    monkeypatch.setattr(surfaces, "_cell", counted_cell)
+    us, vs = grid(MeridianSurface(profile, circle_curve(1.0, geometry)))
+    for curve, cells in ((circle_curve(1.0, geometry), len(us)),
+                         (SphericalCurve(ScalarFn.constant(1.0), geometry),
+                          len(us) * len(vs))):
+        calls[0] = 0
+        records = list(sweep(MeridianSurface(profile, curve), us, vs))
+        assert len(records) == len(us) * len(vs)
+        assert calls[0] == cells
+        # one record object per cell: a circle repeats it across v
+        assert len({id(r) for r in records}) == cells
+
+
+def _slope_profile(kind, geometry, **params):
+    return lambda: family_profile(FamilySpec(FamilyKind(kind), geometry,
+                                             params=params))
+
+
+_ROUTES = {
+    "elliptic-sinh": (E, sinh_profile, 1.3, None),
+    "hyperbolic-cos": (H, cos_profile, 0.8, None),
+    "elliptic-flat-I": (E, sinh_profile, 0.0, None),
+    "hyperbolic-flat-I": (H, cos_profile, 0.0, None),
+    "trapped-column": (H, cos_profile, 2.0 * math.cos(0.6), [0.4, 0.6, 0.9]),
+    "elliptic-slope": (E, _slope_profile("constant_k", E, a=1.0, b=1.0,
+                                         f0=1.0), 1.0, None),
+    "hyperbolic-slope": (H, _slope_profile("chen", H, a=-1.0, b=0.5, f0=0.7,
+                                           u_span=1.2), 0.5, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTES))
+def test_circle_and_scalarfn_constant_sweep_alike(name):
+    # the one-cell-per-column route against the per-(u, v) route: the same
+    # arithmetic on the same inputs, so every field is equal
+    geometry, profile, b, us = _ROUTES[name]
+    prof = profile()
+    circle = MeridianSurface(prof, circle_curve(b, geometry))
+    plain = MeridianSurface(prof, SphericalCurve(ScalarFn.constant(b),
+                                                 geometry))
+    vs = grid(circle)[1]
+    us = grid(circle)[0] if us is None else us
+    fast, slow = list(sweep(circle, us, vs)), list(sweep(plain, us, vs))
+    assert len(fast) == len(slow) == len(us) * len(vs)
+    for a, c, (u, v) in zip(fast, slow, [(u, v) for u in us for v in vs]):
+        assert a.column.u == c.column.u == u
+        assert a[1:] == c[1:], (u, v)     # the frame as a tuple, or None
+    if b == 0.0:
+        assert {r.tag for r in fast} == {PointTag.FLAT_CASE_I}
+    if name == "trapped-column":
+        assert [r.trapped for r in fast] == [r.column.u == 0.6 for r in fast]
