@@ -93,6 +93,9 @@ def _curve_from_config(cfg: dict, geometry: Geometry) -> SphericalCurve:
                 "curve.samples must be >= 2 rows of [v, kappa, dkappa/dv]")
         xs, ys, ds = ([_number(r[i], "curve.samples") for r in rows]
                       for i in range(3))
+        for row in zip(xs, ys, ds):
+            if not all(map(math.isfinite, row)):
+                raise ConfigError(f"curve.samples must be finite, got {row!r}")
         try:
             kappa = jets.hermite_fn(xs, ys, ds, name="kappa")
         except ValueError as exc:
@@ -235,7 +238,7 @@ def cmd_build(args) -> int:
     resolved["grid"] = {"nu": nu, "nv": nv}
     resolved["validated"] = True
     # floats exactly, so the descriptor describes the surface of the config
-    text = json.dumps(resolved, indent=2, sort_keys=True)
+    text = json.dumps(resolved, indent=2, sort_keys=True, allow_nan=False)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
     print(f"built surface descriptor: {args.out} "

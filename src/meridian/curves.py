@@ -47,31 +47,20 @@ class Geometry(Enum):
     ELLIPTIC = "elliptic"
     HYPERBOLIC = "hyperbolic"
 
-    @property
-    def sphere_slots(self) -> tuple[int, int, int]:
-        """Coordinate slots carrying the directing curve."""
-        return (0, 1, 2) if self is Geometry.ELLIPTIC else (1, 2, 3)
-
-    @property
-    def axis_slot(self) -> int:
-        """Coordinate slot of the rotation axis (e4 resp. e1)."""
-        return 3 if self is Geometry.ELLIPTIC else 0
-
-    @property
-    def frenet_sign(self) -> float:
-        """Sign s in the tangent equation t' = s*kappa*n - l."""
-        return 1.0 if self is Geometry.ELLIPTIC else -1.0
-
-    @property
-    def curve_signature(self) -> tuple[float, float, float]:
-        """Expected Gram diagonal of the frame {l, t, n}."""
-        return (1.0, 1.0, 1.0) if self is Geometry.ELLIPTIC else (1.0, 1.0, -1.0)
-
-    @property
-    def normalization_sign(self) -> float:
-        """+1 when the profile constraint reads fdot^2 - 1 > 0 (elliptic),
-        -1 when it reads 1 - fdot^2 > 0 (hyperbolic)."""
-        return 1.0 if self is Geometry.ELLIPTIC else -1.0
+    def __init__(self, value: str):
+        elliptic = value == "elliptic"
+        #: Coordinate slots carrying the directing curve.
+        self.sphere_slots = (0, 1, 2) if elliptic else (1, 2, 3)
+        #: Coordinate slot of the rotation axis (e4 resp. e1).
+        self.axis_slot = 3 if elliptic else 0
+        #: Sign s in the tangent equation t' = s*kappa*n - l.
+        self.frenet_sign = 1.0 if elliptic else -1.0
+        #: Expected Gram diagonal of the frame {l, t, n}.
+        self.curve_signature = ((1.0, 1.0, 1.0) if elliptic
+                                else (1.0, 1.0, -1.0))
+        #: +1 when the profile constraint reads fdot^2 - 1 > 0 (elliptic),
+        #: -1 when it reads 1 - fdot^2 > 0 (hyperbolic).
+        self.normalization_sign = 1.0 if elliptic else -1.0
 
     def normalization(self, fdot: float) -> float:
         """V = fdot^2 - 1 (elliptic) or 1 - fdot^2 (hyperbolic): positive on

@@ -9,16 +9,19 @@ independent of the jet arithmetic so the two can cross-check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .mink4 import Vec4
 
+#: Builds a Jet2 from a (v, d1, d2) tuple without the Python-level __new__
+#: that NamedTuple generates; this module's hot paths build results by it.
+_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class Jet2:
-    """Value and first two derivatives of a scalar function at a point."""
+
+class Jet2(NamedTuple):
+    """Value and first two derivatives of a scalar function at a point: an
+    immutable (v, d1, d2) tuple, equal and hashed by value."""
 
     v: float
     d1: float
@@ -28,30 +31,32 @@ class Jet2:
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2)
-        return Jet2(self.v + other, self.d1, self.d2)
+            return _new(Jet2, (self.v + other.v, self.d1 + other.d1,
+                               self.d2 + other.d2))
+        return _new(Jet2, (self.v + other, self.d1, self.d2))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.v - other.v, self.d1 - other.d1, self.d2 - other.d2)
-        return Jet2(self.v - other, self.d1, self.d2)
+            return _new(Jet2, (self.v - other.v, self.d1 - other.d1,
+                               self.d2 - other.d2))
+        return _new(Jet2, (self.v - other, self.d1, self.d2))
 
     def __rsub__(self, other):
-        return Jet2(other - self.v, -self.d1, -self.d2)
+        return _new(Jet2, (other - self.v, -self.d1, -self.d2))
 
     def __neg__(self):
-        return Jet2(-self.v, -self.d1, -self.d2)
+        return _new(Jet2, (-self.v, -self.d1, -self.d2))
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(
+            return _new(Jet2, (
                 self.v * other.v,
                 self.d1 * other.v + self.v * other.d1,
                 self.d2 * other.v + 2.0 * self.d1 * other.d1 + self.v * other.d2,
-            )
-        return Jet2(self.v * other, self.d1 * other, self.d2 * other)
+            ))
+        return _new(Jet2, (self.v * other, self.d1 * other, self.d2 * other))
 
     __rmul__ = __mul__
 
@@ -63,25 +68,25 @@ class Jet2:
             q = self.v / w
             q1 = (self.d1 - q * other.d1) / w
             q2 = (self.d2 - 2.0 * q1 * other.d1 - q * other.d2) / w
-            return Jet2(q, q1, q2)
-        return Jet2(self.v / other, self.d1 / other, self.d2 / other)
+            return _new(Jet2, (q, q1, q2))
+        return _new(Jet2, (self.v / other, self.d1 / other, self.d2 / other))
 
     def __rtruediv__(self, other):
-        return Jet2(other, 0.0, 0.0) / self
+        return _new(Jet2, (other, 0.0, 0.0)) / self
 
 
 def const(x: float) -> Jet2:
-    return Jet2(float(x), 0.0, 0.0)
+    return _new(Jet2, (float(x), 0.0, 0.0))
 
 
 def var(u: float) -> Jet2:
     """Jet of the identity function at u: the seed for evaluating a 2-jet."""
-    return Jet2(float(u), 1.0, 0.0)
+    return _new(Jet2, (float(u), 1.0, 0.0))
 
 
 def _chain(x: Jet2, g: float, dg: float, d2g: float) -> Jet2:
     """Compose an elementary g (with derivatives at x.v) after the jet x."""
-    return Jet2(g, dg * x.d1, d2g * x.d1 * x.d1 + dg * x.d2)
+    return _new(Jet2, (g, dg * x.d1, d2g * x.d1 * x.d1 + dg * x.d2))
 
 
 def sqrt(x):
@@ -238,7 +243,7 @@ def hermite_fn(xs: list[float], ys: list[float], ds: list[float],
               + (6 - 6 * s) * s * f1 + (3 * s - 2) * s * h * d1) / h
         d2v = ((12 * s - 6) * f0 + (6 * s - 4) * h * d0
                + (6 - 12 * s) * f1 + (6 * s - 2) * h * d1) / (h * h)
-        return Jet2(val, dv, d2v)
+        return _new(Jet2, (val, dv, d2v))
 
     return ScalarFn(body, domain=(xs[0], xs[-1]), name=name)
 

@@ -220,6 +220,23 @@ def test_non_finite_domain_exit2(tmp_path, capsys, domain):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", [0, 1, 2], ids=["v", "kappa", "dkappa"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_curve_sample_exit2(tmp_path, capsys, cell, value):
+    # build wrote the NaN into its descriptor, invariants overflowed and
+    # export met a non-finite Vec4; each exits 2 and names the field now
+    samples = [[0.0, 1.0, 0.0], [1.0, 1.2, 0.1], [2.0, 1.0, 0.0]]
+    samples[1][cell] = value
+    cfg = worked_config(tmp_path,
+                        curve={"kind": "function", "samples": samples})
+    for argv in (["build"], ["invariants"], ["export", "--format", "csv4"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert "curve.samples must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("override,field", [
     ({"profile": {"kind": "explicit_f", "family": "linear", "a1": "x"}},
      "profile.a1"),
@@ -458,19 +475,40 @@ def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_golden_invariants_csv(tmp_path):
+def golden_invariants_config():
     # tabulated kappa = 0.6 sin v, which vanishes at v = 0 (flat rows)
-    cfg = write_config(tmp_path / "inv.json", {
+    return {
         "geometry": "hyperbolic",
         "curve": {"kind": "function", "samples": [
             [0.25 * i, 0.6 * math.sin(0.25 * i), 0.15 * math.cos(0.25 * i)]
             for i in range(28)]},
         "profile": {"kind": "explicit_f", "family": "cos", "g0": 0.25},
-        "domain": {"u": [0.375, 1.1875], "v": [0.0, 6.5]}})
+        "domain": {"u": [0.375, 1.1875], "v": [0.0, 6.5]}}
+
+
+def test_golden_invariants_csv(tmp_path):
+    cfg = write_config(tmp_path / "inv.json", golden_invariants_config())
     out = tmp_path / "inv.csv"
     assert main(["invariants", "--config", cfg, "--out", str(out),
                  "--grid", "33,33"]) == 0
     assert sha256_of(out) == GOLDEN_INVARIANTS
+
+
+def test_golden_invariants_under_optimized_interpreter(tmp_path):
+    # python -O strips assert statements: the bytes and the rejection of a
+    # bad config must not depend on them
+    cfg = golden_invariants_config()
+    write_config(tmp_path / "inv.json", cfg)
+    argv = ["invariants", "--config", "inv.json", "--out", "out",
+            "--grid", "33,33"]
+    rc, _, _, data = _run_cli(tmp_path, ["-O"], argv)
+    assert rc == 0
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_INVARIANTS
+    cfg["curve"]["samples"][3][1] = math.nan
+    write_config(tmp_path / "inv.json", cfg)
+    rc, _, err, data = _run_cli(tmp_path, ["-O"], argv)
+    assert (rc, data) == (2, None)
+    assert b"curve.samples must be finite" in err
 
 
 def test_golden_export_obj3(tmp_path):
@@ -540,6 +578,63 @@ def test_golden_verify_record(tmp_path):
                  "hyperbolic", "--c", "0", "--d", "1", "--u-min", "0.1",
                  "--u-max", "0.9", "--tol", "1e-8", "--out", str(out)]) == 0
     assert sha256_of(out) == GOLDEN_VERIFY
+
+
+# sha256 of verify records of the slope families at the nominal parameters
+# of the acceptance suite, recorded before Jet2 became a tuple: the slope
+# build repeats the same floating-point operations, so every byte must stay
+GOLDEN_VERIFY_SLOPE = {
+    "constant_mean-ell": (
+        ["constant_mean", "elliptic", "--a=1", "--b=4", "--C=0", "--f0=0.5",
+         "--u-span=0.5", "--tol=1e-6"], 0,
+        "732ff4d481e76791445f4b2c913e3d857128a24858cb26475d3cbda7f388aec0"),
+    "constant_mean-hyp-plus": (
+        ["constant_mean", "hyperbolic", "--epsilon-branch=1", "--a=0.5",
+         "--b=1", "--C=-0.6", "--f0=0.8", "--u-span=2", "--tol=1e-6"], 0,
+        "eb6c4dda352351596a4325319684066f7d6da9775b3f9fbf48a3791a2e82d1c9"),
+    "constant_mean-hyp-minus": (
+        ["constant_mean", "hyperbolic", "--epsilon-branch=-1", "--a=0.5",
+         "--b=1", "--C=0", "--f0=0.5", "--u-span=2", "--tol=1e-6"], 0,
+        "e1f8abf48b67057254d1c4449670cb5b2a8676337b8a31fe3e94ad9e3f7f42f2"),
+    "constant_mean-printed-vs-eq18": (
+        ["constant_mean", "hyperbolic", "--epsilon-branch=printed-vs-eq18",
+         "--a=0.5", "--b=1", "--C=0", "--f0=0.5", "--u-span=2",
+         "--tol=1e-7"], 1,
+        "c331b8c256ee5f94cb3a25239c60c8ae9fe3e290af2c4e941e5d67f50eb1b29b"),
+    "constant_k-ell": (
+        ["constant_k", "elliptic", "--a=1", "--b=1", "--C=0", "--f0=1",
+         "--u-span=1", "--tol=1e-6"], 0,
+        "1f7d1114a6d838e0734f9c96324a7b30b634c6559125584b0d68b4c3e94d9f66"),
+    "constant_k-hyp": (
+        ["constant_k", "hyperbolic", "--a=1", "--b=2", "--C=0", "--f0=0.5",
+         "--u-span=0.7", "--tol=1e-6"], 0,
+        "8a5c9f787d2e45fdc442e6f8d78c2c6b6d7d09d383ae613adb2f8dbc066c7155"),
+    "chen-ell": (
+        ["chen", "elliptic", "--a=-1", "--b=1", "--f0=1.2", "--u-span=0.8",
+         "--tol=1e-6"], 0,
+        "aaa86089756f663f93855ac13ed17c78dd5943c72000a1d07b6d7b22f87ace31"),
+    "chen-hyp": (
+        ["chen", "hyperbolic", "--a=-1", "--b=0.5", "--f0=0.7",
+         "--u-span=1.2", "--tol=1e-6"], 0,
+        "f5f728acd5a2f64d4322a8bbde8ee7291e3da80659ff84444c2f42bf876bddc1"),
+    "parallel_b-ell": (
+        ["parallel_b", "elliptic", "--a=1", "--c=1", "--b=2", "--f0=2",
+         "--u-span=1", "--tol=1e-8"], 0,
+        "bf4e76f6bfaee9e7847a48b877320d7bc9d7a62bb7914be27427b9c93a9ecce9"),
+    "parallel_b-hyp": (
+        ["parallel_b", "hyperbolic", "--a=0.5", "--c=0.1", "--b=1",
+         "--f0=0.1", "--u-span=0.25", "--tol=1e-8"], 0,
+        "aaff333df0b0c156e7c3de158589db5603cbc5a9c1aac1b9fdf1114add08de42"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY_SLOPE))
+def test_golden_verify_record_slope_families(tmp_path, name):
+    (family, geometry, *flags), rc, digest = GOLDEN_VERIFY_SLOPE[name]
+    out = tmp_path / "rep.jsonl"
+    assert main(["verify", "--family", family, "--geometry", geometry,
+                 *flags, "--out", str(out)]) == rc
+    assert sha256_of(out) == digest
 
 
 # -- export -------------------------------------------------------------------

@@ -28,6 +28,27 @@ def coords_close(vec, expected, tol=1e-9):
 # -- Frenet integration ------------------------------------------------------
 
 
+#: Geometry's per-member constants, recorded while they were properties:
+#: (sphere_slots, axis_slot, frenet_sign, curve_signature,
+#: normalization_sign)
+GEOMETRY_CONSTANTS = {
+    Geometry.ELLIPTIC: ((0, 1, 2), 3, 1.0, (1.0, 1.0, 1.0), 1.0),
+    Geometry.HYPERBOLIC: ((1, 2, 3), 0, -1.0, (1.0, 1.0, -1.0), -1.0),
+}
+
+
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_geometry_constants(geometry):
+    got = (geometry.sphere_slots, geometry.axis_slot, geometry.frenet_sign,
+           geometry.curve_signature, geometry.normalization_sign)
+    assert got == GEOMETRY_CONSTANTS[geometry]
+    assert [type(x) for x in got] == [tuple, int, float, tuple, float]
+    for fdot in (0.0, 0.5, 1.0, 2.0):
+        assert (geometry.normalization(fdot)
+                == got[4] * (fdot * fdot - 1.0))
+    assert Geometry(geometry.value) is geometry
+
+
 def test_elliptic_great_circle_quarter_turn():
     c = SphericalCurve(ScalarFn.constant(0.0), Geometry.ELLIPTIC)
     fr = c.frame(math.pi / 2)

@@ -1,10 +1,12 @@
 """Hypothesis fuzz of the config -> CLI path.
 
 Profile sections are drawn with known and unknown keys, NaN, infinities,
-huge numbers and +-1 choices.  Whatever the input, ``invariants`` and
+huge numbers and +-1 choices, and function curves with one sample cell
+drawn from the same numbers.  Whatever the input, ``invariants`` and
 ``export --format csv4`` on a 3x3 grid and ``build`` must exit 0, 2 or 3
 without a traceback, write no file unless they exit 0, and write only
-finite numeric cells.
+finite numeric cells; a ``build`` descriptor is JSON without NaN or
+Infinity.
 """
 
 import contextlib
@@ -88,6 +90,33 @@ def configs(draw):
     return cfg
 
 
+#: a valid function curve over domain.v = [0, 2]
+SAMPLES = [[0.0, 1.0, 0.0], [1.0, 1.2, 0.1], [2.0, 0.9, -0.1]]
+
+
+@st.composite
+def function_curve_configs(draw):
+    """A base config over SAMPLES with one cell replaced by a number."""
+    geometry, _, profile, dom_u = draw(st.sampled_from(BASES))
+    samples = [list(row) for row in SAMPLES]
+    samples[draw(st.integers(0, 2))][draw(st.integers(0, 2))] = draw(NUMBERS)
+    cfg = {"geometry": geometry,
+           "curve": {"kind": "function", "samples": samples},
+           "profile": dict(profile), "domain": {"v": [0.0, 2.0]}}
+    if dom_u is not None:
+        cfg["domain"]["u"] = dom_u
+    return cfg
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def _check_descriptor(text):
+    desc = json.loads(text, parse_constant=_reject_constant)
+    assert desc["validated"] is True
+
+
 def _run(cfg, argv):
     """Exit code and output text (None when no file was written) of argv
     on cfg, checked for the exit codes and the traceback."""
@@ -136,7 +165,21 @@ BLOW_UP = {"geometry": "elliptic", "curve": {"kind": "constant", "b": 1},
 def test_build_and_export_exit_codes_and_finite_cells(cfg):
     rc, text = _run(cfg, ["build"])
     if rc == 0:
-        assert json.loads(text)["validated"] is True
+        _check_descriptor(text)
+    rc, text = _run(cfg, ["export", "--format", "csv4", "--grid", "3,3"])
+    if rc == 0:
+        _finite_rows(text, None)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(function_curve_configs())
+def test_function_curve_exit_codes_and_finite_cells(cfg):
+    rc, text = _run(cfg, ["build"])
+    if rc == 0:
+        _check_descriptor(text)
+    rc, text = _run(cfg, ["invariants", "--grid", "3,3"])
+    if rc == 0:
+        _finite_rows(text, -1)
     rc, text = _run(cfg, ["export", "--format", "csv4", "--grid", "3,3"])
     if rc == 0:
         _finite_rows(text, None)
