@@ -2,7 +2,7 @@
 CSV, run family verifications, and export sampled geometry.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 invalid input/domain/admissibility, 3 internal numerical failure.
+2 invalid input/domain/admissibility, 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 from . import jets
 from .curves import (Geometry, ProfileColumn, SphericalCurve, circle_curve,
                      profile_from_f)
-from .errors import MeridianError, NotSpacelikeError
+from .errors import MeridianError
 from .families import (DOMAIN_PARAMS, FAMILY_TABLE, FamilyKind, FamilySpec,
                        explicit_f, family_profile, verify_family)
 from .surfaces import MeridianSurface, PointTag, sweep
@@ -26,6 +26,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+
+#: Most points nu * nv in one grid, so that its rows of output fit in memory.
+MAX_GRID_POINTS = 10 ** 6
 
 CSV_HEADER = ("u,v,E,F,G,k,varkappa,K,H2,normH,epsilon,gamma1,gamma2,"
               "nu1,nu2,lambda,mu,beta1,beta2,pointclass")
@@ -165,6 +168,10 @@ def _grid(cfg: dict, override: Optional[str]) -> tuple[int, int]:
         nu, nv = int(nu), int(nv)
     if nu < 1 or nv < 1:
         raise ConfigError("grid sizes must be >= 1")
+    if nu * nv > MAX_GRID_POINTS:
+        where = "--grid" if override else "grid.nu * grid.nv"
+        raise ConfigError(f"{where} = {nu} * {nv} points exceeds "
+                          f"{MAX_GRID_POINTS}, the largest grid")
     return nu, nv
 
 
@@ -433,13 +440,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
     try:
         return args.func(args)
-    except NotSpacelikeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except MeridianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValueError, ZeroDivisionError, OverflowError, KeyError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError, KeyError,
+            MemoryError) as exc:
         print(f"numerical failure: {exc!r}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -14,7 +14,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import jets
 from .errors import (DomainError, FrameError, ProfileDomainError,
@@ -61,6 +61,9 @@ class Geometry(Enum):
         #: +1 when the profile constraint reads fdot^2 - 1 > 0 (elliptic),
         #: -1 when it reads 1 - fdot^2 > 0 (hyperbolic).
         self.normalization_sign = 1.0 if elliptic else -1.0
+        #: The admissibility rule in words: on fdot, and on a slope's y(f0).
+        self.fdot_rule = "fdot^2 > 1" if elliptic else "fdot^2 < 1"
+        self.slope_rule = "y(f0) > 1" if elliptic else "0 < y(f0) < 1"
 
     def normalization(self, fdot: float) -> float:
         """V = fdot^2 - 1 (elliptic) or 1 - fdot^2 (hyperbolic): positive on
@@ -332,11 +335,8 @@ def _violation(geometry: Geometry, u: float, f: float,
     if not f > 0.0:     # NaN fails both tests
         return f"profile requires f(u) > 0, violated at u = {u:.9g}"
     if not V >= ADMISSIBILITY_MARGIN:
-        if geometry is Geometry.ELLIPTIC:
-            return ("elliptic normalization requires fdot^2 > 1, "
-                    f"violated at u = {u:.9g}")
-        return ("hyperbolic normalization requires fdot^2 < 1, "
-                f"violated at u = {u:.9g}")
+        return (f"{geometry.value} normalization requires "
+                f"{geometry.fdot_rule}, violated at u = {u:.9g}")
     return None
 
 
@@ -382,28 +382,32 @@ class ProfileColumn:
                 V * V, phi / sqV, dphi / sqV - 0.5 * phi * dV / (V * sqV))
 
 
-def _sample_violation(f_jet, geometry: Geometry, u: float) -> Optional[str]:
-    """Message describing why u is inadmissible, or None when it is fine."""
-    try:
-        j = f_jet(u)
-    except DomainError as exc:
-        return str(exc)
-    return _violation(geometry, u, j.v, geometry.normalization(j.d1))
+def construction_scan(f: ScalarFn, geometry: Geometry, lo: float,
+                      hi: float) -> Iterator[tuple[float, Optional[str]]]:
+    """The 512 evenly spaced u = lo + (hi - lo)*i/511, each with the message
+    saying why it is inadmissible, or None when it is fine.  Lazy: a caller
+    that stops at the first message evaluates f no further."""
+    for i in range(512):
+        u = lo + (hi - lo) * i / 511
+        try:
+            j = f.jet2(u)
+        except DomainError as exc:
+            yield u, str(exc)
+            continue
+        yield u, _violation(geometry, u, j.v, geometry.normalization(j.d1))
 
 
 def profile_from_f(f: ScalarFn, geometry: Geometry, g0: float,
                    domain: tuple[float, float]) -> MeridianProfile:
     """Profile from an explicit f with g supplied by adaptive Gauss-Legendre
-    quadrature of gdot (see MeridianProfile.g).  The domain is scanned at
-    512 points; any admissibility violation raises ProfileDomainError naming
+    quadrature of gdot (see MeridianProfile.g).  The domain is checked by
+    construction_scan; the first violation raises ProfileDomainError naming
     the offending u.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if hi <= lo:
         raise ProfileDomainError(f"empty profile domain {domain!r}")
-    for i in range(512):
-        u = lo + (hi - lo) * i / 511
-        msg = _sample_violation(f.jet2, geometry, u)
+    for u, msg in construction_scan(f, geometry, lo, hi):
         if msg is not None:
             raise ProfileDomainError(msg, u=u)
     return MeridianProfile(f, geometry, (lo, hi), g0)
@@ -474,9 +478,8 @@ def _slope_table(
                           f"{_MAX_SLOPE_SPAN:g}, the longest slope build")
     d0 = _slope_admissible(y, f0, geometry)
     if math.isnan(d0):
-        kind = "y(f0) > 1" if geometry is Geometry.ELLIPTIC else "0 < y(f0) < 1"
-        raise ProfileDomainError(
-            f"slope inadmissible at f0 = {f0!r}: geometry requires {kind}")
+        raise ProfileDomainError(f"slope inadmissible at f0 = {f0!r}: "
+                                 f"geometry requires {geometry.slope_rule}")
 
     step = DEFAULT_STEP
     n_steps = max(1, round(u_span / step))

@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import jets
 from .curves import (Geometry, MeridianProfile, ProfileColumn,
-                     SphericalCurve, circle_curve, profile_from_f,
-                     profile_from_slope_ode, _sample_violation)
+                     SphericalCurve, circle_curve, construction_scan,
+                     profile_from_f, profile_from_slope_ode)
 from .errors import FamilyDomainError, MisuseError
 from .jets import ScalarFn
 from .surfaces import MeridianSurface, PointRecord, sweep
@@ -245,18 +245,16 @@ def explicit_f(name: str, params: dict) -> tuple[ScalarFn, float]:
 def _validated_family_domain(
         f: ScalarFn, geometry: Geometry,
         domain: tuple[float, float]) -> tuple[float, float]:
-    """Largest admissible subinterval of ``domain`` by a 512-point scan,
+    """Largest admissible subinterval of ``domain`` by construction_scan,
     shrunk 1% from each admissibility boundary.  Raises FamilyDomainError
     when none exists."""
     lo, hi = float(domain[0]), float(domain[1])
     if hi <= lo:
         raise FamilyDomainError(f"empty domain {domain!r}")
-    n = 512
-    us = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    violations = [_sample_violation(f.jet2, geometry, u) for u in us]
+    us, violations = zip(*construction_scan(f, geometry, lo, hi))
     best_len, best_start = 0, -1
     run_len, run_start = 0, 0
-    for i, msg in enumerate(violations + ["end of domain"]):  # closes a run
+    for i, msg in enumerate(violations + ("end of domain",)):  # closes a run
         if msg is None:
             if run_len == 0:
                 run_start = i
@@ -276,7 +274,7 @@ def _validated_family_domain(
     # shrink 1% away from a side only when that side was actually truncated
     if best_start > 0:
         a += 0.01 * width
-    if best_start + best_len < n:
+    if best_start + best_len < len(us):
         b -= 0.01 * width
     return (a, b)
 

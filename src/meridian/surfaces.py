@@ -135,8 +135,7 @@ class PointTag(Enum):
     GENERAL = "general"
 
 
-class KType(Enum):
-    ELLIPTIC_PT = "elliptic_pt"
+class KType(Enum):   # k = -kappa_m^2 kappa^2 / f^2 <= 0: no elliptic point
     PARABOLIC_PT = "parabolic_pt"
     HYPERBOLIC_PT = "hyperbolic_pt"
 
@@ -146,7 +145,6 @@ class PointClass:
     tag: PointTag
     ktype: KType
     trapped: bool
-    minimal: bool
 
 
 class PointRecord(NamedTuple):
@@ -257,6 +255,13 @@ def adapted_frame(s: MeridianSurface, u: float, v: float) -> AdaptedFrame:
     return AdaptedFrame(X, fr.t, n1, n2)
 
 
+def _normals(s: MeridianSurface, fr: AdaptedFrame) -> tuple[Vec4, Vec4]:
+    """(n, n_m): the curve normal and the meridian normal of the frame."""
+    if s.geometry is Geometry.ELLIPTIC:
+        return fr.n1, fr.n2
+    return fr.n2, fr.n1
+
+
 def fundamental_forms_numeric(s: MeridianSurface, u: float,
                               v: float) -> FundamentalForms:
     """E, F, G, L, M, N from central-difference partials of the position map.
@@ -302,24 +307,22 @@ def basic_invariants(s: MeridianSurface, u: float, v: float) -> BasicInvariants:
 
 
 def mean_curvature_vector(s: MeridianSurface, u: float, v: float) -> Vec4:
-    """The mean curvature vector in the adapted normal frame.
+    """H = (s kappa/2f) n + (phi/(2f sqrt(V))) n_m, s = normalization_sign.
 
     Requires a general point: the reduced coefficients assume case III.
     """
     rec = _point(s, u, v, frame=False)
     _require_general(rec)
     col = rec.column
-    fr = adapted_frame(s, u, v)
-    if s.geometry is Geometry.ELLIPTIC:
-        return (rec.kappa / (2.0 * col.f)) * fr.n1 \
-            + (col.phi / (2.0 * col.f * col.sqV)) * fr.n2
-    return (col.phi / (2.0 * col.f * col.sqV)) * fr.n1 \
-        - (rec.kappa / (2.0 * col.f)) * fr.n2
+    n, n_m = _normals(s, adapted_frame(s, u, v))
+    return (col.sign * rec.kappa / (2.0 * col.f)) * n \
+        + (col.phi / (2.0 * col.f * col.sqV)) * n_m
 
 
 def geometric_frame(s: MeridianSurface, u: float, v: float) -> GeometricFrame:
     """Principal tangents x, y and the normal pair b, l with b collinear
-    (same orientation for epsilon = +1) with H."""
+    (same orientation for epsilon = +1) with H: b and l are the normalized
+    s kappa sqrt(V) n + phi n_m and phi n + s kappa sqrt(V) n_m."""
     rec = _point(s, u, v, frame=False)
     _require_general(rec)
     _require_untrapped(rec.H2)
@@ -329,12 +332,10 @@ def geometric_frame(s: MeridianSurface, u: float, v: float) -> GeometricFrame:
     y = (-1.0 * fr.X + fr.Y) / SQRT2
     norm = math.sqrt(eps * rec.D)
     col = rec.column
-    if s.geometry is Geometry.ELLIPTIC:
-        pb = (rec.kappa * col.sqV, col.phi)
-    else:
-        pb = (col.phi, -rec.kappa * col.sqV)
-    b = (eps / norm) * (pb[0] * fr.n1 + pb[1] * fr.n2)
-    l = (1.0 / norm) * (pb[1] * fr.n1 + pb[0] * fr.n2)
+    skV = col.sign * rec.kappa * col.sqV
+    n, n_m = _normals(s, fr)
+    b = (eps / norm) * (skV * n + col.phi * n_m)
+    l = (1.0 / norm) * (col.phi * n + skV * n_m)
     return GeometricFrame(x=x, y=y, b=b, l=l, epsilon=eps)
 
 
@@ -356,16 +357,9 @@ def allied_coefficient(s: MeridianSurface, u: float, v: float) -> float:
 
 
 def classify_point(s: MeridianSurface, u: float, v: float) -> PointClass:
-    """Flat-case tag, point type by the sign of k, and trapped/minimal flags,
-    each decided at FLAT_TOL."""
+    """Flat-case tag and point type by the sign of k, each decided at
+    FLAT_TOL, and the trapped flag (|<H,H>| <= TRAPPED_TOL)."""
     rec = _point(s, u, v, frame=False)
-    if rec.k > FLAT_TOL:
-        ktype = KType.ELLIPTIC_PT
-    elif abs(rec.k) <= FLAT_TOL:
-        ktype = KType.PARABOLIC_PT
-    else:
-        ktype = KType.HYPERBOLIC_PT
-    minimal = (rec.tag is PointTag.GENERAL and not rec.trapped
-               and rec.meanH <= FLAT_TOL)
-    return PointClass(tag=rec.tag, ktype=ktype, trapped=rec.trapped,
-                      minimal=minimal)
+    ktype = (KType.PARABOLIC_PT if abs(rec.k) <= FLAT_TOL
+             else KType.HYPERBOLIC_PT)
+    return PointClass(tag=rec.tag, ktype=ktype, trapped=rec.trapped)

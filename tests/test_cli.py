@@ -10,7 +10,9 @@ import pytest
 
 import meridian
 from conftest import NEAR_BRANCH
-from meridian.cli import CSV_HEADER, _fmt, main, surface_from_config
+from meridian import cli
+from meridian.cli import (CSV_HEADER, MAX_GRID_POINTS, _fmt, _grid,
+                          _grid_points, main, surface_from_config)
 from meridian.curves import MeridianProfile
 
 
@@ -698,6 +700,77 @@ def test_export_unknown_format_exit2(tmp_path):
     rc = main(["export", "--config", cfg, "--format", "stl",
                "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+# -- grid ---------------------------------------------------------------------
+
+
+def test_grid_points_single_point_is_the_midpoint(tmp_path):
+    assert _grid_points(0.5, 1.5, 1) == [1.0]
+    assert _grid_points(0.5, 1.5, 3) == [0.5, 1.0, 1.5]
+    out = tmp_path / "o.csv"
+    assert main(["invariants", "--config", sinh_config(tmp_path),
+                 "--out", str(out), "--grid", "1,1"]) == 0
+    _, rows = rows_of(out)
+    assert [row[:2] for row in rows] == [["1", _fmt(math.pi)]]
+
+
+def _grid_commands(tmp_path):
+    cfg = ["--config", sinh_config(tmp_path)]
+    return [["invariants"] + cfg + ["--out", str(tmp_path / "o.csv")],
+            ["export", "--format", "csv4"] + cfg
+            + ["--out", str(tmp_path / "o.csv")],
+            _CHEN_ELL + ["--out", str(tmp_path / "o.json")]]
+
+
+@pytest.mark.parametrize("grid,needle", [
+    ("3", "--grid expects NU,NV, got '3'"),
+    ("3,3,3", "--grid expects NU,NV, got '3,3,3'"),
+    ("a,3", "--grid expects NU,NV, got 'a,3'"),
+    ("2.5,3", "--grid expects NU,NV, got '2.5,3'"),
+    ("0,3", "grid sizes must be >= 1"),
+    ("3,-1", "grid sizes must be >= 1"),
+])
+def test_bad_grid_flag_exit2(tmp_path, capsys, grid, needle):
+    for argv in _grid_commands(tmp_path):
+        assert main(argv + ["--grid", grid]) == 2
+        assert needle in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_grid_bound_accepts_its_largest_grid():
+    assert _grid({}, f"1,{MAX_GRID_POINTS}") == (1, MAX_GRID_POINTS)
+    assert _grid({"grid": {"nu": 1000, "nv": 1000}}, None) == (1000, 1000)
+    assert MAX_GRID_POINTS == 10 ** 6
+
+
+def test_grid_above_bound_exit2_before_any_allocation(tmp_path, capsys):
+    # each grid would need gigabytes of points; the bound rejects it first
+    cfg = json.loads(pathlib.Path(sinh_config(tmp_path)).read_text())
+    cfg["grid"] = {"nu": 1e9, "nv": 3}
+    out = tmp_path / "desc.json"
+    assert main(["build", "--config", write_config(tmp_path / "big.json", cfg),
+                 "--out", str(out)]) == 2
+    assert ("error: grid.nu * grid.nv = 1000000000 * 3 points exceeds "
+            "1000000, the largest grid") in capsys.readouterr().err
+    assert not out.exists()
+    for argv in _grid_commands(tmp_path):
+        for grid in ("200000000,2", "1001,1000"):
+            assert main(argv + ["--grid", grid]) == 2
+            nu, nv = grid.split(",")
+            assert (f"error: --grid = {nu} * {nv} points exceeds 1000000"
+                    in capsys.readouterr().err)
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_memory_error_exit3_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "cmd_invariants", exhausted)
+    assert main(["invariants", "--config", sinh_config(tmp_path),
+                 "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == "numerical failure: MemoryError()\n"
 
 
 # -- verify -------------------------------------------------------------------

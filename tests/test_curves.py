@@ -10,7 +10,7 @@ from meridian import jets
 from meridian.curves import (_MAX_SLOPE_SPAN, ADMISSIBILITY_MARGIN,
                              DEFAULT_STEP, Geometry, MeridianProfile,
                              ProfileColumn, SphericalCurve, _slope_table,
-                             circle_curve, profile_from_f,
+                             circle_curve, construction_scan, profile_from_f,
                              profile_from_slope_ode)
 from meridian.errors import DomainError, FrameError, ProfileDomainError
 from meridian.families import (constant_k_ode_residual, constant_k_slope,
@@ -351,6 +351,55 @@ def test_profile_error_reports_offending_u():
     assert err.value.u is not None
 
 
+def test_construction_scan_samples():
+    scan = list(construction_scan(sinh_fn(), Geometry.ELLIPTIC, 0.5, 2.0))
+    assert [u for u, _ in scan] == [0.5 + 1.5 * i / 511 for i in range(512)]
+    assert scan[-1][0] == 2.0 and all(msg is None for _, msg in scan)
+    u, msg = next(construction_scan(cos_fn(), Geometry.ELLIPTIC, 0.3, 1.2))
+    assert (u, msg) == (0.3, "elliptic normalization requires fdot^2 > 1, "
+                        "violated at u = 0.3")
+
+
+def test_profile_scan_stops_at_the_first_violation():
+    # fdot = 1 fails the elliptic rule at the first sample; the samples
+    # after it raise ValueError, which profile_from_f must not reach
+    def body(t):
+        if (t.v if isinstance(t, Jet2) else t) > 0.6:
+            raise ValueError("evaluated past the first violation")
+        return t
+
+    f = ScalarFn(body, name="identity", d3=lambda u: 0.0)
+    with pytest.raises(ProfileDomainError, match="fdot\\^2 > 1") as err:
+        profile_from_f(f, Geometry.ELLIPTIC, 0.0, (0.5, 2.0))
+    assert err.value.u == 0.5
+
+
+@pytest.mark.parametrize("domain", [(1.0, 1.0), (1.0, 0.5)])
+def test_profile_empty_domain_rejected(domain):
+    with pytest.raises(ProfileDomainError, match="empty profile domain"):
+        profile_from_f(sinh_fn(), Geometry.ELLIPTIC, 0.0, domain)
+    with pytest.raises(ProfileDomainError, match="empty profile domain"):
+        MeridianProfile(sinh_fn(), Geometry.ELLIPTIC, domain)
+
+
+def test_profile_f_jet_outside_domain_raises():
+    p = sinh_profile()
+    lo, hi = p.domain
+    assert p.f_jet(lo).v == math.sinh(lo) and p.f_jet(hi).v == math.sinh(hi)
+    for u in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+        with pytest.raises(DomainError, match="outside profile domain"):
+            p.f_jet(u)
+
+
+def test_profile_gdot_rejects_non_positive_normalization():
+    # built without the construction scan: fdot^2 < 1 fails the elliptic rule
+    p = MeridianProfile(cos_fn(), Geometry.ELLIPTIC, (0.3, 1.2))
+    with pytest.raises(ProfileDomainError, match="normalization violated") \
+            as err:
+        p.gdot(0.5)
+    assert err.value.u == 0.5
+
+
 # -- slope ODE profiles -------------------------------------------------------
 
 
@@ -398,6 +447,18 @@ def test_slope_ode_rejects_bad_inputs():
     with pytest.raises(ProfileDomainError):  # hyperbolic needs y < 1
         profile_from_slope_ode(ScalarFn.constant(1.5), 1.0,
                                Geometry.HYPERBOLIC, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("geometry,y0,rule", [
+    (Geometry.ELLIPTIC, 0.5, "y(f0) > 1"),
+    (Geometry.HYPERBOLIC, 1.5, "0 < y(f0) < 1"),
+    (Geometry.HYPERBOLIC, -0.5, "0 < y(f0) < 1"),
+])
+def test_slope_inadmissible_start_names_the_rule(geometry, y0, rule):
+    with pytest.raises(ProfileDomainError) as err:
+        profile_from_slope_ode(ScalarFn.constant(y0), 1.0, geometry, 0.0, 1.0)
+    assert str(err.value) == ("slope inadmissible at f0 = 1.0: geometry "
+                              f"requires {rule}")
 
 
 def test_slope_ode_step_count_is_bounded():

@@ -233,6 +233,31 @@ def test_parallel_a_hyperbolic_scan_keeps_admissible_domain():
     assert p.domain == (0.1, 0.9)
 
 
+@pytest.mark.parametrize("build,domain", [
+    # f = sin u is not positive left of 0 nor right of pi
+    (lambda: constant_gauss_profile(1.0, 0.0, 1.0, H, (-0.5, 1.0)),
+     (0.011937377690802404, 1.0)),
+    (lambda: constant_gauss_profile(1.0, 0.0, 1.0, H, (1.0, 3.5)),
+     (1.0, 3.1165851272015654)),
+    # f = sqrt(u^2 - 1) has no value on (-1, 1)
+    (lambda: parallel_profile_case_a(0.0, -1.0, E, (0.5, 2.0)),
+     (1.0119373776908023, 2.0)),
+    (lambda: parallel_profile_case_a(0.0, -1.0, E, (-2.0, -0.5)),
+     (-2.0, -1.0119373776908023)),
+])
+def test_truncated_domain_shrinks_one_percent_on_its_cut_side(build, domain):
+    # the admissible run of the 512-point scan, shrunk by 1% of its width
+    # from each side where the scan found a violation, and only there
+    assert build().domain == domain
+
+
+def test_empty_family_domain_rejected():
+    with pytest.raises(FamilyDomainError, match="empty domain"):
+        constant_gauss_profile(1.0, 0.0, 1.0, H, (1.0, 1.0))
+    with pytest.raises(FamilyDomainError, match="empty domain"):
+        parallel_profile_case_a(0.0, -1.0, E, (2.0, 1.5))
+
+
 def test_parallel_b_elliptic_simple_slope():
     y = parallel_slope_case_b(1.0, 0.0, E)
     assert abs(y(2.0) - math.sqrt(2.0)) <= 1e-12  # sqrt(2 t^2) / t

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -279,6 +280,42 @@ def test_b_collinear_with_h(hyperbolic_cos_surface):
                zip(H.coords(), (norm * gf.b).coords())) <= 1e-9
 
 
+#: sha256 of the float.hex bits of the point API below, pinned so that a
+#: rewrite of its formulas must keep every bit.
+POINT_API_BITS = \
+    "4fef1edd33ff95b2bbb07122ece9511b38fd53b54f071c6171da4bab829b4d8c"
+
+
+def test_point_api_bits_golden():
+    # both geometries, kappa = +-b and a wavy kappa, both epsilon branches
+    E, H = Geometry.ELLIPTIC, Geometry.HYPERBOLIC
+    surfs = ([(sinh_profile(), c) for c in (
+        circle_curve(2.5, E), circle_curve(-2.5, E),
+        SphericalCurve(wavy_kappa(2.5, 0.3), E))]
+        + [(cos_profile(), c) for c in (
+            circle_curve(1.5, H), circle_curve(-1.5, H),
+            SphericalCurve(wavy_kappa(1.5, 0.1), H))])
+    lines, eps_seen = [], set()
+    for prof, curve in surfs:
+        s = MeridianSurface(prof, curve)
+        lo, hi = prof.domain
+        for u in (lo + 0.25 * (hi - lo), lo + 0.6 * (hi - lo)):
+            for v in (0.4, 2.3):
+                fr = adapted_frame(s, u, v)
+                gf = geometric_frame(s, u, v)
+                ff = fundamental_forms_numeric(s, u, v)
+                vecs = (fr.X, fr.Y, fr.n1, fr.n2,
+                        mean_curvature_vector(s, u, v),
+                        gf.x, gf.y, gf.b, gf.l)
+                vals = [c for w in vecs for c in w.coords()]
+                vals += [ff.E, ff.F, ff.G, ff.L, ff.M, ff.N, float(gf.epsilon)]
+                lines.append(" ".join(x.hex() for x in vals))
+                eps_seen.add((s.geometry, gf.epsilon))
+    assert len(eps_seen) == 4
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == POINT_API_BITS
+
+
 def test_marginally_trapped_rejected():
     u0 = 0.6
     prof = cos_profile()
@@ -401,7 +438,6 @@ def test_classify_general_point(hyperbolic_cos_surface):
     assert cls.tag is PointTag.GENERAL
     assert cls.ktype is KType.HYPERBOLIC_PT
     assert not cls.trapped
-    assert not cls.minimal
 
 
 def test_classify_trapped_flag():
