@@ -42,7 +42,14 @@ SQRT2 = math.sqrt(2.0)
 class Geometry(Enum):
     """Meridian surface type: rotation axis timelike (elliptic, curve on
     S^2(1) in span{e1,e2,e3}) or spacelike (hyperbolic, curve on S^2_1(1)
-    in span{e2,e3,e4})."""
+    in span{e2,e3,e4}).
+
+    The two are built alike; they differ by the one sign
+    s = normalization_sign = -<axis, axis> = <n, n>, +1 elliptic and -1
+    hyperbolic, which every geometry-dependent formula reads: t' = s kappa
+    n - l, V = s (fdot^2 - 1), the meridian normal n_m = sqrt(V) l +
+    s fdot axis and the slope formulas of the families.
+    """
 
     ELLIPTIC = "elliptic"
     HYPERBOLIC = "hyperbolic"
@@ -53,14 +60,10 @@ class Geometry(Enum):
         self.sphere_slots = (0, 1, 2) if elliptic else (1, 2, 3)
         #: Coordinate slot of the rotation axis (e4 resp. e1).
         self.axis_slot = 3 if elliptic else 0
-        #: Sign s in the tangent equation t' = s*kappa*n - l.
-        self.frenet_sign = 1.0 if elliptic else -1.0
+        #: The sign s = -<axis, axis> = <n, n>: +1 elliptic, -1 hyperbolic.
+        self.normalization_sign = s = 1.0 if elliptic else -1.0
         #: Expected Gram diagonal of the frame {l, t, n}.
-        self.curve_signature = ((1.0, 1.0, 1.0) if elliptic
-                                else (1.0, 1.0, -1.0))
-        #: +1 when the profile constraint reads fdot^2 - 1 > 0 (elliptic),
-        #: -1 when it reads 1 - fdot^2 > 0 (hyperbolic).
-        self.normalization_sign = 1.0 if elliptic else -1.0
+        self.curve_signature = (1.0, 1.0, s)
         #: The admissibility rule in words: on fdot, and on a slope's y(f0).
         self.fdot_rule = "fdot^2 > 1" if elliptic else "fdot^2 < 1"
         self.slope_rule = "y(f0) > 1" if elliptic else "0 < y(f0) < 1"
@@ -92,9 +95,9 @@ class FrenetFrame:
 
 
 def _default_initial_frame(geometry: Geometry) -> tuple[Vec4, Vec4, Vec4]:
-    if geometry is Geometry.ELLIPTIC:
-        return (Vec4(1, 0, 0, 0), Vec4(0, 1, 0, 0), Vec4(0, 0, 1, 0))
-    return (Vec4(0, 1, 0, 0), Vec4(0, 0, 1, 0), Vec4(0, 0, 0, 1))
+    """The unit vectors at the sphere slots."""
+    return tuple(_embed(geometry, e)
+                 for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
 
 def _validate_initial_frame(geometry: Geometry, l0: Vec4, t0: Vec4,
@@ -119,10 +122,9 @@ class SphericalCurve:
     """Arc-length curve on S^2(1) or S^2_1(1) given by its spherical
     curvature kappa(v), a ScalarFn, and an initial frame.
 
-    constant_kappa is b for a circle built by SphericalCurve.circle (alias
-    circle_curve), which knows at construction that its kappa is constant;
-    it is None for a curve built from any ScalarFn, ScalarFn.constant
-    included.  The elliptic circle's frame is the latitude circle in closed
+    constant_kappa is b for a circle built by circle_curve, which knows at
+    construction that its kappa is constant; it is None for a curve built
+    from any ScalarFn, ScalarFn.constant included.  The elliptic circle's frame is the latitude circle in closed
     form.  Every other curve, the hyperbolic circle included, is realized by
     Frenet integration: the frame table is integrated lazily with classical
     RK4 at DEFAULT_STEP and cached, so repeated evaluations are cheap and
@@ -151,31 +153,11 @@ class SphericalCurve:
         self._fwd = array("d", state0)   # state j at v = j*step: [9j, 9j+9)
         self._bwd = array("d", state0)   # state j at v = -j*step
 
-    @classmethod
-    def circle(cls, b: float, geometry: Geometry) -> SphericalCurve:
-        """Constant-curvature curve with kappa(v) = b, arc-length
-        parameterized from the standard frame; its constant_kappa is b.
-
-        Elliptic: the latitude circle of spherical radius rho with
-        cot(rho) = b, in closed form.  Hyperbolic: realized by Frenet
-        integration; arc-length parameterization forces the tangent to be
-        spacelike, so every finite b yields a supported (spacelike) orbit.
-        """
-        if not math.isfinite(b):
-            raise UnsupportedGeometryError(
-                "constant curvature b must be finite")
-        curve = cls(ScalarFn.constant(float(b), name="kappa"), geometry)
-        curve.constant_kappa = float(b)
-        if geometry is Geometry.ELLIPTIC:
-            curve._latitude = (1.0 / math.sqrt(1.0 + b * b),
-                               b / math.sqrt(1.0 + b * b))
-        return curve
-
     # -- integration --------------------------------------------------------
 
     def _rk4_step(self, v: float, s: Sequence[float], h: float,
                   kappa: Callable[[float], float]) -> list[float]:
-        """One classical RK4 step of l' = t, t' = sign*kappa*n - l,
+        """One classical RK4 step of l' = t, t' = s*kappa*n - l,
         n' = -kappa*t from the 9-float state s = (l, t, n) at v.
 
         The system acts on each ambient coordinate alike, so each coordinate's
@@ -188,7 +170,7 @@ class SphericalCurve:
         k1 = kappa(v)
         km = kappa(v + hh)
         k4 = kappa(v + h)
-        sign = self.geometry.frenet_sign
+        sign = self.geometry.normalization_sign
         s1, sm, s4 = sign * k1, sign * km, sign * k4
         out = [0.0] * 9
         for i in range(3):
@@ -247,8 +229,23 @@ class SphericalCurve:
         return self.kappa.jet2(v)
 
 
-#: The module-level name of SphericalCurve.circle.
-circle_curve = SphericalCurve.circle
+def circle_curve(b: float, geometry: Geometry) -> SphericalCurve:
+    """Constant-curvature curve with kappa(v) = b, arc-length parameterized
+    from the standard frame; its constant_kappa is b.
+
+    Elliptic: the latitude circle of spherical radius rho with
+    cot(rho) = b, in closed form.  Hyperbolic: realized by Frenet
+    integration; arc-length parameterization forces the tangent to be
+    spacelike, so every finite b yields a supported (spacelike) orbit.
+    """
+    if not math.isfinite(b):
+        raise UnsupportedGeometryError("constant curvature b must be finite")
+    curve = SphericalCurve(ScalarFn.constant(float(b), name="kappa"), geometry)
+    curve.constant_kappa = float(b)
+    if geometry is Geometry.ELLIPTIC:
+        curve._latitude = (1.0 / math.sqrt(1.0 + b * b),
+                           b / math.sqrt(1.0 + b * b))
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +288,6 @@ class MeridianProfile:
     def f_jet(self, u: float) -> Jet2:
         self._check(u)
         return self.f.jet2(u)
-
-    def f3(self, u: float) -> float:
-        self._check(u)
-        return jets.third_derivative(self.f, u)
 
     def gdot(self, u: float) -> float:
         V = self.geometry.normalization(self.f_jet(u).d1)
@@ -373,10 +366,10 @@ class ProfileColumn:
     @functools.cached_property
     def frame_terms(self) -> tuple:
         """(gamma, 2 f sqrt(V), f^2 fddot^2, V^2, phi/sqrt(V), its u-rate),
-        the rate from the exact third derivative of f."""
+        the rate from the third derivative of f (ScalarFn.d3)."""
         f, fdot, fddot, V, sqV, phi = (self.f, self.fdot, self.fddot, self.V,
                                        self.sqV, self.phi)
-        dphi = 3.0 * fdot * fddot + f * self.profile.f3(self.u)
+        dphi = 3.0 * fdot * fddot + f * self.profile.f.d3(self.u)
         dV = self.sign * 2.0 * fdot * fddot
         return (-fdot / (SQRT2 * f), 2.0 * f * sqV, self.ff * fddot * fddot,
                 V * V, phi / sqV, dphi / sqV - 0.5 * phi * dV / (V * sqV))

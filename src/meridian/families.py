@@ -341,12 +341,11 @@ def constant_mean_slope(a: float, b: float, C: float, geometry: Geometry,
             return (t / 2.0) * jets.sqrt(b * b + 4.0 * a * a * t * t) \
                 + (b * b / (4.0 * a)) * jets.asinh(2.0 * a * t / b)
 
+    s = geometry.normalization_sign
+
     def body(t):
         ratio = (C + sign * accum(t)) / t
-        ratio2 = ratio * ratio
-        if geometry is Geometry.ELLIPTIC:
-            return jets.sqrt(1.0 + ratio2)
-        return jets.sqrt(1.0 - ratio2)
+        return jets.sqrt(1.0 + s * (ratio * ratio))
 
     return ScalarFn(body, domain=domain, name="constant_mean_slope")
 
@@ -359,13 +358,12 @@ def constant_k_slope(a: float, b: float, C: float, geometry: Geometry,
         raise FamilyDomainError("constant-k family requires a != 0, b != 0")
     if sign not in (1, -1):
         raise FamilyDomainError("sign must be +1 or -1")
+    s = geometry.normalization_sign
+    sa = s * sign * a
 
     def body(t):
-        if geometry is Geometry.ELLIPTIC:
-            q = C + sign * a * t * t / (2.0 * b)
-            return jets.sqrt(1.0 + q * q)
-        q = C - sign * a * t * t / (2.0 * b)
-        return jets.sqrt(1.0 - q * q)
+        q = C + sa * t * t / (2.0 * b)
+        return jets.sqrt(1.0 + s * q * q)
 
     return ScalarFn(body, domain=(1e-12, 1e6), name="constant_k_slope")
 
@@ -383,7 +381,7 @@ def chen_slope(a: float, b: float, geometry: Geometry,
         raise FamilyDomainError("Chen family requires a != 0, b != 0")
     if branch not in (1, -1):
         raise FamilyDomainError("branch must be +1 or -1")
-    rad_sign = -1.0 if geometry is Geometry.ELLIPTIC else 1.0
+    rad_sign = -geometry.normalization_sign
 
     def body(t):
         tt = t if branch == 1 else 1.0 / t
@@ -417,13 +415,11 @@ def parallel_slope_case_b(a: float, c: float, geometry: Geometry) -> ScalarFn:
     surface needs a directing curve of constant nonzero curvature."""
     if a == 0.0:
         raise FamilyDomainError("parallel case (b) requires a != 0")
+    s = geometry.normalization_sign
+    k2, k1, k0 = 1.0 + s * a * a, 2.0 * a * c, s * c * c
 
     def body(t):
-        if geometry is Geometry.ELLIPTIC:
-            rad = (a * a + 1.0) * t * t + 2.0 * a * c * t + c * c
-        else:
-            rad = (1.0 - a * a) * t * t + 2.0 * a * c * t - c * c
-        return jets.sqrt(rad) / t
+        return jets.sqrt(k2 * t * t + k1 * t + k0) / t
 
     return ScalarFn(body, domain=(1e-12, 1e6), name="parallel_b_slope")
 

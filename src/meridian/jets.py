@@ -161,8 +161,8 @@ class ScalarFn:
     float in gives the bits of the jet's value.  Squares are written
     ``x * x``: a Jet2 has no ``**``, which on a float calls libm's pow.
     ``domain`` is an optional closed interval; evaluation outside raises
-    DomainError.  ``d3`` optionally supplies the exact third derivative
-    where needed.
+    DomainError.  ``d3`` optionally supplies the exact third derivative;
+    without it, the method d3 takes a central difference.
     """
 
     __slots__ = ("_fn", "domain", "name", "_d3")
@@ -194,10 +194,13 @@ class ScalarFn:
         self._check(u)
         return self._fn(u)
 
-    def d3(self, u: float) -> Optional[float]:
-        """Exact third derivative if one was wired in, else None."""
+    def d3(self, u: float) -> float:
+        """Third derivative at u: the exact one where it was wired in, else
+        the central difference of the jet's second derivative at
+        default_step(u)."""
         if self._d3 is None:
-            return None
+            h = default_step(u)
+            return (self.jet2(u + h).d2 - self.jet2(u - h).d2) / (2.0 * h)
         self._check(u)
         return self._d3(u)
 
@@ -265,16 +268,6 @@ def fd_jet2(fn: ScalarFn, u: float, h: Optional[float] = None) -> Jet2:
         raise ValueError("h must be positive")
     fm, f0, fp = fn(u - h), fn(u), fn(u + h)
     return Jet2(f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h))
-
-
-def third_derivative(fn: ScalarFn, u: float) -> float:
-    """f'''(u), exact when the function carries one, else a central
-    difference of the jet's second derivative at default_step(u)."""
-    exact = fn.d3(u)
-    if exact is not None:
-        return exact
-    h = default_step(u)
-    return (fn.jet2(u + h).d2 - fn.jet2(u - h).d2) / (2.0 * h)
 
 
 def fd_partials2(grid: Callable[..., Iterable[Sequence[Vec4]]],

@@ -14,8 +14,7 @@ from enum import Enum
 from itertools import repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .curves import (SQRT2, Geometry, MeridianProfile, ProfileColumn,
-                     SphericalCurve)
+from .curves import SQRT2, MeridianProfile, ProfileColumn, SphericalCurve
 from .errors import (FlatPointError, MisuseError, NotSpacelikeError,
                      TrappedPointError)
 from .jets import Jet2, fd_partials2
@@ -232,34 +231,38 @@ def _require_general(rec: PointRecord) -> None:
             "kappa_m = 0: flat point of case II (developable ruled surface)")
 
 
-def _require_untrapped(H2: float) -> None:
-    if abs(H2) <= TRAPPED_TOL:
+def _require_untrapped(rec: PointRecord) -> None:
+    if rec.trapped:
         raise TrappedPointError(
-            f"<H,H> = {H2:.3e} is lightlike within tolerance; marginally "
+            f"<H,H> = {rec.H2:.3e} is lightlike within tolerance; marginally "
             "trapped points are outside the invariant frame construction")
 
 
-def adapted_frame(s: MeridianSurface, u: float, v: float) -> AdaptedFrame:
-    """{X = z_u, Y = z_v / f, n1, n2} per the construction of each geometry."""
-    c = ProfileColumn(s.profile, u)
-    fdot, gd = c.fdot, c.sqV
+def _moving_frame(s: MeridianSurface, c: ProfileColumn,
+                  v: float) -> tuple[Vec4, Vec4, Vec4, Vec4]:
+    """(X, Y, n, n_m) at (c.u, v): X = z_u = fdot l + sqrt(V) axis,
+    Y = z_v / f = t, the curve normal n and the meridian normal
+    n_m = sqrt(V) l + s fdot axis, with s = normalization_sign;
+    <n, n> = s and <n_m, n_m> = -s."""
     fr = s.curve.frame(v)
-    if s.geometry is Geometry.ELLIPTIC:
-        X = fdot * fr.l + Vec4(0.0, 0.0, 0.0, gd)
-        n1 = fr.n
-        n2 = gd * fr.l + Vec4(0.0, 0.0, 0.0, fdot)
-    else:
-        X = fdot * fr.l + Vec4(gd, 0.0, 0.0, 0.0)
-        n1 = gd * fr.l - Vec4(fdot, 0.0, 0.0, 0.0)
-        n2 = fr.n
-    return AdaptedFrame(X, fr.t, n1, n2)
+    # the axis terms keep +0.0 off the axis slot, and s scales those zeros
+    # too, so X and n_m carry the bits of the explicit per-geometry vectors
+    axis = [0.0, 0.0, 0.0, 0.0]
+    axis[s.geometry.axis_slot] = c.sqV
+    X = c.fdot * fr.l + Vec4(*axis)
+    axis[s.geometry.axis_slot] = c.fdot
+    n_m = c.sqV * fr.l + c.sign * Vec4(*axis)
+    return X, fr.t, fr.n, n_m
 
 
-def _normals(s: MeridianSurface, fr: AdaptedFrame) -> tuple[Vec4, Vec4]:
-    """(n, n_m): the curve normal and the meridian normal of the frame."""
-    if s.geometry is Geometry.ELLIPTIC:
-        return fr.n1, fr.n2
-    return fr.n2, fr.n1
+def adapted_frame(s: MeridianSurface, u: float, v: float) -> AdaptedFrame:
+    """{X = z_u, Y = z_v / f, n1, n2}: n1 is the spacelike and n2 the
+    timelike one of the curve normal n and the meridian normal n_m, so
+    (n1, n2) = (n, n_m) elliptic and (n_m, n) hyperbolic."""
+    X, Y, n, n_m = _moving_frame(s, ProfileColumn(s.profile, u), v)
+    if s.geometry.normalization_sign > 0.0:
+        return AdaptedFrame(X, Y, n, n_m)
+    return AdaptedFrame(X, Y, n_m, n)
 
 
 def fundamental_forms_numeric(s: MeridianSurface, u: float,
@@ -314,7 +317,7 @@ def mean_curvature_vector(s: MeridianSurface, u: float, v: float) -> Vec4:
     rec = _point(s, u, v, frame=False)
     _require_general(rec)
     col = rec.column
-    n, n_m = _normals(s, adapted_frame(s, u, v))
+    n, n_m = _moving_frame(s, col, v)[2:]
     return (col.sign * rec.kappa / (2.0 * col.f)) * n \
         + (col.phi / (2.0 * col.f * col.sqV)) * n_m
 
@@ -325,15 +328,14 @@ def geometric_frame(s: MeridianSurface, u: float, v: float) -> GeometricFrame:
     s kappa sqrt(V) n + phi n_m and phi n + s kappa sqrt(V) n_m."""
     rec = _point(s, u, v, frame=False)
     _require_general(rec)
-    _require_untrapped(rec.H2)
+    _require_untrapped(rec)
     eps = 1 if rec.H2 > 0.0 else -1
-    fr = adapted_frame(s, u, v)
-    x = (fr.X + fr.Y) / SQRT2
-    y = (-1.0 * fr.X + fr.Y) / SQRT2
-    norm = math.sqrt(eps * rec.D)
     col = rec.column
+    X, Y, n, n_m = _moving_frame(s, col, v)
+    x = (X + Y) / SQRT2
+    y = (-1.0 * X + Y) / SQRT2
+    norm = math.sqrt(eps * rec.D)
     skV = col.sign * rec.kappa * col.sqV
-    n, n_m = _normals(s, fr)
     b = (eps / norm) * (skV * n + col.phi * n_m)
     l = (1.0 / norm) * (col.phi * n + skV * n_m)
     return GeometricFrame(x=x, y=y, b=b, l=l, epsilon=eps)
@@ -344,7 +346,7 @@ def eight_invariants(s: MeridianSurface, u: float, v: float) -> InvariantSet:
     with dkappa/dv taken from the curve's jet."""
     rec = _point(s, u, v, frame=True)
     _require_general(rec)
-    _require_untrapped(rec.H2)
+    _require_untrapped(rec)
     return rec.frame
 
 

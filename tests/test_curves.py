@@ -29,23 +29,22 @@ def coords_close(vec, expected, tol=1e-9):
 
 
 #: Geometry's per-member constants, recorded while they were properties:
-#: (sphere_slots, axis_slot, frenet_sign, curve_signature,
-#: normalization_sign)
+#: (sphere_slots, axis_slot, curve_signature, normalization_sign)
 GEOMETRY_CONSTANTS = {
-    Geometry.ELLIPTIC: ((0, 1, 2), 3, 1.0, (1.0, 1.0, 1.0), 1.0),
-    Geometry.HYPERBOLIC: ((1, 2, 3), 0, -1.0, (1.0, 1.0, -1.0), -1.0),
+    Geometry.ELLIPTIC: ((0, 1, 2), 3, (1.0, 1.0, 1.0), 1.0),
+    Geometry.HYPERBOLIC: ((1, 2, 3), 0, (1.0, 1.0, -1.0), -1.0),
 }
 
 
 @pytest.mark.parametrize("geometry", list(Geometry))
 def test_geometry_constants(geometry):
-    got = (geometry.sphere_slots, geometry.axis_slot, geometry.frenet_sign,
+    got = (geometry.sphere_slots, geometry.axis_slot,
            geometry.curve_signature, geometry.normalization_sign)
     assert got == GEOMETRY_CONSTANTS[geometry]
-    assert [type(x) for x in got] == [tuple, int, float, tuple, float]
+    assert [type(x) for x in got] == [tuple, int, tuple, float]
     for fdot in (0.0, 0.5, 1.0, 2.0):
         assert (geometry.normalization(fdot)
-                == got[4] * (fdot * fdot - 1.0))
+                == got[3] * (fdot * fdot - 1.0))
     assert Geometry(geometry.value) is geometry
 
 
@@ -121,7 +120,7 @@ def _reference_rhs(curve, v, s):
     # reference for the fused step: the generic stage-by-stage RK4 of the
     # Frenet system, with kappa read through jet2
     k = curve.kappa.jet2(v).v
-    sk = curve.geometry.frenet_sign * k
+    sk = curve.geometry.normalization_sign * k
     return [
         s[3], s[4], s[5],
         sk * s[6] - s[0], sk * s[7] - s[1], sk * s[8] - s[2],

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import pathlib
 import re
@@ -518,6 +519,51 @@ def test_slope_ode_second_derivative_matches_fd():
         u = prof.domain[0] + frac * (prof.domain[1] - prof.domain[0])
         fd = fd_jet2(prof.f, u, 1e-3)
         assert close(fd.d2, prof.f_jet(u).d2, 1e-6)
+
+
+def _every_slope():
+    """Each slope builder in both geometries, with both signs, both Chen
+    branches and each epsilon branch the geometry allows."""
+    for g in (E, H):
+        for sign in (1, -1):
+            yield constant_k_slope(1.3, 0.7, 0.2, g, sign)
+            for eps in (1,) if g is E else (1, -1):
+                yield constant_mean_slope(0.9, 1.7, 0.1, g, sign, eps)
+        for branch in (1, -1):
+            yield chen_slope(-0.8, 1.2, g, branch)
+        for a, c in ((0.6, 0.3), (-1.4, -0.2)):
+            yield parallel_slope_case_b(a, c, g)
+
+
+def _value_bits(evaluate):
+    try:
+        out = evaluate()
+    except Exception as exc:    # an exception is recorded by its type
+        return type(exc).__name__
+    return " ".join(x.hex() for x in (out if isinstance(out, tuple)
+                                      else (out,)))
+
+
+#: sha256 of the float.hex bits of y(t) and y.jet2(t) at t = 0.013 i,
+#: i = 1..199, for every slope of _every_slope, recorded while each slope
+#: body decided its geometry on every call: a rewrite of the slope formulas
+#: must keep every bit, which the 9-digit verify goldens cannot see
+GOLDEN_SLOPE_BITS = \
+    "b2c9fa774357b9ca7e2ec6f4335b3ea086427a7819d2d5969f8d620ea9c38dfd"
+
+
+def test_slope_body_bits_golden():
+    lines, n_values = [], 0
+    for y in _every_slope():
+        for i in range(1, 200):
+            t = 0.013 * i
+            for evaluate in (lambda: y(t), lambda: y.jet2(t)):
+                line = _value_bits(evaluate)
+                n_values += "." in line
+                lines.append(line)
+    assert (len(lines), n_values) == (7164, 3460)   # the rest raised
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_SLOPE_BITS
 
 
 # -- defining-ODE residuals read one profile column --------------------------

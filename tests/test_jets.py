@@ -9,8 +9,7 @@ from meridian.errors import DomainError
 from meridian.families import (chen_slope, constant_k_slope,
                                constant_mean_slope, harmonic_fn,
                                parallel_slope_case_b, sqrt_quadratic_fn)
-from meridian.jets import (Jet2, ScalarFn, fd_jet2, fd_partials2, hermite_fn,
-                           third_derivative)
+from meridian.jets import Jet2, ScalarFn, fd_jet2, fd_partials2, hermite_fn
 from meridian.mink4 import Vec4
 from meridian.curves import Geometry
 from meridian.surfaces import MeridianSurface
@@ -168,8 +167,8 @@ def test_scalarfn_scaled():
 
 
 def test_third_derivative_exact_and_fd_agree():
-    exact = third_derivative(sinh_fn(), 1.1)
-    fd = third_derivative(ScalarFn(jets.sinh), 1.1)
+    exact = sinh_fn().d3(1.1)
+    fd = ScalarFn(jets.sinh).d3(1.1)
     assert close(exact, math.cosh(1.1), 1e-14)
     assert close(fd, math.cosh(1.1), 1e-5)
 

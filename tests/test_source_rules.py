@@ -27,3 +27,46 @@ def test_no_private_name_imported_across_modules():
              for alias in node.names if alias.name.startswith("_")]
     assert "curves.py" in {path.name for path in SOURCES}
     assert found == []
+
+
+#: The functions that may name a Geometry member: each states a rule that
+#: is not a formula in the sign s = Geometry.normalization_sign.
+GEOMETRY_BRANCHES = {
+    "curves.py": {"circle_curve",                   # the closed-form circle
+                  "_slope_admissible"},             # the hyperbolic y > 0
+    "families.py": {"constant_mean_slope",          # its branch choice
+                    "parallel_profile_case_a",      # c^2 > d or d > c^2
+                    "verify_family"},               # printed-vs-eq18
+}
+
+
+def _geometry_member_uses(path):
+    """(enclosing function, line) of each Geometry.ELLIPTIC/HYPERBOLIC."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and child.attr in ("ELLIPTIC", "HYPERBOLIC")
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "Geometry"):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_geometry_decided_only_where_no_sign_states_the_rule():
+    # every other geometry-dependent formula reads the one sign s, so a
+    # new elliptic/hyperbolic branch is a second copy of some formula
+    found = [f"{path.name}:{line} in {owner}"
+             for path in SOURCES
+             for owner, line in _geometry_member_uses(path)
+             if owner not in GEOMETRY_BRANCHES.get(path.name, ())]
+    uses = {path.name: len(_geometry_member_uses(path)) for path in SOURCES}
+    assert uses["surfaces.py"] == 0 and uses["curves.py"] > 0
+    assert found == []

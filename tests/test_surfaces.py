@@ -10,7 +10,8 @@ from conftest import (boosted_hyperbolic_frame, close, cos_profile,
                       wavy_kappa)
 from meridian import jets, surfaces
 from meridian.curves import (Geometry, ProfileColumn, SphericalCurve,
-                             circle_curve, profile_from_slope_ode)
+                             circle_curve, profile_from_f,
+                             profile_from_slope_ode)
 from meridian.errors import FlatPointError, MisuseError, TrappedPointError
 from meridian.families import parallel_profile_case_a
 from meridian.jets import ScalarFn
@@ -314,6 +315,37 @@ def test_point_api_bits_golden():
     assert len(eps_seen) == 4
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == POINT_API_BITS
+
+
+def test_meridian_normal_keeps_the_sign_of_each_zero():
+    # the meridian normal adds +0.0 off the axis (elliptic) or subtracts it
+    # (hyperbolic); at v = 0 the frame is the initial one, whose -0.0
+    # coordinate of l shows which, for fdot < 0 in both geometries
+    E, H = Geometry.ELLIPTIC, Geometry.HYPERBOLIC
+    line = profile_from_f(ScalarFn(lambda t: 3.0 - 1.5 * t), E, 0.0,
+                          (0.1, 1.0))
+    for prof, frame in (
+            (line, (Vec4(1.0, -0.0, 0.0, 0.0), Vec4(0.0, 1.0, 0.0, 0.0),
+                    Vec4(0.0, 0.0, 1.0, 0.0))),
+            (cos_profile(), (Vec4(0.0, 1.0, -0.0, 0.0),
+                             Vec4(0.0, 0.0, 1.0, 0.0),
+                             Vec4(0.0, 0.0, 0.0, 1.0)))):
+        g = prof.geometry
+        s = MeridianSurface(prof, SphericalCurve(ScalarFn.constant(0.5), g,
+                                                 *frame))
+        c = ProfileColumn(prof, 0.5)
+        assert c.fdot < 0.0
+        l = s.curve.frame(0.0).l
+        if g is E:
+            want = c.sqV * l + Vec4(0.0, 0.0, 0.0, c.fdot)
+            got = adapted_frame(s, 0.5, 0.0).n2
+        else:
+            want = c.sqV * l - Vec4(c.fdot, 0.0, 0.0, 0.0)
+            got = adapted_frame(s, 0.5, 0.0).n1
+        assert [x.hex() for x in got.coords()] == \
+            [x.hex() for x in want.coords()]
+        zero = got.coords()[g.sphere_slots[1]]    # where l holds -0.0
+        assert math.copysign(1.0, zero) == (1.0 if g is E else -1.0)
 
 
 def test_marginally_trapped_rejected():

@@ -306,6 +306,6 @@ def test_slope_f_is_the_table_hermite(name, y, f0, geometry, u_span):
         fv = _ref_f_value(us, fs, ds, 1e-3, u)
         yj = y.jet2(fv)
         got = f.jet2(u)
-        assert list(map(_bits, (got.v, got.d1, got.d2, prof.f3(u)))) == \
+        assert list(map(_bits, (got.v, got.d1, got.d2, prof.f.d3(u)))) == \
             list(map(_bits, (fv, yj.v, yj.v * yj.d1,
                              yj.v * yj.d1 * yj.d1 + yj.v * yj.v * yj.d2))), u
