@@ -254,6 +254,21 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+#: Rows cmd_invariants joins, checks and holds as one string: the CSV is
+#: built as such chunks, so its lines, their join and its encoding are never
+#: all alive at once.
+_CSV_CHUNK_LINES = 1024
+
+
+def _finite_rows(lines: list[str]) -> str:
+    """The CSV rows joined, or OverflowError if a cell is not finite."""
+    text = "".join(lines)
+    # finite input can overflow (1e308**2); in a data row only "inf" has i
+    if "i" in text or "nan" in text:
+        raise OverflowError("a computed cell is not finite; nothing written")
+    return text
+
+
 def cmd_invariants(args) -> int:
     cfg = _load_config(args.config)
     surface = surface_from_config(cfg)
@@ -261,7 +276,7 @@ def cmd_invariants(args) -> int:
     flat_tol = _flat_tolerance(cfg)
     us = _grid_points(*surface.profile.domain, nu)
     vs = _grid_points(*_v_domain(cfg), nv)
-    lines = [CSV_HEADER]
+    chunks, lines = [CSV_HEADER + "\n"], []
     col = last = None
     # u-only cells are formatted once per column and v cells once per row;
     # a record's tail, the cells after v, is formatted once per record, so
@@ -292,13 +307,13 @@ def cmd_invariants(args) -> int:
                         f"{gamma_cell},{nu_cell},{nu_cell},{inv.lam:.9g},"
                         f"{inv.mu:.9g},{inv.beta1:.9g},{inv.beta2:.9g},"
                         "general")
-        lines.append(f"{u_cell},{v_cell},{tail}")
-    text = "\n".join(lines) + "\n"
-    # finite input can overflow (1e308**2); below the header only "inf" has i
-    if text.find("i", len(CSV_HEADER)) >= 0 or "nan" in text:
-        raise OverflowError("a computed cell is not finite; nothing written")
+        lines.append(f"{u_cell},{v_cell},{tail}\n")
+        if len(lines) == _CSV_CHUNK_LINES:
+            chunks.append(_finite_rows(lines))
+            lines = []
+    chunks.append(_finite_rows(lines))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     print(f"wrote {nu * nv} invariant rows to {args.out}")
     return EXIT_OK
 

@@ -124,16 +124,21 @@ class SphericalCurve:
 
     constant_kappa is b for a circle built by circle_curve, which knows at
     construction that its kappa is constant; it is None for a curve built
-    from any ScalarFn, ScalarFn.constant included.  The elliptic circle's frame is the latitude circle in closed
-    form.  Every other curve, the hyperbolic circle included, is realized by
-    Frenet integration: the frame table is integrated lazily with classical
-    RK4 at DEFAULT_STEP and cached, so repeated evaluations are cheap and
-    deterministic.  Each direction's table is a flat array('d') of 9
-    doubles per step: 72 B per step, 7.2 MB per 100 units of arc at the
-    default step.  The tables extend only from one thread: two threads
-    extending at once would append the same step twice.  Evaluate from a
-    single thread until the v-range of interest has been visited once;
-    reads of covered ranges are safe to share.
+    from any ScalarFn, ScalarFn.constant included.  The elliptic circle's
+    frame is the latitude circle in closed form.  Every other curve, the
+    hyperbolic circle included, is realized by Frenet integration: the
+    frame table is integrated lazily with classical RK4 at DEFAULT_STEP and
+    cached, so repeated evaluations are cheap and deterministic.  One loop
+    (_rk4) advances the table and takes the remainder step to v.  It reads
+    a circle's b once and calls no ScalarFn; for any other kappa it shares
+    kappa at the abscissa where one step ends and the next starts, when the
+    two are the same float, within one extension of the table.  Each
+    direction's table is a flat array('d') of 9 doubles per step: 72 B per
+    step, 7.2 MB per 100 units of arc at the default step.  The tables
+    extend only from one thread: two threads extending at once would append
+    the same step twice.  Evaluate from a single thread until the v-range
+    of interest has been visited once; reads of covered ranges are safe to
+    share.
     """
 
     def __init__(self, kappa: ScalarFn, geometry: Geometry,
@@ -155,37 +160,51 @@ class SphericalCurve:
 
     # -- integration --------------------------------------------------------
 
-    def _rk4_step(self, v: float, s: Sequence[float], h: float,
-                  kappa: Callable[[float], float]) -> list[float]:
-        """One classical RK4 step of l' = t, t' = s*kappa*n - l,
-        n' = -kappa*t from the 9-float state s = (l, t, n) at v.
+    def _rk4(self, out: array, start: int, steps: int, grid: float, h: float,
+             kappa: Callable[[float], float]) -> None:
+        """Append to out the states of `steps` classical RK4 steps of
+        l' = t, t' = s*kappa*n - l, n' = -kappa*t from out's last 9-float
+        state (l, t, n); step i, for i from start, starts at v = i*grid and
+        has length h.
 
         The system acts on each ambient coordinate alike, so each coordinate's
-        (l, t, n) triple is advanced on its own; kappa is evaluated once at
-        v, v + h/2 and v + h.  Python evaluates s + 0.5*h*k as
-        s + (0.5*h)*k, so hoisting 0.5*h and h/6 keeps every rounding of the
-        textbook stage-by-stage form, and with it every output byte.
+        (l, t, n) triple is advanced on its own.  kappa is read at v, v + h/2
+        and v + h, except that a curve built constant reads its b once, and
+        that a step takes its kappa(v) from the previous step's kappa(v + h)
+        in this call when the two abscissae are the same float; the midpoint
+        is always read.  Python evaluates s + 0.5*h*k as s + (0.5*h)*k, so
+        hoisting 0.5*h and h/6 keeps every rounding of the textbook
+        stage-by-stage form, and with it every output byte, however the
+        steps are split into calls.
         """
         hh, h6 = 0.5 * h, h / 6.0
-        k1 = kappa(v)
-        km = kappa(v + hh)
-        k4 = kappa(v + h)
-        sign = self.geometry.normalization_sign
-        s1, sm, s4 = sign * k1, sign * km, sign * k4
-        out = [0.0] * 9
-        for i in range(3):
-            l, t, n = s[i], s[i + 3], s[i + 6]
-            at, an = s1 * n - l, -k1 * t
-            l2, t2, n2 = l + hh * t, t + hh * at, n + hh * an
-            bt, bn = sm * n2 - l2, -km * t2
-            l3, t3, n3 = l + hh * t2, t + hh * bt, n + hh * bn
-            ct, cn = sm * n3 - l3, -km * t3
-            l4, t4, n4 = l + h * t3, t + h * ct, n + h * cn
-            dt, dn = s4 * n4 - l4, -k4 * t4
-            out[i] = l + h6 * (t + 2.0 * t2 + 2.0 * t3 + t4)
-            out[i + 3] = t + h6 * (at + 2.0 * bt + 2.0 * ct + dt)
-            out[i + 6] = n + h6 * (an + 2.0 * bn + 2.0 * cn + dn)
-        return out
+        sign, b = self.geometry.normalization_sign, self.constant_kappa
+        if b is not None:
+            k1 = km = k4 = b
+            s1 = sm = s4 = sign * b
+        s = out[-9:].tolist()
+        end = None
+        for i in range(start, start + steps):
+            if b is None:
+                v = i * grid
+                k1 = k4 if v == end else kappa(v)
+                km = kappa(v + hh)
+                end = v + h
+                k4 = kappa(end)
+                s1, sm, s4 = sign * k1, sign * km, sign * k4
+            for li, ti, ni in ((0, 3, 6), (1, 4, 7), (2, 5, 8)):
+                l, t, n = s[li], s[ti], s[ni]
+                at, an = s1 * n - l, -k1 * t
+                l2, t2, n2 = l + hh * t, t + hh * at, n + hh * an
+                bt, bn = sm * n2 - l2, -km * t2
+                l3, t3, n3 = l + hh * t2, t + hh * bt, n + hh * bn
+                ct, cn = sm * n3 - l3, -km * t3
+                l4, t4, n4 = l + h * t3, t + h * ct, n + h * cn
+                dt, dn = s4 * n4 - l4, -k4 * t4
+                s[li] = l + h6 * (t + 2.0 * t2 + 2.0 * t3 + t4)
+                s[ti] = t + h6 * (at + 2.0 * bt + 2.0 * ct + dt)
+                s[ni] = n + h6 * (an + 2.0 * bn + 2.0 * cn + dn)
+            out.extend(s)
 
     def _state_at(self, v: float) -> Sequence[float]:
         h = DEFAULT_STEP if v >= 0.0 else -DEFAULT_STEP
@@ -198,14 +217,16 @@ class SphericalCurve:
         dom = kappa.domain
         if dom is not None and dom[0] <= min(v, 0.0) <= max(v, 0.0) <= dom[1]:
             last = lambda x: kappa(min(max(x, dom[0]), dom[1]))
-        for i in range(len(table) // 9 - 1, j):
-            table.extend(self._rk4_step(i * h, table[-9:], h,
-                                        last if i == j - 1 else kappa))
+        i = len(table) // 9 - 1
+        if i < j:
+            self._rk4(table, i, j - 1 - i, h, h, kappa)
+            self._rk4(table, j - 1, 1, h, h, last)
         state = table[9 * j:9 * j + 9]
         rem = v - j * h
-        if abs(rem) > 1e-15:
-            state = self._rk4_step(j * h, state, rem, last)
-        return state
+        if abs(rem) <= 1e-15:
+            return state
+        self._rk4(state, j, 1, h, rem, last)
+        return state[9:]
 
     # -- public surface ------------------------------------------------------
 

@@ -197,12 +197,18 @@ class ScalarFn:
     def d3(self, u: float) -> float:
         """Third derivative at u: the exact one where it was wired in, else
         the central difference of the jet's second derivative at
-        default_step(u)."""
-        if self._d3 is None:
-            h = default_step(u)
+        h = default_step(u), or, where u - h or u + h leaves the domain, the
+        one-sided second-order difference from inside it."""
+        if self._d3 is not None:
+            self._check(u)
+            return self._d3(u)
+        h = default_step(u)
+        lo, hi = self.domain or (-math.inf, math.inf)
+        if lo <= u - h and u + h <= hi:
             return (self.jet2(u + h).d2 - self.jet2(u - h).d2) / (2.0 * h)
-        self._check(u)
-        return self._d3(u)
+        s = -h if u + h > hi else h
+        return (4.0 * self.jet2(u + s).d2 - 3.0 * self.jet2(u).d2
+                - self.jet2(u + 2.0 * s).d2) / (2.0 * s)
 
     def scaled(self, factor: float) -> "ScalarFn":
         """This function multiplied by a constant factor."""

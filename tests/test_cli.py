@@ -1034,3 +1034,17 @@ def test_invariants_overflow_exit3(tmp_path, capsys):
     assert main(["invariants", "--config", cfg, "--out", str(out)]) == 3
     assert "not finite; nothing written" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_invariants_overflow_past_the_first_chunk_exit3(tmp_path, capsys):
+    # kappa rises from 1 to 1e200 over the last 32 v of the first u column,
+    # so the first non-finite row lies past the first chunk of rows
+    nv = cli._CSV_CHUNK_LINES + 64
+    rise = (nv - 32) / (nv - 1)
+    cfg = worked_config(tmp_path, curve={"kind": "function", "samples": [
+        [0.0, 1.0, 0.0], [rise, 1.0, 0.0], [1.0, 1e200, 0.0]]},
+        domain={"u": [0.3, 1.2], "v": [0.0, 1.0]}, grid={"nu": 2, "nv": nv})
+    out = tmp_path / "o.csv"
+    assert main(["invariants", "--config", cfg, "--out", str(out)]) == 3
+    assert "not finite; nothing written" in capsys.readouterr().err
+    assert not out.exists()

@@ -378,6 +378,21 @@ def test_worked_point_invariants(hyperbolic_cos_surface):
         assert abs(inv.gaussK - 1.0) <= 1e-9
 
 
+def test_betas_at_profile_domain_ends_without_exact_d3():
+    # f''' by difference stays inside f's domain: at both ends beta1 and
+    # beta2 are finite and within 4.7e-11 (relative, measured) of the exact
+    # third derivative's
+    curve = circle_curve(1.0, Geometry.HYPERBOLIC)
+    got, want = (MeridianSurface(profile_from_f(
+        ScalarFn(jets.cos, domain=(0.3, 1.2), d3=d3), Geometry.HYPERBOLIC,
+        0.0, (0.3, 1.2)), curve) for d3 in (None, math.sin))
+    for u in (0.3, 1.2):
+        for v in (0.0, 0.7, -1.3):
+            a, b = eight_invariants(got, u, v), eight_invariants(want, u, v)
+            for x, y in ((a.beta1, b.beta1), (a.beta2, b.beta2)):
+                assert math.isfinite(x) and abs(x - y) <= 1e-9 * abs(y)
+
+
 def test_constant_kappa_betas_antisymmetric(rng):
     for _ in range(6):
         s = random_surface(rng)
