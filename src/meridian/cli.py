@@ -19,7 +19,8 @@ from .curves import (Geometry, ProfileColumn, SphericalCurve, circle_curve,
                      profile_from_f)
 from .errors import MeridianError
 from .families import (DOMAIN_PARAMS, FAMILY_TABLE, FamilyKind, FamilySpec,
-                       explicit_f, family_profile, verify_family)
+                       explicit_f, family_profile, finite_number,
+                       verify_family)
 from .surfaces import MeridianSurface, PointTag, sweep
 
 EXIT_OK = 0
@@ -55,19 +56,16 @@ def _json_float(x: float):
 
 
 def _number(value, path: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} must be a number, got {value!r}") from None
+    x = finite_number(value)
+    if x is None:
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return x
 
 
 def _interval(value, path: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{path} must be [lo, hi]")
-    lo, hi = _number(value[0], path), _number(value[1], path)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"{path} endpoints must be finite, got {value!r}")
-    return lo, hi
+    return _number(value[0], path), _number(value[1], path)
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +94,6 @@ def _curve_from_config(cfg: dict, geometry: Geometry) -> SphericalCurve:
                 "curve.samples must be >= 2 rows of [v, kappa, dkappa/dv]")
         xs, ys, ds = ([_number(r[i], "curve.samples") for r in rows]
                       for i in range(3))
-        for row in zip(xs, ys, ds):
-            if not all(map(math.isfinite, row)):
-                raise ConfigError(f"curve.samples must be finite, got {row!r}")
         try:
             kappa = jets.hermite_fn(xs, ys, ds, name="kappa")
         except ValueError as exc:
@@ -217,37 +212,46 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _read(path: str, grid: Optional[str]):
+    """(cfg, surface, us, vs, flat_tol) of the config at ``path``, each field
+    checked; ``grid`` ("NU,NV" or None) overrides the config's grid."""
+    cfg = _load_config(path)
+    surface = surface_from_config(cfg)
+    nu, nv = _grid(cfg, grid)
+    flat_tol = finite_number(cfg.get("tolerances", {}).get("flat", 1e-9))
+    if flat_tol is None or flat_tol < 0.0:     # then the field was given
+        raise ConfigError("tolerances.flat must be finite and >= 0, got "
+                          f"{cfg['tolerances']['flat']!r}")
+    us = _grid_points(*surface.profile.domain, nu)
+    vs = _grid_points(*_v_domain(cfg), nv)
+    return cfg, surface, us, vs, flat_tol
+
+
+def _write(path: str, chunks) -> None:
+    """The strings ``chunks`` written to the file ``path``: UTF-8, LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def _flat_tolerance(cfg: dict) -> float:
-    tol = _number(cfg.get("tolerances", {}).get("flat", 1e-9),
-                  "tolerances.flat")
-    if not 0.0 <= tol < math.inf:
-        raise ConfigError(f"tolerances.flat must be finite and >= 0, got {tol!r}")
-    return tol
-
-
 def cmd_build(args) -> int:
-    cfg = _load_config(args.config)
-    surface = surface_from_config(cfg)
-    _flat_tolerance(cfg)                # checked as invariants checks it
+    cfg, surface, us, vs, _ = _read(args.config, None)
     resolved = dict(cfg)
     dom = dict(cfg.get("domain", {}))
     dom["u"] = list(surface.profile.domain)
     dom["v"] = list(_v_domain(cfg))
     resolved["domain"] = dom
-    nu, nv = _grid(cfg, None)
-    for u in _grid_points(*surface.profile.domain, nu):
+    for u in us:
         ProfileColumn(surface.profile, u)   # the u that invariants evaluates
-    resolved["grid"] = {"nu": nu, "nv": nv}
+    resolved["grid"] = {"nu": len(us), "nv": len(vs)}
     resolved["validated"] = True
     # floats exactly, so the descriptor describes the surface of the config
     text = json.dumps(resolved, indent=2, sort_keys=True, allow_nan=False)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write(args.out, [text, "\n"])
     print(f"built surface descriptor: {args.out} "
           f"(u domain [{_fmt(surface.profile.domain[0])}, "
           f"{_fmt(surface.profile.domain[1])}])")
@@ -270,12 +274,7 @@ def _finite_rows(lines: list[str]) -> str:
 
 
 def cmd_invariants(args) -> int:
-    cfg = _load_config(args.config)
-    surface = surface_from_config(cfg)
-    nu, nv = _grid(cfg, args.grid)
-    flat_tol = _flat_tolerance(cfg)
-    us = _grid_points(*surface.profile.domain, nu)
-    vs = _grid_points(*_v_domain(cfg), nv)
+    _, surface, us, vs, flat_tol = _read(args.config, args.grid)
     chunks, lines = [CSV_HEADER + "\n"], []
     col = last = None
     # u-only cells are formatted once per column and v cells once per row;
@@ -312,18 +311,14 @@ def cmd_invariants(args) -> int:
             chunks.append(_finite_rows(lines))
             lines = []
     chunks.append(_finite_rows(lines))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunks)
-    print(f"wrote {nu * nv} invariant rows to {args.out}")
+    _write(args.out, chunks)
+    print(f"wrote {len(us) * len(vs)} invariant rows to {args.out}")
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    cfg = _load_config(args.config)
-    surface = surface_from_config(cfg)
-    nu, nv = _grid(cfg, args.grid)
-    us = _grid_points(*surface.profile.domain, nu)
-    vs = _grid_points(*_v_domain(cfg), nv)
+    _, surface, us, vs, _ = _read(args.config, args.grid)
+    nu, nv = len(us), len(vs)
     rows = surface.grid_positions(us, vs)
     if args.format == "csv4":
         v_cells = [_fmt(v) for v in vs]
@@ -344,8 +339,7 @@ def cmd_export(args) -> int:
                 lines.append(f"f {a} {a + nv} {a + nv + 1} {a + 1}")
     else:
         raise ConfigError(f"unknown export format {args.format!r}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(args.out, ["\n".join(lines), "\n"])
     print(f"wrote {args.format} geometry ({nu}x{nv} grid) to {args.out}")
     return EXIT_OK
 
@@ -389,8 +383,7 @@ def cmd_verify(args) -> int:
     }
     line = json.dumps(record, sort_keys=True, allow_nan=False)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(line + "\n")
+        _write(args.out, [line, "\n"])
     else:
         print(line)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED

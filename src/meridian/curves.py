@@ -66,7 +66,7 @@ class Geometry(Enum):
         self.curve_signature = (1.0, 1.0, s)
         #: The admissibility rule in words: on fdot, and on a slope's y(f0).
         self.fdot_rule = "fdot^2 > 1" if elliptic else "fdot^2 < 1"
-        self.slope_rule = "y(f0) > 1" if elliptic else "0 < y(f0) < 1"
+        self.slope_rule = "y(f0)^2 > 1" if elliptic else "0 < y(f0) < 1"
 
     def normalization(self, fdot: float) -> float:
         """V = fdot^2 - 1 (elliptic) or 1 - fdot^2 (hyperbolic): positive on
@@ -418,13 +418,11 @@ def profile_from_f(f: ScalarFn, geometry: Geometry, g0: float,
     construction_scan; the first violation raises ProfileDomainError naming
     the offending u.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if hi <= lo:
-        raise ProfileDomainError(f"empty profile domain {domain!r}")
-    for u, msg in construction_scan(f, geometry, lo, hi):
+    profile = MeridianProfile(f, geometry, domain, g0)
+    for u, msg in construction_scan(f, geometry, *profile.domain):
         if msg is not None:
             raise ProfileDomainError(msg, u=u)
-    return MeridianProfile(f, geometry, (lo, hi), g0)
+    return profile
 
 
 def _slope_admissible(y: ScalarFn, t: float, geometry: Geometry) -> float:
@@ -483,7 +481,7 @@ def _slope_table(
     """RK4 table of fdot = y(f) from f0: the abscissae us = i*DEFAULT_STEP,
     the values fs and the slopes ds = y(fs), up to u_span or to the last
     step that keeps the profile admissible and its cubic Hermite read
-    monotone; y(f0) itself must be admissible for the geometry (y > 1
+    monotone; y(f0) itself must be admissible for the geometry (y^2 > 1
     elliptic, 0 < y < 1 hyperbolic)."""
     if not 0.0 < u_span < math.inf:
         raise ValueError("u_span must be positive and finite")

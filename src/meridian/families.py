@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -115,20 +116,27 @@ class _Values(dict):
         raise FamilyDomainError(f"missing parameter {key!r} for {self.owner}")
 
 
+def finite_number(value) -> Optional[float]:
+    """value as a float if it is an int or a float (no bool) within the float
+    range, else None; NaN, an infinity or a larger int fails without raising."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    return None
+
+
 def _checked(fields: dict, given: dict, owner: str) -> _Values:
     """``given`` checked against ``fields`` (name -> default or REQUIRED),
     as floats, the defaults filled in."""
+    values = _Values((k, float(d)) for k, d in fields.items()
+                     if d is not REQUIRED)
     for key, value in given.items():
         if key not in fields:
             raise FamilyDomainError(f"{owner} takes no parameter {key!r}")
-        positive = key == "u_span"
-        if not (isinstance(value, (int, float)) and math.isfinite(value)
-                and (value > 0.0 or not positive)):
+        x, positive = finite_number(value), key == "u_span"
+        if x is None or (positive and x <= 0.0):
             need = "positive and finite" if positive else "a finite number"
             raise FamilyDomainError(f"{key} must be {need}, got {value!r}")
-    values = _Values((k, float(d)) for k, d in fields.items()
-                     if d is not REQUIRED)
-    values.update((k, float(v)) for k, v in given.items())
+        values[key] = x
     values.owner = owner
     return values
 
@@ -161,7 +169,7 @@ class FamilySpec:
         eps, scale = self.epsilon_branch, self.slope_scale
         if eps is not None and self.kind is not FamilyKind.CONSTANT_MEAN:
             raise FamilyDomainError(f"{name} family takes no epsilon_branch")
-        if not (math.isfinite(scale) and (row.slope_ode or scale == 1.0)):
+        if finite_number(scale) is None or not (row.slope_ode or scale == 1.0):
             raise FamilyDomainError(f"slope_scale must be finite, and 1 in "
                                     f"closed form; got {scale!r} for {name}")
 

@@ -218,7 +218,7 @@ def test_non_finite_domain_exit2(tmp_path, capsys, domain):
     for argv in (["invariants"], ["export", "--format", "csv4"]):
         out = tmp_path / "out"
         assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert "must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -235,7 +235,8 @@ def test_non_finite_curve_sample_exit2(tmp_path, capsys, cell, value):
     for argv in (["build"], ["invariants"], ["export", "--format", "csv4"]):
         out = tmp_path / "out"
         assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
-        assert "curve.samples must be finite" in capsys.readouterr().err
+        assert "curve.samples must be a finite number" in \
+            capsys.readouterr().err
         assert not out.exists()
 
 
@@ -510,7 +511,7 @@ def test_golden_invariants_under_optimized_interpreter(tmp_path):
     write_config(tmp_path / "inv.json", cfg)
     rc, _, err, data = _run_cli(tmp_path, ["-O"], argv)
     assert (rc, data) == (2, None)
-    assert b"curve.samples must be finite" in err
+    assert b"curve.samples must be a finite number" in err
 
 
 def test_golden_export_obj3(tmp_path):
@@ -863,9 +864,15 @@ _PARALLEL_A_ELL = ["verify", "--family", "parallel_a", "--geometry",
     (_CHEN_ELL + ["--tol", "nan"], "--tol must be finite and >= 0, got nan"),
     (_CHEN_ELL + ["--tol=-1"], "--tol must be finite and >= 0, got -1.0"),
     (_CHEN_ELL + ["--tol=inf"], "--tol must be finite and >= 0, got inf"),
+    # past the float range: a number, but not a finite one
+    (_CHEN_ELL + ["--branch", "1" * 400], "branch must be a finite number"),
+    (["verify", "--family", "constant_k", "--geometry", "elliptic", "--a=1",
+      "--b=1", "--f0=1", "--grid", "5,5", "--sign", "-" + "1" * 400],
+     "sign must be a finite number"),
 ], ids=["g-sign-2", "step-0", "step-nan", "u-span-neg", "u-span-inf",
         "step-tiny", "step-valid", "u-span-huge", "epsilon-branch-foo",
-        "tol-nan", "tol-neg", "tol-inf"])
+        "tol-nan", "tol-neg", "tol-inf", "branch-400-digits",
+        "sign-400-digits"])
 def test_verify_bad_flag_exit2(tmp_path, capsys, argv, needle):
     out = tmp_path / "rep.json"
     assert main(argv + ["--out", str(out)]) == 2
@@ -956,7 +963,7 @@ _CHEN_PROFILE = {"kind": "slope_ode", "family": "chen", "a": -1, "b": 1,
     ({**_CHEN_PROFILE, "epsilon_branch": 1}, "takes no epsilon_branch"),
     ({"kind": "slope_ode", "family": "constant_mean", "a": 1, "b": 4,
       "f0": 0.5, "u_span": 0.5, "epsilon_branch": "printed-vs-eq18"},
-     "profile.epsilon_branch must be a number"),
+     "profile.epsilon_branch must be a finite number"),
     ({"kind": "explicit_f", "family": "sinh", "alpha": 1},
      "sinh profile takes no parameter 'alpha'"),
     ({"kind": "explicit_f", "family": "harmonic", "alpha": math.nan,
@@ -983,6 +990,17 @@ def test_unread_or_non_finite_profile_field_exit2(tmp_path, capsys, profile,
         assert needle in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("flat", [-1.0, math.nan, "1e-9", True])
+def test_export_bad_flat_tolerance_exit2(tmp_path, capsys, flat):
+    # export reads its config as invariants does, tolerances.flat included
+    cfg = worked_config(tmp_path, tolerances={"flat": flat})
+    out = tmp_path / "out"
+    assert main(["export", "--format", "obj3", "--config", cfg,
+                 "--out", str(out)]) == 2
+    assert "tolerances.flat must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flat", [math.nan, -1.0, math.inf])

@@ -543,7 +543,7 @@ def test_slope_ode_rejects_bad_inputs():
         with pytest.raises(ValueError, match="positive and finite"):
             profile_from_slope_ode(ScalarFn.constant(2.0), 1.0,
                                    Geometry.ELLIPTIC, 0.0, u_span)
-    with pytest.raises(ProfileDomainError):  # y(f0) = 0.5 not > 1
+    with pytest.raises(ProfileDomainError):  # y(f0)^2 = 0.25 not > 1
         profile_from_slope_ode(ScalarFn.constant(0.5), 1.0,
                                Geometry.ELLIPTIC, 0.0, 1.0)
     with pytest.raises(ProfileDomainError):  # hyperbolic needs y < 1
@@ -552,7 +552,7 @@ def test_slope_ode_rejects_bad_inputs():
 
 
 @pytest.mark.parametrize("geometry,y0,rule", [
-    (Geometry.ELLIPTIC, 0.5, "y(f0) > 1"),
+    (Geometry.ELLIPTIC, 0.5, "y(f0)^2 > 1"),
     (Geometry.HYPERBOLIC, 1.5, "0 < y(f0) < 1"),
     (Geometry.HYPERBOLIC, -0.5, "0 < y(f0) < 1"),
 ])

@@ -417,6 +417,9 @@ _PA_ELL = dict(c=0.0, d=-1.0, u_min=1.1, u_max=3.0)
     ("constant_k", dict(_K_ELL, C=math.nan), "C must be a finite number"),
     ("constant_k", dict(_K_ELL, a=math.inf), "a must be a finite number"),
     ("constant_k", dict(_K_ELL, f0="1"), "f0 must be a finite number"),
+    ("constant_k", dict(_K_ELL, a=True), "a must be a finite number"),
+    ("chen", dict(a=-1.0, b=1.0, f0=1.2, branch=10 ** 400),
+     "branch must be a finite number"),
 ])
 def test_family_rejects_bad_inputs(kind, params, needle):
     # a sign is +-1 exactly, not truncated to it

@@ -6,7 +6,9 @@ drawn from the same numbers.  Whatever the input, ``invariants`` and
 ``export --format csv4`` on a 3x3 grid and ``build`` must exit 0, 2 or 3
 without a traceback, write no file unless they exit 0, and write only
 finite numeric cells; a ``build`` descriptor is JSON without NaN or
-Infinity.
+Infinity.  A value that is not a finite JSON number in any numeric field
+exits 2 in all three, and a config that ``build`` rejects, grid included,
+``invariants`` and ``export`` reject too.
 """
 
 import contextlib
@@ -183,3 +185,61 @@ def test_function_curve_exit_codes_and_finite_cells(cfg):
     rc, text = _run(cfg, ["export", "--format", "csv4", "--grid", "3,3"])
     if rc == 0:
         _finite_rows(text, None)
+
+
+#: values that are not finite JSON numbers: a string, a bool, an int past
+#: the float range, a list and null
+NOT_NUMBERS = ("1.0", True, 10 ** 400, [1.0], None)
+
+
+@st.composite
+def non_number_configs(draw):
+    """A base config over SAMPLES or its constant curve with one numeric
+    field, and nothing else, replaced by a value of NOT_NUMBERS."""
+    geometry, b, profile, dom_u = draw(st.sampled_from(BASES))
+    cfg = {"geometry": geometry, "curve": {"kind": "constant", "b": b},
+           "profile": dict(profile),
+           "domain": {"u": dom_u or [0.5, 1.0], "v": [0.0, 2.0]}}
+    if dom_u is None and draw(st.booleans()):
+        del cfg["domain"]["u"]
+    bad = draw(st.sampled_from(NOT_NUMBERS))
+    where = draw(st.sampled_from(["curve.b", "curve.samples", "domain.u",
+                                  "domain.v", "profile"]))
+    if where == "curve.b":
+        cfg["curve"]["b"] = bad
+    elif where == "curve.samples":
+        samples = [list(row) for row in SAMPLES]
+        samples[draw(st.integers(0, 2))][draw(st.integers(0, 2))] = bad
+        cfg["curve"] = {"kind": "function", "samples": samples}
+    elif where.startswith("domain."):
+        key = where[len("domain."):]
+        ends = list(cfg["domain"].get(key, [0.5, 1.0]))
+        ends[draw(st.integers(0, 1))] = bad
+        cfg["domain"][key] = ends
+    else:
+        keys = sorted(set(profile) - {"kind", "family"} | {"g0"})
+        cfg["profile"][draw(st.sampled_from(keys))] = bad
+    return cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(non_number_configs())
+@example({**BLOW_UP, "profile": {**BLOW_UP["profile"], "a": "1.0"}})
+@example({**BLOW_UP, "profile": {**BLOW_UP["profile"], "f0": True}})
+@example({**BLOW_UP, "curve": {"kind": "constant", "b": 10 ** 400}})
+def test_non_number_exit2(cfg):
+    for argv in (["build"], ["invariants", "--grid", "3,3"],
+                 ["export", "--format", "csv4", "--grid", "3,3"]):
+        assert _run(cfg, argv)[0] == 2, argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(configs())
+@example({**BLOW_UP, "tolerances": {"flat": -1.0}})
+def test_what_build_rejects_invariants_and_export_reject(cfg):
+    # one reader: with the grid in the config, a config build rejects is
+    # rejected by invariants and export too
+    cfg = {**cfg, "grid": {"nu": 3, "nv": 3}}
+    if _run(cfg, ["build"])[0] == 2:
+        assert _run(cfg, ["invariants"])[0] == 2
+        assert _run(cfg, ["export", "--format", "csv4"])[0] == 2

@@ -13,7 +13,8 @@ from meridian.curves import (Geometry, ProfileColumn, SphericalCurve,
                              circle_curve, profile_from_f,
                              profile_from_slope_ode)
 from meridian.errors import FlatPointError, MisuseError, TrappedPointError
-from meridian.families import parallel_profile_case_a
+from meridian.families import (harmonic_fn, hyperbolic_harmonic_fn,
+                               parallel_profile_case_a)
 from meridian.jets import ScalarFn
 from meridian.mink4 import Vec4, gram, inner
 from meridian.surfaces import (KType, MeridianSurface, PointTag,
@@ -451,6 +452,61 @@ def test_invariants_independent_of_initial_frame():
     k1, _ = invariants_from_forms(fundamental_forms_numeric(s1, u, v))
     k2, _ = invariants_from_forms(fundamental_forms_numeric(s2, u, v))
     assert close(k1, k2, 1e-5)
+
+
+#: (geometry, f, domain, kappa = b0 + b1 sin(v + p) as (b0, b1, p), (u, v))
+#: at general points with kappa' != 0 and |beta1|, |beta2| > 0.1, one for each
+#: geometry and epsilon, the epsilon of the id
+FRAME_FD_POINTS = {
+    "elliptic-1": (Geometry.ELLIPTIC,
+                   hyperbolic_harmonic_fn(0.9345, 0.8444, 0.8602),
+                   (0.6975, 2.3251), (2.1773, 0.5393, 5.6847),
+                   (1.6814, 0.7081)),
+    "elliptic+1": (Geometry.ELLIPTIC,
+                   hyperbolic_harmonic_fn(0.7574, 0.8226, 0.9588),
+                   (0.6258, 2.086), (-3.4384, 0.5918, 4.7979),
+                   (0.8708, 0.7624)),
+    "hyperbolic+1": (Geometry.HYPERBOLIC,
+                     harmonic_fn(0.6582, -0.1272, 1.3251), (0.0755, 0.9811),
+                     (-0.4913, 0.0709, 4.5428), (0.2761, 0.6423)),
+    "hyperbolic-1": (Geometry.HYPERBOLIC,
+                     harmonic_fn(0.6989, -0.167, 1.2398), (0.0807, 1.0485),
+                     (0.6656, 0.0716, 3.0761), (0.8709, 0.3924)),
+}
+
+
+@pytest.mark.parametrize("case", FRAME_FD_POINTS)
+def test_eight_invariants_match_frame_derivatives(case):
+    # the eight invariants as derivatives of the geometric frame, by central
+    # differences of geometric_frame along x = (X + Y)/sqrt2 and
+    # y = (-X + Y)/sqrt2, X = d/du and Y = (1/f) d/dv
+    geometry, f, dom, (b0, b1, p), (u, v) = FRAME_FD_POINTS[case]
+    s = MeridianSurface(profile_from_f(f, geometry, 0.0, dom),
+                        SphericalCurve(wavy_kappa(b0, b1, p), geometry))
+    h, fr, inv = 1e-4, geometric_frame(s, u, v), eight_invariants(s, u, v)
+    assert f"{s.geometry.value}{fr.epsilon:+d}" == case
+    assert wavy_kappa(b0, b1, p).jet2(v).d1 != 0.0
+    assert min(abs(inv.beta1), abs(inv.beta2)) > 0.1
+
+    def rates(name):
+        """(D_x, D_y) of frame vector ``name``: the flat connection."""
+        at = [getattr(geometric_frame(s, u + du, v + dv), name)
+              for du, dv in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))]
+        d_u = (at[0] - at[1]) / (2.0 * h)
+        d_v = (at[2] - at[3]) / (2.0 * h * f(u))
+        return (d_u + d_v) / SQ2, (-1.0 * d_u + d_v) / SQ2
+
+    (xx, _), (yx, yy), (bx, by) = rates("x"), rates("y"), rates("b")
+    eps = fr.epsilon
+    fd = {"gamma1": -inner(xx, fr.y), "gamma2": inner(yy, fr.x),
+          "nu1": inner(xx, fr.b), "nu2": inner(yy, fr.b),
+          "lam": inner(yx, fr.b), "mu": inner(yx, fr.l),
+          "beta1": eps * inner(bx, fr.l), "beta2": eps * inner(by, fr.l)}
+    for name, value in fd.items():
+        exact = getattr(inv, name)
+        tol = 1e-4 if name.startswith("beta") else 1e-6
+        assert abs(value - exact) <= tol * max(1.0, abs(exact)), (name, value,
+                                                                  exact)
 
 
 # -- allied coefficient -------------------------------------------------------

@@ -68,10 +68,11 @@ def test_first_fundamental_form(surface):
     assert S.point(S.inner(z_v, z_v)) == F0 ** 2
 
 
-def test_k_closed_form_and_varkappa_zero(surface):
-    # L, M and N as fundamental_forms_numeric builds them from the normals
-    # n1, n2 of adapted_frame
-    S, f = surface, surface.f
+def _forms(S):
+    """E, F, G and, for the normals n1 and n2 of adapted_frame, their
+    Gram signs eps_i = <n_i, n_i> and coefficients <z_uu, n_i>, <z_uv, n_i>,
+    <z_vv, n_i>, as fundamental_forms_numeric builds them."""
+    f = S.f
     fdot = f.diff(u)
     z_u = sp.Matrix([fdot, 0, 0, S.gdot])
     z_v = sp.Matrix([0, f, 0, 0])
@@ -83,15 +84,21 @@ def test_k_closed_form_and_varkappa_zero(surface):
     for n in (n1, n2):
         assert S.point(S.inner(n, z_u)) == 0
         assert S.point(S.inner(n, z_v)) == 0
-    assert S.point(S.inner(n1, n1)) == 1
-    assert S.point(S.inner(n2, n2)) == -1
     E = S.point(S.inner(z_u, z_u))
     F = S.point(S.inner(z_u, z_v))
     G = S.point(S.inner(z_v, z_v))
-    W = sp.sqrt(E * G - F * F)
     seconds = (z_u.diff(u), S.dv(z_u), S.dv(z_v))      # z_uu, z_uv, z_vv
-    c1 = [S.point(S.inner(z, n1)) for z in seconds]
-    c2 = [S.point(S.inner(z, n2)) for z in seconds]
+    normals = [(S.point(S.inner(n, n)), [S.point(S.inner(z, n))
+                                         for z in seconds])
+               for n in (n1, n2)]
+    return E, F, G, normals
+
+
+def test_k_closed_form_and_varkappa_zero(surface):
+    S = surface
+    E, F, G, ((eps1, c1), (eps2, c2)) = _forms(S)
+    assert (eps1, eps2) == (1, -1)
+    W = sp.sqrt(E * G - F * F)
     L = 2 / W * (c1[0] * c2[1] - c1[1] * c2[0])
     M = 1 / W * (c1[0] * c2[2] - c1[2] * c2[0])
     N = 2 / W * (c1[1] * c2[2] - c1[2] * c2[1])
@@ -101,3 +108,20 @@ def test_k_closed_form_and_varkappa_zero(surface):
     V = S.s * (F1 ** 2 - 1)
     assert sp.simplify(k - (-F2 ** 2 * K ** 2 / (V * F0 ** 2))) == 0
     assert sp.simplify(varkappa) == 0
+
+
+def test_gauss_curvature_and_mean_curvature_norm(surface):
+    # K by the Gauss equation and <H,H> from H = sum eps_i tr(h^i)/2 n_i:
+    # -fddot/f, and _cell's D / (4 f^2 V)
+    S = surface
+    E, F, G, normals = _forms(S)
+    denom = E * G - F * F
+    gaussK = sum(eps * (c[0] * c[2] - c[1] ** 2)
+                 for eps, c in normals) / denom
+    H2 = sum(eps * ((G * c[0] - 2 * F * c[1] + E * c[2]) / (2 * denom)) ** 2
+             for eps, c in normals)
+    V = S.s * (F1 ** 2 - 1)
+    phi = F0 * F2 + F1 ** 2 - 1
+    assert sp.simplify(gaussK + F2 / F0) == 0
+    assert sp.simplify(H2 - S.s * (K ** 2 * V - phi ** 2)
+                       / (4 * F0 ** 2 * V)) == 0
