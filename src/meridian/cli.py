@@ -8,7 +8,6 @@ Exit codes: 0 success / verification passed, 1 verification failed,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -16,7 +15,7 @@ from typing import Optional
 
 from . import jets
 from .curves import (Geometry, ProfileColumn, SphericalCurve, circle_curve,
-                     profile_from_f)
+                     grid_points, profile_from_f)
 from .errors import MeridianError
 from .families import (DOMAIN_PARAMS, FAMILY_TABLE, FamilyKind, FamilySpec,
                        explicit_f, family_profile, finite_number,
@@ -108,8 +107,11 @@ def _u_domain(cfg: dict) -> tuple[float, float]:
 
 
 def _v_domain(cfg: dict) -> tuple[float, float]:
-    return _interval(cfg.get("domain", {}).get("v", [0.0, 2.0 * math.pi]),
-                     "domain.v")
+    lo, hi = _interval(cfg.get("domain", {}).get("v", [0.0, 2.0 * math.pi]),
+                       "domain.v")
+    if hi <= lo:
+        raise ConfigError(f"empty domain.v [{lo!r}, {hi!r}]: need lo < hi")
+    return lo, hi
 
 
 def _profile_from_config(cfg: dict, geometry: Geometry):
@@ -170,14 +172,6 @@ def _grid(cfg: dict, override: Optional[str]) -> tuple[int, int]:
     return nu, nv
 
 
-def _grid_points(lo: float, hi: float, n: int) -> list[float]:
-    """n evenly spaced points from lo to hi; the last one is hi itself,
-    since lo + (hi - lo) can round past it."""
-    if n == 1:
-        return [0.5 * (lo + hi)]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
-
-
 _SECTIONS = ("grid", "domain", "tolerances", "curve", "profile")
 #: The fields of each section but the profile (its family's table checks
 #: those); "" is the top level, and a descriptor adds "validated" there.
@@ -222,8 +216,8 @@ def _read(path: str, grid: Optional[str]):
     if flat_tol is None or flat_tol < 0.0:     # then the field was given
         raise ConfigError("tolerances.flat must be finite and >= 0, got "
                           f"{cfg['tolerances']['flat']!r}")
-    us = _grid_points(*surface.profile.domain, nu)
-    vs = _grid_points(*_v_domain(cfg), nv)
+    us = grid_points(*surface.profile.domain, nu)
+    vs = grid_points(*_v_domain(cfg), nv)
     return cfg, surface, us, vs, flat_tol
 
 
@@ -276,40 +270,38 @@ def _finite_rows(lines: list[str]) -> str:
 def cmd_invariants(args) -> int:
     _, surface, us, vs, flat_tol = _read(args.config, args.grid)
     chunks, lines = [CSV_HEADER + "\n"], []
-    col = last = None
-    # u-only cells are formatted once per column and v cells once per row;
-    # a record's tail, the cells after v, is formatted once per record, so
-    # once per column over a curve built constant (sweep then yields one
-    # record for every v).  This loop is hot: numbers use _fmt's format spec
-    # inline, and each branch builds its tail in one f-string
-    for rec, v_cell in zip(sweep(surface, us, vs, flat_tol),
-                           itertools.cycle([_fmt(v) for v in vs])):
-        if rec is not last:
-            last = rec
-            if rec.column is not col:
-                col = rec.column
-                u_cell, G_cell = _fmt(col.u), _fmt(col.ff)
-                K_cell = _fmt(col.gaussK)
-                gamma_cell = None
-            inv = rec.frame
-            if inv is None:
-                tail = (f"1,0,{G_cell},{rec.k:.9g},0,{K_cell},{rec.H2:.9g},"
-                        f"{rec.meanH:.9g},,,,,,,,,,") + (
-                    "trapped" if rec.tag is PointTag.GENERAL
-                    else rec.tag.value)
-            else:
-                if gamma_cell is None:
-                    gamma_cell = _fmt(inv.gamma1)
-                nu_cell = _fmt(inv.nu1)
-                tail = (f"1,0,{G_cell},{rec.k:.9g},0,{K_cell},{rec.H2:.9g},"
-                        f"{rec.meanH:.9g},{inv.epsilon},{gamma_cell},"
-                        f"{gamma_cell},{nu_cell},{nu_cell},{inv.lam:.9g},"
-                        f"{inv.mu:.9g},{inv.beta1:.9g},{inv.beta2:.9g},"
-                        "general")
-        lines.append(f"{u_cell},{v_cell},{tail}\n")
-        if len(lines) == _CSV_CHUNK_LINES:
-            chunks.append(_finite_rows(lines))
-            lines = []
+    v_cells = [_fmt(v) for v in vs]
+    col = None
+    # u-only cells are formatted once per column, v cells once per row and
+    # a record's tail, the cells after v, once per record, which is then
+    # written at each j of its run.  This loop is hot: numbers use _fmt's
+    # format spec inline, each branch builds its tail in one f-string, and
+    # a run is written by a plain loop (a comprehension per run is slower)
+    for rec, js in sweep(surface, us, vs, flat_tol):
+        if rec.column is not col:
+            col = rec.column
+            u_cell, G_cell = _fmt(col.u), _fmt(col.ff)
+            K_cell = _fmt(col.gaussK)
+            gamma_cell = None
+        inv = rec.frame
+        if inv is None:
+            tail = (f"1,0,{G_cell},{rec.k:.9g},0,{K_cell},{rec.H2:.9g},"
+                    f"{rec.meanH:.9g},,,,,,,,,,") + (
+                "trapped" if rec.tag is PointTag.GENERAL else rec.tag.value)
+        else:
+            if gamma_cell is None:
+                gamma_cell = _fmt(inv.gamma1)
+            nu_cell = _fmt(inv.nu1)
+            tail = (f"1,0,{G_cell},{rec.k:.9g},0,{K_cell},{rec.H2:.9g},"
+                    f"{rec.meanH:.9g},{inv.epsilon},{gamma_cell},"
+                    f"{gamma_cell},{nu_cell},{nu_cell},{inv.lam:.9g},"
+                    f"{inv.mu:.9g},{inv.beta1:.9g},{inv.beta2:.9g},"
+                    "general")
+        for j in js:
+            lines.append(f"{u_cell},{v_cells[j]},{tail}\n")
+            if len(lines) == _CSV_CHUNK_LINES:
+                chunks.append(_finite_rows(lines))
+                lines = []
     chunks.append(_finite_rows(lines))
     _write(args.out, chunks)
     print(f"wrote {len(us) * len(vs)} invariant rows to {args.out}")

@@ -396,13 +396,20 @@ class ProfileColumn:
                 V * V, phi / sqV, dphi / sqV - 0.5 * phi * dV / (V * sqV))
 
 
+def grid_points(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points from lo to hi, or the midpoint when n = 1; the
+    last one is hi itself, since lo + (hi - lo) can round past it."""
+    if n == 1:
+        return [0.5 * (lo + hi)]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
+
+
 def construction_scan(f: ScalarFn, geometry: Geometry, lo: float,
                       hi: float) -> Iterator[tuple[float, Optional[str]]]:
-    """The 512 evenly spaced u = lo + (hi - lo)*i/511, each with the message
-    saying why it is inadmissible, or None when it is fine.  Lazy: a caller
-    that stops at the first message evaluates f no further."""
-    for i in range(512):
-        u = lo + (hi - lo) * i / 511
+    """The 512 grid_points of [lo, hi], each with the message saying why it
+    is inadmissible, or None when it is fine.  Lazy: a caller that stops at
+    the first message evaluates f no further."""
+    for u in grid_points(lo, hi, 512):
         try:
             j = f.jet2(u)
         except DomainError as exc:

@@ -10,7 +10,6 @@ that ``verify_family`` reports, the worst over a sweep of its surface.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 from . import jets
 from .curves import (Geometry, MeridianProfile, ProfileColumn,
                      SphericalCurve, circle_curve, construction_scan,
-                     profile_from_f, profile_from_slope_ode)
+                     grid_points, profile_from_f, profile_from_slope_ode)
 from .errors import FamilyDomainError, MisuseError
 from .jets import ScalarFn
 from .surfaces import MeridianSurface, PointRecord, sweep
@@ -485,9 +484,8 @@ def parallel_a_ode_residual(profile: MeridianProfile) -> Callable[[float], float
 
 def max_ode_residual(residual: Callable[[float], float],
                      domain: tuple[float, float]) -> float:
-    """Largest |residual| at 201 evenly spaced points of ``domain``."""
-    lo, hi = domain
-    return max(abs(residual(lo + (hi - lo) * i / 200)) for i in range(201))
+    """Largest |residual| at the 201 grid_points of ``domain``."""
+    return max(abs(residual(u)) for u in grid_points(*domain, 201))
 
 
 # ---------------------------------------------------------------------------
@@ -551,19 +549,6 @@ def build_family_surface(spec: FamilySpec,
     return MeridianSurface(family_profile(spec), curve)
 
 
-def _sweep_residuals(surface: MeridianSurface, us: list, vs: list,
-                     row: FamilyRow, p: dict):
-    """(residual, or None where skipped, u, v) over sweep(surface, us, vs).
-    A residual is evaluated once per record, so once per column over a
-    curve built constant, where sweep yields one record for every v."""
-    last = r = None
-    for rec, v in zip(sweep(surface, us, vs), itertools.cycle(vs)):
-        if rec is not last:
-            last = rec
-            r = None if rec.frame is None else row.residual(rec, p)
-        yield r, rec.column.u, v
-
-
 def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
                   tol: float = 1e-6,
                   curve: Optional[SphericalCurve] = None) -> ResidualReport:
@@ -592,24 +577,27 @@ def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
     profile = family_profile(spec) if u_only else surface.profile
     lo, hi = profile.domain
     lo, hi = lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo)
-    us = [lo + (hi - lo) * (i / (nu - 1) if nu > 1 else 0.5)
-          for i in range(nu)]
+    us = grid_points(lo, hi, nu)
+    # (residual, or None where skipped, samples it stands for, u, v): a
+    # residual is evaluated once per sweep record, so once per column over
+    # a curve built constant, and its v is the first of its run
     if u_only:
         ode = cmc_ode_residual(profile, p["a"], p["b"], plus_sign=True)
-        samples = ((abs(ode(u)), u, 0.0) for u in us)
+        samples = ((abs(ode(u)), 1, u, 0.0) for u in us)
         tag = "plus-sign ODE residual of arcsin slope"
     else:
-        vs = [2.0 * math.pi * (j / (nv - 1) if nv > 1 else 0.5)
-              for j in range(nv)]
-        samples = _sweep_residuals(surface, us, vs, row, p)
+        vs = grid_points(0.0, 2.0 * math.pi, nv)
+        samples = ((None if rec.frame is None else row.residual(rec, p),
+                    len(js), rec.column.u, vs[js[0]])
+                   for rec, js in sweep(surface, us, vs))
         tag = row.property
     worst, arg = -1.0, (lo, 0.0)
     n_eval, skipped = 0, 0
-    for r, u, v in samples:
+    for r, n, u, v in samples:
         if r is None:
-            skipped += 1
+            skipped += n
             continue
-        n_eval += 1
+        n_eval += n
         if not r <= worst and worst == worst:   # a NaN r stays the worst
             worst, arg = r, (u, v)
     if n_eval == 0:

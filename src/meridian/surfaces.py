@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .curves import SQRT2, MeridianProfile, ProfileColumn, SphericalCurve
@@ -149,7 +148,7 @@ class PointClass:
 class PointRecord(NamedTuple):
     """One cell of the point kernel; ``frame`` holds the frame invariants at
     general, untrapped points and is None elsewhere.  A record carries no v:
-    over a curve built constant, one record serves every v of its column."""
+    sweep pairs it with the indices of the v at which it holds."""
 
     column: ProfileColumn
     kappa: float
@@ -194,26 +193,24 @@ def _cell(col: ProfileColumn, kj: Jet2, flat_tol: float,
 
 
 def sweep(s: MeridianSurface, us: Sequence[float], vs: Sequence[float],
-          flat_tol: float = FLAT_TOL) -> Iterator[PointRecord]:
-    """Point records over the grid us x vs, streamed in row-major (u-outer)
-    order.  The profile jets are evaluated once per u and the curvature jet
-    once per v; each cell is O(1) arithmetic.  Over a curve built constant
-    (its constant_kappa is set) the curvature jet is evaluated once, the
-    cell once per u, and that one record object is yielded for every v of
-    the column; callers may reuse what they derived from a record while the
-    next one ``is`` it.  The flat-point tag and the frame-invariant guard
-    both use ``flat_tol``."""
+          flat_tol: float = FLAT_TOL) -> Iterator[tuple[PointRecord, range]]:
+    """(record, js) over the grid us x vs, streamed in row-major (u-outer)
+    order: each distinct cell once, with the range js of indices into vs at
+    which it holds.  The profile jets are evaluated once per u and the
+    curvature jet once per v; each cell is O(1) arithmetic.  Over a curve
+    built constant (its constant_kappa is set) the curvature jet is
+    evaluated once and the cell once per u, with js = range(len(vs));
+    over any other curve each js is one index.  The flat-point tag and the
+    frame-invariant guard both use ``flat_tol``."""
     if s.curve.constant_kappa is not None and vs:
-        kj, nv = s.curve.kappa_jet(vs[0]), len(vs)
-        for u in us:
-            yield from repeat(
-                _cell(ProfileColumn(s.profile, u), kj, flat_tol, True), nv)
-        return
-    rows = [s.curve.kappa_jet(v) for v in vs]
+        rows = [(s.curve.kappa_jet(vs[0]), range(len(vs)))]
+    else:
+        rows = [(s.curve.kappa_jet(v), range(j, j + 1))
+                for j, v in enumerate(vs)]
     for u in us:
         col = ProfileColumn(s.profile, u)
-        for kj in rows:
-            yield _cell(col, kj, flat_tol, True)
+        for kj, js in rows:
+            yield _cell(col, kj, flat_tol, True), js
 
 
 def _point(s: MeridianSurface, u: float, v: float,

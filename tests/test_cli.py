@@ -11,9 +11,9 @@ import pytest
 import meridian
 from conftest import NEAR_BRANCH
 from meridian import cli
-from meridian.cli import (CSV_HEADER, MAX_GRID_POINTS, _fmt, _grid,
-                          _grid_points, main, surface_from_config)
-from meridian.curves import MeridianProfile
+from meridian.cli import (CSV_HEADER, MAX_GRID_POINTS, _fmt, _grid, main,
+                          surface_from_config)
+from meridian.curves import MeridianProfile, grid_points
 
 
 def write_config(path, cfg):
@@ -219,6 +219,18 @@ def test_non_finite_domain_exit2(tmp_path, capsys, domain):
         out = tmp_path / "out"
         assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
         assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("v", [[1.0, 1.0], [2.0, 1.0]],
+                         ids=["empty", "reversed"])
+def test_empty_or_reversed_v_domain_exit2(tmp_path, capsys, v):
+    # an empty v domain made an OBJ whose faces all have zero area
+    cfg = worked_config(tmp_path, domain={"u": [0.3, 1.2], "v": v})
+    for argv in (["build"], ["invariants"], ["export", "--format", "obj3"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert "empty domain.v" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -707,8 +719,8 @@ def test_export_unknown_format_exit2(tmp_path):
 
 
 def test_grid_points_single_point_is_the_midpoint(tmp_path):
-    assert _grid_points(0.5, 1.5, 1) == [1.0]
-    assert _grid_points(0.5, 1.5, 3) == [0.5, 1.0, 1.5]
+    assert grid_points(0.5, 1.5, 1) == [1.0]
+    assert grid_points(0.5, 1.5, 3) == [0.5, 1.0, 1.5]
     out = tmp_path / "o.csv"
     assert main(["invariants", "--config", sinh_config(tmp_path),
                  "--out", str(out), "--grid", "1,1"]) == 0

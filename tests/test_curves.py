@@ -462,6 +462,16 @@ def test_construction_scan_samples():
                         "violated at u = 0.3")
 
 
+def test_construction_scan_ends_at_hi():
+    # lo + (hi - lo) * 511 / 511 rounds one ulp past hi on this domain, and
+    # f is not defined there
+    dom = (0.47287498875745093, 0.8063098888744918)
+    f = ScalarFn(jets.cos, domain=dom, d3=math.sin)
+    scan = list(construction_scan(f, Geometry.HYPERBOLIC, *dom))
+    assert scan[0] == (dom[0], None) and scan[-1] == (dom[1], None)
+    assert profile_from_f(f, Geometry.HYPERBOLIC, 0.0, dom).domain == dom
+
+
 def test_profile_scan_stops_at_the_first_violation():
     # fdot = 1 fails the elliptic rule at the first sample; the samples
     # after it raise ValueError, which profile_from_f must not reach

@@ -386,6 +386,23 @@ def test_all_trapped_sweep_reports_failure():
     assert rep.skipped > 0
 
 
+def test_max_ode_residual_ends_at_hi():
+    # lo + (hi - lo) * 200 / 200 rounds one ulp past hi on this domain,
+    # outside the profile
+    dom = (0.21398298479448208, 0.6380763462871376)
+    p = constant_gauss_profile(1.0, 1.0, 0.0, H, dom)
+    assert p.domain == dom
+    phi, us = parallel_a_ode_residual(p), []
+
+    def residual(u):
+        us.append(u)
+        return phi(u)
+
+    worst = max_ode_residual(residual, dom)
+    assert (len(us), us[0], us[-1]) == (201, dom[0], dom[1])
+    assert worst == max(abs(phi(u)) for u in us)
+
+
 def test_missing_parameter_reported():
     with pytest.raises(FamilyDomainError) as err:
         verify_family(spec("constant_k", E, a=1.0, b=1.0))

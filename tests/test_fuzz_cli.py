@@ -8,7 +8,8 @@ without a traceback, write no file unless they exit 0, and write only
 finite numeric cells; a ``build`` descriptor is JSON without NaN or
 Infinity.  A value that is not a finite JSON number in any numeric field
 exits 2 in all three, and a config that ``build`` rejects, grid included,
-``invariants`` and ``export`` reject too.
+``invariants`` and ``export`` reject too.  The grid rule those commands
+sample by, ``grid_points``, keeps its points inside [lo, hi].
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import NEAR_BRANCH  # noqa: E402
 from meridian.cli import main  # noqa: E402
+from meridian.curves import grid_points  # noqa: E402
 from meridian.families import EXPLICIT_PROFILES, FAMILY_TABLE  # noqa: E402
 
 #: (geometry, curve b, profile section, domain.u) that invariants accepts
@@ -243,3 +245,22 @@ def test_what_build_rejects_invariants_and_export_reject(cfg):
     if _run(cfg, ["build"])[0] == 2:
         assert _run(cfg, ["invariants"])[0] == 2
         assert _run(cfg, ["export", "--format", "csv4"])[0] == 2
+
+
+ENDS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ENDS, ENDS, st.integers(1, 600))
+@example(0.47287498875745093, 0.8063098888744918, 512)
+@example(0.21398298479448208, 0.6380763462871376, 201)
+def test_grid_points_rule(a, b, n):
+    lo, hi = min(a, b), max(a, b)
+    us = grid_points(lo, hi, n)
+    assert len(us) == n
+    if n == 1:
+        assert us == [0.5 * (lo + hi)]
+    else:
+        assert (us[0], us[-1]) == (lo, hi)
+    assert all(x <= y for x, y in zip(us, us[1:]))
+    assert lo <= us[0] and us[-1] <= hi

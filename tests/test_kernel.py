@@ -25,9 +25,21 @@ def grid(surface, nu=7, nv=6):
     return us, vs
 
 
+def expand(stream, nv):
+    """The records of a sweep stream, one per (u, v) in row-major order;
+    checks that each row's runs tile range(nv) in order."""
+    records, at = [], 0
+    for rec, js in stream:
+        assert js == range(at, js.stop) and at < js.stop <= nv
+        records += [rec] * len(js)
+        at = js.stop % nv
+    assert at == 0
+    return records
+
+
 def assert_matches_views(surface, us, vs):
     """Every sweep record equals the one-point views bit for bit."""
-    records = list(sweep(surface, us, vs))
+    records = expand(sweep(surface, us, vs), len(vs))
     assert [r.column.u for r in records] == [u for u in us for v in vs]
     for rec, v in zip(records, vs * len(us)):
         u = rec.column.u
@@ -86,8 +98,8 @@ def test_sweep_flat_tolerance_guards_the_frame():
                               circle_curve(1e-10, Geometry.ELLIPTIC))
     us, vs = [0.8, 1.5], [0.0, 1.0]
     assert all(r.tag is PointTag.FLAT_CASE_I and r.frame is None
-               for r in sweep(surface, us, vs))
-    records = list(sweep(surface, us, vs, flat_tol=1e-12))
+               for r in expand(sweep(surface, us, vs), len(vs)))
+    records = expand(sweep(surface, us, vs, flat_tol=1e-12), len(vs))
     assert all(r.tag is PointTag.GENERAL for r in records)
     assert all(math.isfinite(x) for r in records for x in r.frame)
 
@@ -114,7 +126,8 @@ def test_sweep_evaluates_each_jet_once():
 
         profile.f_jet = counted_f
         curve.kappa_jet = counted_kappa
-        records = list(sweep(surface, [0.6, 1.0, 1.4, 1.8], [0.0, 1.0, 2.0]))
+        records = expand(sweep(surface, [0.6, 1.0, 1.4, 1.8],
+                               [0.0, 1.0, 2.0]), 3)
         assert len(records) == 12
         assert calls == {"f": 4, "kappa": kappa_calls}
 
@@ -135,7 +148,8 @@ def test_sweep_evaluates_one_cell_per_column_over_a_circle(monkeypatch,
                          (SphericalCurve(ScalarFn.constant(1.0), geometry),
                           len(us) * len(vs))):
         calls[0] = 0
-        records = list(sweep(MeridianSurface(profile, curve), us, vs))
+        records = expand(sweep(MeridianSurface(profile, curve), us, vs),
+                         len(vs))
         assert len(records) == len(us) * len(vs)
         assert calls[0] == cells
         # one record object per cell: a circle repeats it across v
@@ -171,7 +185,8 @@ def test_circle_and_scalarfn_constant_sweep_alike(name):
                                                  geometry))
     vs = grid(circle)[1]
     us = grid(circle)[0] if us is None else us
-    fast, slow = list(sweep(circle, us, vs)), list(sweep(plain, us, vs))
+    fast = expand(sweep(circle, us, vs), len(vs))
+    slow = expand(sweep(plain, us, vs), len(vs))
     assert len(fast) == len(slow) == len(us) * len(vs)
     for a, c, (u, v) in zip(fast, slow, [(u, v) for u in us for v in vs]):
         assert a.column.u == c.column.u == u

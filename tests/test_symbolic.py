@@ -6,6 +6,11 @@ t' = s kappa n - l, n' = -kappa t and axis' = 0, whose Gram matrix is
 diag(1, 1, 1, -1) (elliptic, s = +1) or diag(1, 1, -1, 1) (hyperbolic,
 s = -1, spacelike axis).  The surface is z = f(u) l(v) + g(u) axis with
 gdot = sqrt(V), V = s (fdot^2 - 1).
+
+The classification of arXiv:1402.6112 is checked in the same way: each
+slope y of families.py, with f = t, fdot = y(t) and fddot = y y', solves
+its family's defining ODE identically, and each closed-form profile solves
+its own.
 """
 
 import pytest
@@ -13,6 +18,8 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from meridian.curves import Geometry  # noqa: E402
+from meridian.families import (FamilyKind, FamilySpec,  # noqa: E402
+                               family_profile, family_slope)
 
 u, v = sp.symbols("u v", real=True)
 F0 = sp.Symbol("f", positive=True)
@@ -125,3 +132,127 @@ def test_gauss_curvature_and_mean_curvature_norm(surface):
     assert sp.simplify(gaussK + F2 / F0) == 0
     assert sp.simplify(H2 - S.s * (K ** 2 * V - phi ** 2)
                        / (4 * F0 ** 2 * V)) == 0
+
+
+# -- the classification -------------------------------------------------------
+
+t = sp.Symbol("t", positive=True)
+E, H = Geometry.ELLIPTIC, Geometry.HYPERBOLIC
+CMC, CK, CHEN, PB = (FamilyKind.CONSTANT_MEAN, FamilyKind.CONSTANT_K,
+                     FamilyKind.CHEN, FamilyKind.PARALLEL_B)
+
+
+def _slope(kind, s, p, eps):
+    """SymPy transcription of the slope y(t) of a slope family."""
+    a, b = p["a"], p["b"]
+    if kind is CMC:    # arcsin, or arcsinh for the hyperbolic eps = +1
+        plus = s == -1 and eps != -1
+        arc = sp.asinh if plus else sp.asin
+        rad = b ** 2 + (4 if plus else -4) * a ** 2 * t ** 2
+        accum = t / 2 * sp.sqrt(rad) + b ** 2 / (4 * a) * arc(2 * a * t / b)
+        return sp.sqrt(1 + s * ((p["C"] + p["sign"] * accum) / t) ** 2)
+    if kind is CK:
+        q = p["C"] + s * p["sign"] * a * t ** 2 / (2 * b)
+        return sp.sqrt(1 + s * q ** 2)
+    if kind is CHEN:
+        tt = t ** p["branch"]
+        w = tt ** 2 - b ** 2 / a
+        return sp.sqrt(4 * tt ** 2 - s * a * w ** 2) / (2 * tt)
+    c = p["c"]
+    return sp.sqrt((1 + s * a ** 2) * t ** 2 + 2 * a * c * t + s * c ** 2) / t
+
+
+def _ode(name, s, p, y):
+    """Residual of a defining ODE along f = t, fdot = y, fddot = y y'."""
+    a, b = p["a"], p["b"]
+    fdot, fddot = y, y * y.diff(t)
+    V = s * (fdot ** 2 - 1)
+    phi = t * fddot + fdot ** 2 - 1
+    if name in ("cmc+", "cmc-"):    # phi^2 = V (b^2 +- 4 a^2 f^2)
+        c = 4 if name == "cmc+" else -4
+        return phi ** 2 - V * (b ** 2 + c * a ** 2 * t ** 2)
+    if name == "k":
+        return b ** 2 * fddot ** 2 - a ** 2 * t ** 2 * V
+    if name == "chen":
+        return V ** 2 - t ** 2 * fddot ** 2 - b ** 2 * V
+    return phi - a * sp.sqrt(sp.factor(V))     # parallel (b)
+
+
+def _cases():
+    """(id, kind, geometry, params, eps, ode, holds, simplify, ts): three
+    admissible t each; one case per family, geometry and slope form is
+    simplified, the others are evaluated at 30 digits."""
+    cases = []
+    for sign in (1, -1):
+        first = sign == 1
+        for geometry, eps, p, ts, ode, other in (
+                (E, None, dict(a="1", b="4", C="0"), ("0.3", "1", "1.5"),
+                 "cmc-", "cmc+"),
+                (H, -1, dict(a="0.5", b="1", C="0"), ("0.5", "0.7", "0.9"),
+                 "cmc-", "cmc+"),      # the second is printed-vs-eq18
+                (H, 1, dict(a="0.5", b="1", C=str(-0.6 * sign)),
+                 ("0.8", "1", "1.2"), "cmc+", "cmc-")):
+            tag = f"cmc-{geometry.value}-eps{eps or 1}-sign{sign}"
+            p = dict(p, sign=sign)
+            cases.append((tag, CMC, geometry, p, eps, ode, True, first, ts))
+            cases.append((tag + "-" + other, CMC, geometry, p, eps, other,
+                          False, False, ts))
+        for geometry, p, ts in (
+                (E, dict(a="1", b="1", C="0"), ("0.5", "1", "1.5")),
+                (H, dict(a="1", b="2", C="0"), ("0.5", "1", "1.5"))):
+            cases.append((f"k-{geometry.value}-sign{sign}", CK, geometry,
+                          dict(p, sign=sign), None, "k", True, first, ts))
+        for geometry, p, ts in (
+                (E, dict(a="-1", b="1"), ("0.8", "1.2", "1.5")),
+                (H, dict(a="-1", b="0.5"), ("0.7", "1", "1.2"))):
+            cases.append((f"chen-{geometry.value}-branch{sign}", CHEN,
+                          geometry, dict(p, branch=sign), None, "chen", True,
+                          first, ts))
+    for geometry, p, ts in ((E, dict(a="1", c="1", b="2"), ("0.5", "1", "2")),
+                            (H, dict(a="-0.5", c="0.5", b="1"),
+                             ("1.5", "2", "3"))):
+        cases.append((f"parallel_b-{geometry.value}", PB, geometry, p, None,
+                      "parallel_b", True, True, ts))
+    return cases
+
+
+@pytest.mark.parametrize("case", _cases(), ids=lambda c: c[0])
+def test_slope_solves_its_family_ode(case):
+    _, kind, geometry, params, eps, ode, holds, simplify, ts = case
+    s = int(geometry.normalization_sign)
+    exact = {k: sp.Rational(v) for k, v in params.items()}
+    y = _slope(kind, s, exact, eps)
+    code = family_slope(FamilySpec(kind, geometry, epsilon_branch=eps, params={
+        k: int(v) if k in ("sign", "branch") else float(v)
+        for k, v in params.items()}))
+    for t0 in ts:
+        want = float(y.subs(t, sp.Rational(t0)))
+        assert abs(code(float(t0)) - want) <= 1e-13 * max(1.0, abs(want))
+    residual = _ode(ode, s, exact, y)
+    if simplify:
+        assert sp.simplify(residual) == 0
+    for t0 in ts:
+        r = abs(sp.N(residual.subs(t, sp.Rational(t0)), 30))
+        assert r < 1e-20 if holds else r > 1e-3, (t0, r)
+
+
+@pytest.mark.parametrize("kind,geometry,params,f", [
+    (FamilyKind.CONSTANT_GAUSS, E, dict(K0=-1.0, alpha=0.0, beta=1.0),
+     sp.sinh(t)),
+    (FamilyKind.CONSTANT_GAUSS, H, dict(K0=1.0, alpha=1.0, beta=0.0),
+     sp.cos(t)),
+    (FamilyKind.PARALLEL_A, E, dict(c=0.0, d=-1.0), sp.sqrt(t ** 2 - 1)),
+    (FamilyKind.PARALLEL_A, H, dict(c=0.0, d=1.0), sp.sqrt(t ** 2 + 1)),
+], ids=["gauss-elliptic", "gauss-hyperbolic", "parallel_a-elliptic",
+        "parallel_a-hyperbolic"])
+def test_closed_form_profile_solves_its_family_ode(kind, geometry, params, f):
+    # constant Gauss: K = -fddot/f = K0; parallel (a): f fddot + fdot^2 = 1
+    profile = family_profile(FamilySpec(kind, geometry, params=dict(
+        params, u_min=1.1, u_max=1.4)))
+    for u in (1.1, 1.25, 1.4):
+        assert abs(profile.f_jet(u).v - float(f.subs(t, u))) <= 1e-13
+    if kind is FamilyKind.CONSTANT_GAUSS:
+        residual = -f.diff(t, 2) / f - params["K0"]
+    else:
+        residual = f * f.diff(t, 2) + f.diff(t) ** 2 - 1
+    assert sp.simplify(residual) == 0
