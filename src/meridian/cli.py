@@ -14,8 +14,8 @@ import sys
 from typing import Optional
 
 from . import jets
-from .curves import (Geometry, ProfileColumn, SphericalCurve, circle_curve,
-                     grid_points, profile_from_f)
+from .curves import (MAX_ARC, Geometry, ProfileColumn, SphericalCurve,
+                     circle_curve, grid_points, profile_from_f)
 from .errors import MeridianError
 from .families import (DOMAIN_PARAMS, FAMILY_TABLE, FamilyKind, FamilySpec,
                        explicit_f, family_profile, finite_number,
@@ -111,6 +111,9 @@ def _v_domain(cfg: dict) -> tuple[float, float]:
                        "domain.v")
     if hi <= lo:
         raise ConfigError(f"empty domain.v [{lo!r}, {hi!r}]: need lo < hi")
+    if lo < -MAX_ARC or hi > MAX_ARC:
+        raise ConfigError(f"domain.v [{lo!r}, {hi!r}] leaves the curves' "
+                          f"supported |v| <= {MAX_ARC:g}")
     return lo, hi
 
 

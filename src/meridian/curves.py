@@ -30,7 +30,8 @@ ADMISSIBILITY_MARGIN = 1e-8
 #: Fixed RK4 step shared by the Frenet and slope integrators.
 DEFAULT_STEP = 1e-3
 
-_MAX_ARC = 1e4  # the |v| a curve supports; bounds its Frenet tables
+#: The |v| every directing curve supports; bounds its Frenet tables.
+MAX_ARC = 1e4
 
 #: Largest u_span a slope build integrates: its three tables then hold
 #: 10^6 steps, about 100 MB of floats.
@@ -233,7 +234,7 @@ class SphericalCurve:
     def frame(self, v: float) -> FrenetFrame:
         """Frenet frame {l, t, n} at arc length v, |v| <= 1e4 on every
         curve."""
-        if not abs(v) <= _MAX_ARC:     # NaN fails this test too
+        if not abs(v) <= MAX_ARC:     # NaN fails this test too
             raise DomainError(f"curve parameter {v!r} exceeds supported range")
         if self._latitude is not None:     # the elliptic circle
             sr, cr = self._latitude

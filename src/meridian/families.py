@@ -4,8 +4,9 @@ Each family fixes either the profile f in closed form (constant Gauss
 curvature, parallel-bundle case (a)) or the slope function y with
 fdot = y(f) (constant mean curvature, constant invariant k, Chen,
 parallel-bundle case (b)).  A family is one FAMILY_TABLE row: its
-parameters, its builder, the directing curve it needs and the residual
-that ``verify_family`` reports, the worst over a sweep of its surface.
+parameters, its builder, its defining ODE, the directing curve it needs
+and the residual that ``verify_family`` reports, the worst over a sweep of
+its surface.
 """
 
 from __future__ import annotations
@@ -51,15 +52,18 @@ class FamilyRow(NamedTuple):
 
     params: name -> default or REQUIRED.  build(params, geometry,
     epsilon_branch): the slope y of fdot = y(f) when slope_ode, else the
-    closed-form profile on [u_min, u_max].  residual(record, params): the
-    value at a PointRecord that verify_family reports as property.  The
-    curve rule: a slope family needs a directing curve built constant, one
-    of |kappa| = |b| when kappa_b; a closed-form family takes any curve.
-    Verify's default curve is the circle of curvature b for a family that
-    takes b."""
+    closed-form profile on [u_min, u_max].  ode(column, params, plus): the
+    family's defining ODE, as its residual at one ProfileColumn; plus picks
+    the sign of the constant-mean ODE, and the other rows ignore it.
+    residual(record, params): the value at a PointRecord that verify_family
+    reports as property.  The curve rule: a slope family needs a directing
+    curve built constant, one of |kappa| = |b| when kappa_b; a closed-form
+    family takes any curve.  Verify's default curve is the circle of
+    curvature b for a family that takes b."""
 
     params: dict
     build: Callable
+    ode: Callable[[ProfileColumn, dict, bool], float]
     slope_ode: bool
     kappa_b: bool
     residual: Callable[[PointRecord, dict], float]
@@ -76,32 +80,48 @@ FAMILY_TABLE = {
         lambda p, g, eps: constant_gauss_profile(
             p["K0"], p["alpha"], p["beta"], g, (p["u_min"], p["u_max"]),
             p["g0"]),
+        # fddot + K0 f = 0
+        lambda c, p, plus: c.fddot + p["K0"] * c.f,
         False, False, lambda rec, p: abs(rec.column.gaussK - p["K0"]),
         "|K - K0|"),
     FamilyKind.CONSTANT_MEAN: FamilyRow(
         {**_AB, "C": 0.0, "sign": 1, **_SLOPE},
         lambda p, g, eps: constant_mean_slope(p["a"], p["b"], p["C"], g,
                                               p["sign"], eps),
+        # (f fddot + fdot^2 - 1)^2 = V (b^2 +- 4 a^2 f^2)
+        lambda c, p, plus: c.phi * c.phi - c.V * (
+            p["b"] * p["b"]
+            + (4.0 if plus else -4.0) * p["a"] * p["a"] * c.f * c.f),
         True, True, lambda rec, p: abs(rec.meanH - abs(p["a"])),
         "||H| - a|"),
     FamilyKind.CONSTANT_K: FamilyRow(
         {**_AB, "C": 0.0, "sign": 1, **_SLOPE},
         lambda p, g, eps: constant_k_slope(p["a"], p["b"], p["C"], g,
                                            p["sign"]),
+        # b^2 fddot^2 = a^2 f^2 V
+        lambda c, p, plus: (p["b"] * p["b"] * c.fddot * c.fddot
+                            - p["a"] * p["a"] * c.f * c.f * c.V),
         True, True, lambda rec, p: abs(rec.k + p["a"] * p["a"]),
         "|k + a^2|"),
     FamilyKind.CHEN: FamilyRow(
         {**_AB, "branch": 1, **_SLOPE},
         lambda p, g, eps: chen_slope(p["a"], p["b"], g, p["branch"]),
+        # V^2 - f^2 fddot^2 = b^2 V
+        lambda c, p, plus: (c.V * c.V - c.f * c.f * c.fddot * c.fddot
+                            - p["b"] * p["b"] * c.V),
         True, True, lambda rec, p: abs(rec.frame.lam), "|lambda|"),
     FamilyKind.PARALLEL_A: FamilyRow(
         {"c": REQUIRED, "d": REQUIRED, **_CLOSED},
         lambda p, g, eps: parallel_profile_case_a(
             p["c"], p["d"], g, (p["u_min"], p["u_max"]), p["g0"]),
+        # f fddot + fdot^2 - 1 = 0
+        lambda c, p, plus: c.phi,
         False, False, _betas, _BETAS),
     FamilyKind.PARALLEL_B: FamilyRow(
         {**_AB, "c": REQUIRED, **_SLOPE},
         lambda p, g, eps: parallel_slope_case_b(p["a"], p["c"], g),
+        # f fddot + fdot^2 - 1 = a sqrt(V)
+        lambda c, p, plus: c.phi - p["a"] * c.sqV,
         True, False, _betas, _BETAS),
 }
 
@@ -436,50 +456,17 @@ def parallel_slope_case_b(a: float, c: float, geometry: Geometry) -> ScalarFn:
 # ---------------------------------------------------------------------------
 
 
-def cmc_ode_residual(profile: MeridianProfile, a: float, b: float,
-                     plus_sign: bool) -> Callable[[float], float]:
-    """Residual of (f fddot + fdot^2 - 1)^2 = V (b^2 +- 4 a^2 f^2)."""
-    def residual(u: float) -> float:
-        c = ProfileColumn(profile, u)
-        rad = b * b + (4.0 if plus_sign else -4.0) * a * a * c.f * c.f
-        return c.phi * c.phi - c.V * rad
+def ode_residual(spec: FamilySpec,
+                 profile: MeridianProfile) -> Callable[[float], float]:
+    """The residual at u of the defining ODE of spec's family, its
+    FAMILY_TABLE row's ode, on the column of ``profile`` at u.
 
-    return residual
-
-
-def constant_k_ode_residual(profile: MeridianProfile, a: float,
-                            b: float) -> Callable[[float], float]:
-    """Residual of b^2 fddot^2 - a^2 f^2 V = 0."""
-    def residual(u: float) -> float:
-        c = ProfileColumn(profile, u)
-        return b * b * c.fddot * c.fddot - a * a * c.f * c.f * c.V
-
-    return residual
-
-
-def chen_ode_residual(profile: MeridianProfile,
-                      b: float) -> Callable[[float], float]:
-    """Residual of V^2 - f^2 fddot^2 = b^2 V."""
-    def residual(u: float) -> float:
-        c = ProfileColumn(profile, u)
-        return c.V * c.V - c.f * c.f * c.fddot * c.fddot - b * b * c.V
-
-    return residual
-
-
-def parallel_b_ode_residual(profile: MeridianProfile,
-                            a: float) -> Callable[[float], float]:
-    """Residual of f fddot + fdot^2 - 1 = a sqrt(V)."""
-    def residual(u: float) -> float:
-        c = ProfileColumn(profile, u)
-        return c.phi - a * c.sqV
-
-    return residual
-
-
-def parallel_a_ode_residual(profile: MeridianProfile) -> Callable[[float], float]:
-    """Residual of f fddot + fdot^2 - 1 = 0."""
-    return lambda u: ProfileColumn(profile, u).phi
+    The constant-mean ODE takes its plus sign for a hyperbolic spec whose
+    epsilon_branch is not -1 (the arcsinh slope, and printed-vs-eq18's test
+    of the arcsin slope), else its minus sign."""
+    ode, p = FAMILY_TABLE[spec.kind].ode, spec.params
+    plus = spec.geometry.normalization_sign < 0.0 and spec.epsilon_branch != -1
+    return lambda u: ode(ProfileColumn(profile, u), p, plus)
 
 
 def max_ode_residual(residual: Callable[[float], float],
@@ -582,7 +569,7 @@ def verify_family(spec: FamilySpec, grid: tuple[int, int] = (33, 33),
     # residual is evaluated once per sweep record, so once per column over
     # a curve built constant, and its v is the first of its run
     if u_only:
-        ode = cmc_ode_residual(profile, p["a"], p["b"], plus_sign=True)
+        ode = ode_residual(spec, profile)
         samples = ((abs(ode(u)), 1, u, 0.0) for u in us)
         tag = "plus-sign ODE residual of arcsin slope"
     else:

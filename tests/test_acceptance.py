@@ -16,10 +16,8 @@ from meridian.curves import (Geometry, SphericalCurve, circle_curve,
                              profile_from_slope_ode)
 from meridian.errors import TrappedPointError
 from meridian.families import (FamilyKind, FamilySpec, build_family_surface,
-                               chen_ode_residual, cmc_ode_residual,
-                               constant_k_ode_residual, family_profile,
-                               max_ode_residual, parallel_a_ode_residual,
-                               parallel_b_ode_residual, verify_family)
+                               family_profile, max_ode_residual,
+                               ode_residual, verify_family)
 from meridian.jets import ScalarFn
 from meridian.mink4 import gram, inner
 from meridian.surfaces import (MeridianSurface, PointTag, basic_invariants,
@@ -122,26 +120,27 @@ def test_criterion_04_constant_gauss():
     for K0, geometry, params in (
             (-1.0, E, dict(alpha=0.0, beta=1.0, u_min=0.5, u_max=2.0)),
             (1.0, H, dict(alpha=1.0, beta=0.0, u_min=0.3, u_max=1.2))):
-        rep = verify_family(spec("constant_gauss", geometry, K0=K0, b=1.0,
-                                 **params), grid=(33, 33), tol=1e-8)
+        s = spec("constant_gauss", geometry, K0=K0, b=1.0, **params)
+        prof = family_profile(s)
+        assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-8
+        rep = verify_family(s, grid=(33, 33), tol=1e-8)
         assert rep.passed, rep
     print("\nACCEPTANCE 4 PASS: constant Gauss curvature families at 1e-8 "
-          "(K0 = -1 elliptic, K0 = +1 hyperbolic)")
+          "and defining-ODE residual <= 1e-8 (K0 = -1 elliptic, K0 = +1 "
+          "hyperbolic)")
 
 
 def test_criterion_05_constant_mean():
     # elliptic branch
     s_e = spec("constant_mean", E, a=1.0, b=4.0, C=0.0, f0=0.5, u_span=0.5)
     prof = family_profile(s_e)
-    assert max_ode_residual(cmc_ode_residual(prof, 1.0, 4.0, plus_sign=False),
-                            prof.domain) <= 1e-7
+    assert max_ode_residual(ode_residual(s_e, prof), prof.domain) <= 1e-7
     assert verify_family(s_e, tol=1e-6).passed
     # hyperbolic, arcsinh variant: passes the plus-sign defining ODE, eps=+1
     s_plus = spec("constant_mean", H, eps=1, a=0.5, b=1.0, C=-0.6, f0=0.8,
                   u_span=2.0)
     prof = family_profile(s_plus)
-    assert max_ode_residual(cmc_ode_residual(prof, 0.5, 1.0, plus_sign=True),
-                            prof.domain) <= 1e-7
+    assert max_ode_residual(ode_residual(s_plus, prof), prof.domain) <= 1e-7
     assert verify_family(s_plus, tol=1e-6).passed
     surf = build_family_surface(s_plus)
     assert eight_invariants(surf, 0.5 * sum(prof.domain), 1.0).epsilon == 1
@@ -149,7 +148,7 @@ def test_criterion_05_constant_mean():
     s_minus = spec("constant_mean", H, eps=-1, a=0.5, b=1.0, C=0.0, f0=0.5,
                    u_span=2.0)
     prof = family_profile(s_minus)
-    assert max_ode_residual(cmc_ode_residual(prof, 0.5, 1.0, plus_sign=False),
+    assert max_ode_residual(ode_residual(s_minus, prof),
                             prof.domain) <= 1e-7
     assert verify_family(s_minus, tol=1e-6).passed
     surf = build_family_surface(s_minus)
@@ -170,8 +169,7 @@ def test_criterion_06_constant_k():
                              (H, dict(a=1.0, b=2.0, C=0.0, f0=0.5, u_span=0.7))):
         s = spec("constant_k", geometry, **params)
         prof = family_profile(s)
-        assert max_ode_residual(constant_k_ode_residual(
-            prof, params["a"], params["b"]), prof.domain) <= 1e-8
+        assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-8
         assert verify_family(s, tol=1e-6).passed
     print("\nACCEPTANCE 6 PASS: constant-k families, |k + a^2| <= 1e-6 "
           "and defining-ODE residual <= 1e-8, both geometries")
@@ -183,8 +181,7 @@ def test_criterion_07_chen():
                              (H, dict(a=-1.0, b=0.5, f0=0.7, u_span=1.2))):
         s = spec("chen", geometry, **params)
         prof = family_profile(s)
-        assert max_ode_residual(chen_ode_residual(prof, params["b"]),
-                                prof.domain) <= 1e-8
+        assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-8
         assert verify_family(s, tol=1e-6).passed
         surf = build_family_surface(s)
         lo, hi = prof.domain
@@ -202,8 +199,7 @@ def test_criterion_08_parallel_normal_bundle():
                              (H, dict(c=0.0, d=1.0, u_min=0.1, u_max=0.9))):
         s = spec("parallel_a", geometry, **params)
         prof = family_profile(s)
-        assert max_ode_residual(parallel_a_ode_residual(prof),
-                                prof.domain) <= 1e-8
+        assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-8
         assert verify_family(s, tol=1e-8).passed  # wavy default curve
     # case (b): slope profiles with constant kappa
     for geometry, params in (
@@ -211,8 +207,7 @@ def test_criterion_08_parallel_normal_bundle():
             (H, dict(a=0.5, c=0.1, b=1.0, f0=0.1, u_span=0.25))):
         s = spec("parallel_b", geometry, **params)
         prof = family_profile(s)
-        assert max_ode_residual(parallel_b_ode_residual(prof, params["a"]),
-                                prof.domain) <= 1e-8
+        assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-8
         assert verify_family(s, tol=1e-8).passed
     # sensitivity: case (b) must fail when kappa is not constant
     prof = family_profile(spec("parallel_b", E, a=1.0, c=1.0, b=2.0, f0=2.0,

@@ -13,7 +13,7 @@ from conftest import NEAR_BRANCH
 from meridian import cli
 from meridian.cli import (CSV_HEADER, MAX_GRID_POINTS, _fmt, _grid, main,
                           surface_from_config)
-from meridian.curves import MeridianProfile, grid_points
+from meridian.curves import MAX_ARC, MeridianProfile, grid_points
 
 
 def write_config(path, cfg):
@@ -232,6 +232,28 @@ def test_empty_or_reversed_v_domain_exit2(tmp_path, capsys, v):
         assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
         assert "empty domain.v" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("v", [[-1e308, 1e308], [0.0, 2e4]],
+                         ids=["overflowing", "past-max-arc"])
+def test_v_domain_past_max_arc_exit2(tmp_path, capsys, v):
+    # build wrote such a domain, invariants met the NaN grid points of
+    # 1e308 - (-1e308) = inf and export a v past the curves' |v| <= 1e4
+    cfg = worked_config(tmp_path, domain={"u": [0.3, 1.2], "v": v},
+                        grid={"nu": 3, "nv": 2})
+    for argv in (["build"], ["invariants"], ["export", "--format", "obj3"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        assert "domain.v" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_v_domain_at_max_arc_builds(tmp_path):
+    cfg = worked_config(tmp_path, domain={"u": [0.3, 1.2],
+                                          "v": [-MAX_ARC, MAX_ARC]})
+    out = tmp_path / "out.json"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["domain"]["v"] == [-1e4, 1e4]
 
 
 @pytest.mark.parametrize("cell", [0, 1, 2], ids=["v", "kappa", "dkappa"])

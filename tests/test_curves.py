@@ -13,8 +13,8 @@ from meridian.curves import (_MAX_SLOPE_SPAN, ADMISSIBILITY_MARGIN,
                              circle_curve, construction_scan, profile_from_f,
                              profile_from_slope_ode)
 from meridian.errors import DomainError, FrameError, ProfileDomainError
-from meridian.families import (constant_k_ode_residual, constant_k_slope,
-                               harmonic_fn, max_ode_residual)
+from meridian.families import (FamilyKind, FamilySpec, constant_k_slope,
+                               harmonic_fn, max_ode_residual, ode_residual)
 from meridian.jets import Jet2, ScalarFn
 from meridian.mink4 import Vec4, gram, inner
 
@@ -531,8 +531,9 @@ def test_constant_k_slope_ode_residual():
 
     y = ScalarFn(slope)
     p = profile_from_slope_ode(y, 1.0, Geometry.ELLIPTIC, 0.0, 1.0)
-    assert max_ode_residual(constant_k_ode_residual(p, 1.0, 1.0),
-                            p.domain) <= 1e-8
+    s = FamilySpec(FamilyKind.CONSTANT_K, Geometry.ELLIPTIC,
+                   params=dict(a=1.0, b=1.0, f0=1.0))
+    assert max_ode_residual(ode_residual(s, p), p.domain) <= 1e-8
 
 
 def test_parallel_b_slope_ode_residual():

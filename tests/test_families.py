@@ -12,12 +12,9 @@ from meridian.curves import (Geometry, ProfileColumn, SphericalCurve,
 from meridian.errors import (FamilyDomainError, MisuseError,
                              ProfileDomainError)
 from meridian.families import (FamilyKind, FamilySpec, build_family_surface,
-                               chen_ode_residual, chen_slope,
-                               cmc_ode_residual, constant_gauss_profile,
-                               constant_k_ode_residual, constant_k_slope,
-                               constant_mean_slope, family_profile,
-                               max_ode_residual, parallel_a_ode_residual,
-                               parallel_b_ode_residual,
+                               chen_slope, constant_gauss_profile,
+                               constant_k_slope, constant_mean_slope,
+                               family_profile, max_ode_residual, ode_residual,
                                parallel_profile_case_a, parallel_slope_case_b,
                                verify_family)
 from meridian.cli import _json_float
@@ -86,8 +83,7 @@ def test_constant_gauss_echoes_admissible_domain():
 def test_cmc_elliptic_ode_and_invariant():
     s = spec("constant_mean", E, a=1.0, b=4.0, C=0.0, f0=0.5, u_span=0.5)
     prof = family_profile(s)
-    assert max_ode_residual(cmc_ode_residual(prof, 1.0, 4.0, plus_sign=False),
-                            prof.domain) <= 1e-7
+    assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-7
     rep = verify_family(s, tol=1e-6)
     assert rep.passed and rep.n_samples > 500
 
@@ -96,8 +92,7 @@ def test_cmc_hyperbolic_arcsinh_branch():
     s = spec("constant_mean", H, eps=1, a=0.5, b=1.0, C=-0.6, f0=0.8,
              u_span=2.0)
     prof = family_profile(s)
-    assert max_ode_residual(cmc_ode_residual(prof, 0.5, 1.0, plus_sign=True),
-                            prof.domain) <= 1e-7
+    assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-7
     rep = verify_family(s, tol=1e-6)
     assert rep.passed
     surf = build_family_surface(s)
@@ -110,11 +105,11 @@ def test_cmc_hyperbolic_arcsin_branch():
              u_span=2.0)
     prof = family_profile(s)
     # the arcsin slope solves the minus-sign ODE ...
-    assert max_ode_residual(cmc_ode_residual(prof, 0.5, 1.0, plus_sign=False),
-                            prof.domain) <= 1e-7
-    # ... and misses the plus-sign one by a wide margin
-    assert max_ode_residual(cmc_ode_residual(prof, 0.5, 1.0, plus_sign=True),
-                            prof.domain) > 1e-2
+    assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-7
+    # ... and misses the plus-sign one, printed-vs-eq18's, by a wide margin
+    printed = spec("constant_mean", H, eps="printed-vs-eq18", a=0.5, b=1.0,
+                   C=0.0, f0=0.5, u_span=2.0)
+    assert max_ode_residual(ode_residual(printed, prof), prof.domain) > 1e-2
     rep = verify_family(s, tol=1e-6)
     assert rep.passed
     surf = build_family_surface(s)
@@ -154,8 +149,7 @@ def test_cmc_rejects_degenerate_parameters():
 def test_constant_k_elliptic():
     s = spec("constant_k", E, a=1.0, b=1.0, C=0.0, f0=1.0, u_span=1.0)
     prof = family_profile(s)
-    assert max_ode_residual(constant_k_ode_residual(prof, 1.0, 1.0),
-                            prof.domain) <= 1e-8
+    assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-8
     rep = verify_family(s, tol=1e-6)
     assert rep.passed
 
@@ -163,8 +157,7 @@ def test_constant_k_elliptic():
 def test_constant_k_hyperbolic():
     s = spec("constant_k", H, a=1.0, b=2.0, C=0.0, f0=0.5, u_span=0.7)
     prof = family_profile(s)
-    assert max_ode_residual(constant_k_ode_residual(prof, 1.0, 2.0),
-                            prof.domain) <= 1e-8
+    assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-8
     rep = verify_family(s, tol=1e-6)
     assert rep.passed
 
@@ -175,7 +168,7 @@ def test_constant_k_hyperbolic():
 def test_chen_elliptic_lambda_and_allied():
     s = spec("chen", E, a=-1.0, b=1.0, f0=1.2, u_span=0.8)
     prof = family_profile(s)
-    assert max_ode_residual(chen_ode_residual(prof, 1.0), prof.domain) <= 1e-8
+    assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-8
     rep = verify_family(s, tol=1e-6)
     assert rep.passed
     surf = build_family_surface(s)
@@ -187,7 +180,7 @@ def test_chen_elliptic_lambda_and_allied():
 def test_chen_hyperbolic():
     s = spec("chen", H, a=-1.0, b=0.5, f0=0.7, u_span=1.2)
     prof = family_profile(s)
-    assert max_ode_residual(chen_ode_residual(prof, 0.5), prof.domain) <= 1e-8
+    assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-8
     rep = verify_family(s, tol=1e-6)
     assert rep.passed
 
@@ -267,8 +260,7 @@ def test_parallel_b_elliptic_simple_slope():
 def test_parallel_b_elliptic_family():
     s = spec("parallel_b", E, a=1.0, c=1.0, b=2.0, f0=2.0, u_span=1.0)
     prof = family_profile(s)
-    assert max_ode_residual(parallel_b_ode_residual(prof, 1.0),
-                            prof.domain) <= 1e-8
+    assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-8
     rep = verify_family(s, tol=1e-7)
     assert rep.passed
 
@@ -278,8 +270,7 @@ def test_parallel_b_hyperbolic_truncates_at_boundary():
     prof = family_profile(s)
     # fdot^2 -> 1 as f -> c/a = 0.2: integration must stop short of it
     assert prof.f_jet(prof.domain[1]).v < 0.2
-    assert max_ode_residual(parallel_b_ode_residual(prof, 0.5),
-                            prof.domain) <= 1e-8
+    assert max_ode_residual(ode_residual(s, prof), prof.domain) <= 1e-8
     rep = verify_family(s, tol=1e-8)
     assert rep.passed
 
@@ -392,7 +383,8 @@ def test_max_ode_residual_ends_at_hi():
     dom = (0.21398298479448208, 0.6380763462871376)
     p = constant_gauss_profile(1.0, 1.0, 0.0, H, dom)
     assert p.domain == dom
-    phi, us = parallel_a_ode_residual(p), []
+    pa = spec("parallel_a", H, c=0.0, d=1.0, u_min=0.1, u_max=0.9)
+    phi, us = ode_residual(pa, p), []
 
     def residual(u):
         us.append(u)
@@ -479,8 +471,8 @@ def test_nan_residual_fails_verification(monkeypatch):
     assert math.isnan(rep.max_abs_residual)
     assert _json_float(rep.max_abs_residual) is None
     # the u-only printed-vs-eq18 route goes through the same loop
-    monkeypatch.setattr(families, "cmc_ode_residual",
-                        lambda *args, **kw: lambda u: math.nan)
+    monkeypatch.setattr(families, "ode_residual",
+                        lambda *args: lambda u: math.nan)
     rep = verify_family(spec("constant_mean", H, eps="printed-vs-eq18",
                              a=0.5, b=1.0, C=0.0, f0=0.5, u_span=0.5),
                         grid=(5, 5))
@@ -600,35 +592,37 @@ def _ref_normalization(p, u):
 
 
 def _reference_residuals(p, a, b):
-    """The five residuals as written on per-quantity f_jet calls, before
-    they read a ProfileColumn; each must agree bit for bit."""
-    def cmc(plus_sign):
-        def residual(u):
-            f = p.f_jet(u).v
-            phi = _ref_phi(p, u)
-            V = _ref_normalization(p, u)
-            rad = b * b + (4.0 if plus_sign else -4.0) * a * a * f * f
-            return phi * phi - V * rad
-        return residual
+    """(kind, ref(u, plus)): each row's ode as written on per-quantity f_jet
+    calls, before the residuals read a ProfileColumn, at K0 = a; each must
+    agree bit for bit."""
+    def cmc(u, plus):
+        f = p.f_jet(u).v
+        phi = _ref_phi(p, u)
+        V = _ref_normalization(p, u)
+        rad = b * b + (4.0 if plus else -4.0) * a * a * f * f
+        return phi * phi - V * rad
 
-    def constant_k(u):
+    def constant_k(u, plus):
         j = p.f_jet(u)
         V = _ref_normalization(p, u)
         return b * b * j.d2 * j.d2 - a * a * j.v * j.v * V
 
-    def chen(u):
+    def chen(u, plus):
         j = p.f_jet(u)
         V = _ref_normalization(p, u)
         return V * V - j.v * j.v * j.d2 * j.d2 - b * b * V
 
-    return [(cmc(True), cmc_ode_residual(p, a, b, plus_sign=True)),
-            (cmc(False), cmc_ode_residual(p, a, b, plus_sign=False)),
-            (constant_k, constant_k_ode_residual(p, a, b)),
-            (chen, chen_ode_residual(p, b)),
-            (lambda u: _ref_phi(p, u)
-             - a * math.sqrt(_ref_normalization(p, u)),
-             parallel_b_ode_residual(p, a)),
-            (lambda u: _ref_phi(p, u), parallel_a_ode_residual(p))]
+    def constant_gauss(u, plus):
+        j = p.f_jet(u)
+        return j.d2 + a * j.v
+
+    return [(FamilyKind.CONSTANT_GAUSS, constant_gauss),
+            (FamilyKind.CONSTANT_MEAN, cmc),
+            (FamilyKind.CONSTANT_K, constant_k),
+            (FamilyKind.CHEN, chen),
+            (FamilyKind.PARALLEL_A, lambda u, plus: _ref_phi(p, u)),
+            (FamilyKind.PARALLEL_B, lambda u, plus: _ref_phi(p, u)
+             - a * math.sqrt(_ref_normalization(p, u)))]
 
 
 @pytest.mark.parametrize("profile", [
@@ -652,8 +646,50 @@ def test_ode_residuals_equal_f_jet_formulas(profile):
     lo, hi = p.domain
     us = [lo + (hi - lo) * i / 40 for i in range(41)]
     for a, b in ((0.7, 1.3), (1.0, 4.0)):
-        for ref, residual in _reference_residuals(p, a, b):
-            assert [residual(u) for u in us] == [ref(u) for u in us]
+        params, refs = {"a": a, "b": b, "K0": a}, _reference_residuals(p, a, b)
+        assert [kind for kind, _ in refs] == list(FAMILY_TABLE)
+        for kind, ref in refs:
+            ode = FAMILY_TABLE[kind].ode
+            for plus in (True, False):
+                assert ([ode(ProfileColumn(p, u), params, plus) for u in us]
+                        == [ref(u, plus) for u in us]), (kind, plus)
+
+
+#: Each family's acceptance set (criteria 04-08): (geometry, epsilon_branch,
+#: params), every constant-mean branch included
+_ACCEPTANCE_SETS = {
+    FamilyKind.CONSTANT_GAUSS: [
+        (E, None, dict(K0=-1.0, alpha=0.0, beta=1.0, u_min=0.5, u_max=2.0,
+                       b=1.0)),
+        (H, None, dict(K0=1.0, alpha=1.0, beta=0.0, u_min=0.3, u_max=1.2,
+                       b=1.0))],
+    FamilyKind.CONSTANT_MEAN: [
+        (E, None, dict(a=1.0, b=4.0, C=0.0, f0=0.5, u_span=0.5)),
+        (H, 1, dict(a=0.5, b=1.0, C=-0.6, f0=0.8, u_span=2.0)),
+        (H, -1, dict(a=0.5, b=1.0, C=0.0, f0=0.5, u_span=2.0))],
+    FamilyKind.CONSTANT_K: [
+        (E, None, dict(a=1.0, b=1.0, C=0.0, f0=1.0, u_span=1.0)),
+        (H, None, dict(a=1.0, b=2.0, C=0.0, f0=0.5, u_span=0.7))],
+    FamilyKind.CHEN: [
+        (E, None, dict(a=-1.0, b=1.0, f0=1.2, u_span=0.8)),
+        (H, None, dict(a=-1.0, b=0.5, f0=0.7, u_span=1.2))],
+    FamilyKind.PARALLEL_A: [
+        (E, None, dict(c=0.0, d=-1.0, u_min=1.1, u_max=3.0)),
+        (H, None, dict(c=0.0, d=1.0, u_min=0.1, u_max=0.9))],
+    FamilyKind.PARALLEL_B: [
+        (E, None, dict(a=1.0, c=1.0, b=2.0, f0=2.0, u_span=1.0)),
+        (H, None, dict(a=0.5, c=0.1, b=1.0, f0=0.1, u_span=0.25))],
+}
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+def test_every_row_ode_vanishes_on_its_family(kind):
+    assert set(_ACCEPTANCE_SETS) == set(FAMILY_TABLE) == set(FamilyKind)
+    for geometry, eps, params in _ACCEPTANCE_SETS[kind]:
+        s = FamilySpec(kind, geometry, params=params, epsilon_branch=eps)
+        prof = family_profile(s)
+        assert max_ode_residual(ode_residual(s, prof),
+                                prof.domain) <= 1e-7, (geometry, eps)
 
 
 def test_readme_table_names_each_family_parameter():

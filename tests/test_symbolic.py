@@ -17,9 +17,11 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from meridian.curves import Geometry  # noqa: E402
+from conftest import cos_profile, sinh_profile, wavy_kappa  # noqa: E402
+from meridian.curves import Geometry, SphericalCurve  # noqa: E402
 from meridian.families import (FamilyKind, FamilySpec,  # noqa: E402
                                family_profile, family_slope)
+from meridian.surfaces import MeridianSurface, eight_invariants  # noqa: E402
 
 u, v = sp.symbols("u v", real=True)
 F0 = sp.Symbol("f", positive=True)
@@ -132,6 +134,92 @@ def test_gauss_curvature_and_mean_curvature_norm(surface):
     assert sp.simplify(gaussK + F2 / F0) == 0
     assert sp.simplify(H2 - S.s * (K ** 2 * V - phi ** 2)
                        / (4 * F0 ** 2 * V)) == 0
+
+
+# -- the eight invariants from the geometric frame ----------------------------
+
+F3, K1 = sp.symbols("fdddot kappa_v", real=True)
+EPS = sp.Symbol("epsilon", nonzero=True)
+Q = sp.Symbol("Q", positive=True)      # sqrt(eps D), the norm of b and l
+
+
+def _closed_invariants(s):
+    """_cell's closed forms in the point symbols, with |D| = Q^2: gamma, nu,
+    lambda, mu, beta1, beta2, and D itself."""
+    V = s * (F1 ** 2 - 1)
+    sqV = sp.sqrt(V)
+    phi = F0 * F2 + F1 ** 2 - 1
+    P = phi / sqV
+    Pdu = (3 * F1 * F2 + F0 * F3) / sqV - phi * 2 * s * F1 * F2 / (2 * V * sqV)
+    r2 = sp.sqrt(2)
+    return (-F1 / (r2 * F0), Q / (2 * F0 * sqV),
+            EPS * s * (K ** 2 * V + F0 ** 2 * F2 ** 2 - V * V)
+            / (2 * F0 * sqV * Q),
+            K * F2 / Q,
+            -V * (K * Pdu - K1 * P / F0) / (r2 * Q ** 2),
+            V * (K * Pdu + K1 * P / F0) / (r2 * Q ** 2),
+            s * (K ** 2 * V - phi ** 2))
+
+
+def test_frame_invariants_from_frame_derivatives(surface):
+    # x = (X + Y)/sqrt2, y = (-X + Y)/sqrt2 with X = z_u, Y = z_v/f, and
+    # b = eps B/Q, l = L/Q as geometric_frame builds them from n and n_m;
+    # the ambient derivative along X is d/du and along Y it is (d/dv)/f.
+    # gamma1 = -<D_x x, y>, gamma2 = <D_y y, x>, nu1 = <D_x x, b>,
+    # nu2 = <D_y y, b>, lambda = <D_x y, b>, mu = <D_x y, l> and
+    # beta1,2 = eps <D_{x,y} b, l>; <B, L> = 0, so the rate of Q drops out
+    # of beta, and each minus _cell's closed form is 0 once Q^2 = eps D
+    S, f = surface, surface.f
+    fdot = f.diff(u)
+    X = sp.Matrix([fdot, 0, 0, S.gdot])
+    Y, n = sp.Matrix([0, 1, 0, 0]), sp.Matrix([0, 0, 1, 0])
+    n_m = sp.Matrix([S.gdot, 0, 0, S.s * fdot])
+    x, y = (X + Y) / sp.sqrt(2), (-X + Y) / sp.sqrt(2)
+
+    def along_x(w):
+        return (w.diff(u) + S.dv(w) / f) / sp.sqrt(2)
+
+    def along_y(w):
+        return (-w.diff(u) + S.dv(w) / f) / sp.sqrt(2)
+
+    skV, phi = S.s * S.kappa * S.gdot, f * f.diff(u, 2) + fdot ** 2 - 1
+    B, L = skV * n + phi * n_m, phi * n + skV * n_m
+    b, l = EPS * B / Q, L / Q
+    assert S.point(S.inner(B, L)) == 0
+    gamma, nu, lam, mu, beta1, beta2, D = _closed_invariants(S.s)
+    third = {f.diff(u, 3): F3, S.kappa.diff(v): K1}
+    xx, yy, xy = along_x(x), along_y(y), along_x(y)
+    for power, got, want in (
+            (1, -S.inner(xx, y), gamma), (1, S.inner(yy, x), gamma),
+            (1, S.inner(xx, b), nu), (1, S.inner(yy, b), nu),
+            (1, S.inner(xy, b), lam), (1, S.inner(xy, l), mu),
+            (2, EPS * S.inner(along_x(b), l), beta1),
+            (2, EPS * S.inner(along_y(b), l), beta2)):
+        cleared = sp.expand((S.point(got.subs(third)) - want) * Q ** power)
+        assert sp.simplify(cleared.subs({Q ** 2: EPS * D, EPS ** 2: 1})) == 0
+
+
+@pytest.mark.parametrize("geometry,profile,f,u0,eps", [
+    (Geometry.ELLIPTIC, sinh_profile, sp.sinh(u), 1.0, -1),
+    (Geometry.HYPERBOLIC, cos_profile, sp.cos(u), 0.7, 1),
+], ids=["elliptic", "hyperbolic"])
+def test_closed_invariants_are_the_kernels(geometry, profile, f, u0, eps):
+    # the transcription above is the kernel's: equal to eight_invariants at
+    # a point with kappa' != 0 (kappa = 1 + 0.3 sin v), in each eps class
+    kappa = 1 + sp.Rational(3, 10) * sp.sin(v)
+    inv = eight_invariants(MeridianSurface(
+        profile(), SphericalCurve(wavy_kappa(), geometry)), u0, 0.7)
+    point = {sym: f.diff(u, i).subs(u, u0)
+             for i, sym in enumerate((F0, F1, F2, F3))}
+    point.update({K: kappa.subs(v, 0.7), K1: kappa.diff(v).subs(v, 0.7)})
+    *closed, D = _closed_invariants(int(geometry.normalization_sign))
+    assert inv.epsilon == eps
+    point.update({EPS: eps, Q: sp.sqrt(eps * D.subs(point))})
+    got = (inv.gamma1, inv.nu1, inv.lam, inv.mu, inv.beta1, inv.beta2)
+    for g, c in zip(got, closed):
+        want = float(sp.N(c.subs(point), 20))
+        assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
+    assert (inv.gamma2, inv.nu2) == (inv.gamma1, inv.nu1)
 
 
 # -- the classification -------------------------------------------------------
