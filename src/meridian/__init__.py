@@ -13,15 +13,14 @@ from .curves import (Geometry, FrenetFrame, MeridianProfile, ProfileColumn,
                      profile_from_slope_ode)
 from .errors import (DomainError, FamilyDomainError, FlatPointError,
                      FrameError, MeridianError, MisuseError,
-                     NotSpacelikeError, ProfileDomainError,
-                     TrappedPointError, UnsupportedGeometryError)
+                     ProfileDomainError, TrappedPointError)
 from .families import (FamilyKind, FamilySpec, ResidualReport,
                        build_family_surface, chen_slope,
                        constant_gauss_profile, constant_k_slope,
                        constant_mean_slope, parallel_profile_case_a,
                        parallel_slope_case_b, verify_family)
 from .jets import Jet2, ScalarFn, fd_jet2, fd_partials2
-from .mink4 import CausalClass, Vec4, causal_character, gram, inner
+from .mink4 import Vec4, gram, inner
 from .surfaces import (AdaptedFrame, BasicInvariants, FundamentalForms,
                        GeometricFrame, InvariantSet, KType, MeridianSurface,
                        PointClass, PointRecord, PointTag, adapted_frame,
@@ -33,7 +32,7 @@ from .surfaces import (AdaptedFrame, BasicInvariants, FundamentalForms,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Vec4", "CausalClass", "inner", "causal_character", "gram",
+    "Vec4", "inner", "gram",
     "Jet2", "ScalarFn", "fd_jet2", "fd_partials2",
     "Geometry", "FrenetFrame", "SphericalCurve", "MeridianProfile",
     "circle_curve", "profile_from_f",
@@ -49,6 +48,5 @@ __all__ = [
     "parallel_profile_case_a", "parallel_slope_case_b",
     "build_family_surface", "verify_family",
     "MeridianError", "DomainError", "ProfileDomainError", "FamilyDomainError",
-    "FrameError", "UnsupportedGeometryError", "NotSpacelikeError",
-    "FlatPointError", "TrappedPointError", "MisuseError",
+    "FrameError", "FlatPointError", "TrappedPointError", "MisuseError",
 ]

@@ -255,24 +255,34 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-#: Rows cmd_invariants joins, checks and holds as one string: the CSV is
-#: built as such chunks, so its lines, their join and its encoding are never
-#: all alive at once.
-_CSV_CHUNK_LINES = 1024
+#: Least lines in one chunk of the output: whole blocks are gathered until
+#: they hold this many.  One chunk per 129-line u-row (about 26 kB each)
+#: left the heap fragmented once freed, and a reader of the CSV in the same
+#: process then peaked about 2.5 MB higher.
+_CHUNK_LINES = 1024
 
 
-def _finite_rows(lines: list[str]) -> str:
-    """The CSV rows joined, or OverflowError if a cell is not finite."""
-    text = "".join(lines)
+def _write_rows(path: str, head: str, blocks) -> None:
+    """``head``, then the lines of each block (a list of lines), written to
+    the file ``path``; OverflowError, before the file is opened, if a row
+    holds a cell that is not finite.  Whole blocks are joined into chunks
+    of at least _CHUNK_LINES lines, so few lines are alive at a time."""
+    chunks, lines = [head], []
+    for block in blocks:
+        lines += block
+        if len(lines) >= _CHUNK_LINES:
+            chunks.append("".join(lines))
+            lines = []
+    chunks.append("".join(lines))
     # finite input can overflow (1e308**2); in a data row only "inf" has i
-    if "i" in text or "nan" in text:
+    if any("i" in text or "nan" in text for text in chunks[1:]):
         raise OverflowError("a computed cell is not finite; nothing written")
-    return text
+    _write(path, chunks)
 
 
-def cmd_invariants(args) -> int:
-    _, surface, us, vs, flat_tol = _read(args.config, args.grid)
-    chunks, lines = [CSV_HEADER + "\n"], []
+def _invariant_rows(surface: MeridianSurface, us, vs, flat_tol: float):
+    """The invariants CSV's data lines, one list per u-column."""
+    lines = []
     v_cells = [_fmt(v) for v in vs]
     col = None
     # u-only cells are formatted once per column, v cells once per row and
@@ -282,6 +292,9 @@ def cmd_invariants(args) -> int:
     # a run is written by a plain loop (a comprehension per run is slower)
     for rec, js in sweep(surface, us, vs, flat_tol):
         if rec.column is not col:
+            if lines:
+                yield lines
+                lines = []
             col = rec.column
             u_cell, G_cell = _fmt(col.u), _fmt(col.ff)
             K_cell = _fmt(col.gaussK)
@@ -302,13 +315,35 @@ def cmd_invariants(args) -> int:
                     "general")
         for j in js:
             lines.append(f"{u_cell},{v_cells[j]},{tail}\n")
-            if len(lines) == _CSV_CHUNK_LINES:
-                chunks.append(_finite_rows(lines))
-                lines = []
-    chunks.append(_finite_rows(lines))
-    _write(args.out, chunks)
+    yield lines
+
+
+def cmd_invariants(args) -> int:
+    _, surface, us, vs, flat_tol = _read(args.config, args.grid)
+    _write_rows(args.out, CSV_HEADER + "\n",
+                _invariant_rows(surface, us, vs, flat_tol))
     print(f"wrote {len(us) * len(vs)} invariant rows to {args.out}")
     return EXIT_OK
+
+
+def _csv4_rows(us, vs, rows):
+    """The csv4 data lines u,v,x1,x2,x3,x4, one list per u."""
+    v_cells = [_fmt(v) for v in vs]
+    for u, row in zip(us, rows):
+        u_cell = _fmt(u)
+        yield [f"{u_cell},{v_cell},{x1:.9g},{x2:.9g},{x3:.9g},{x4:.9g}\n"
+               for v_cell, (x1, x2, x3, x4) in zip(v_cells, row)]
+
+
+def _obj3_rows(nu: int, nv: int, rows, drop: int):
+    """The obj3 lines: the vertices without slot ``drop``, one list per u,
+    then the quads between each u and the next, one list per u."""
+    a, b, c = (i for i in range(4) if i != drop)
+    for row in rows:
+        yield [f"v {z[a]:.9g} {z[b]:.9g} {z[c]:.9g}\n" for z in row]
+    for i in range(nu - 1):
+        yield [f"f {k} {k + nv} {k + nv + 1} {k + 1}\n"
+               for k in range(i * nv + 1, (i + 1) * nv)]
 
 
 def cmd_export(args) -> int:
@@ -316,25 +351,10 @@ def cmd_export(args) -> int:
     nu, nv = len(us), len(vs)
     rows = surface.grid_positions(us, vs)
     if args.format == "csv4":
-        v_cells = [_fmt(v) for v in vs]
-        lines = ["u,v,x1,x2,x3,x4"]
-        for u, row in zip(us, rows):
-            u_cell = _fmt(u)
-            lines += [",".join([u_cell, v_cell]
-                               + [_fmt(c) for c in z.coords()])
-                      for v_cell, z in zip(v_cells, row)]
-    elif args.format == "obj3":
-        drop = surface.geometry.axis_slot
-        keep = [i for i in range(4) if i != drop]
-        lines = ["v " + " ".join(_fmt(z.coords()[i]) for i in keep)
-                 for row in rows for z in row]
-        for i in range(nu - 1):
-            for j in range(nv - 1):
-                a = i * nv + j + 1
-                lines.append(f"f {a} {a + nv} {a + nv + 1} {a + 1}")
+        _write_rows(args.out, "u,v,x1,x2,x3,x4\n", _csv4_rows(us, vs, rows))
     else:
-        raise ConfigError(f"unknown export format {args.format!r}")
-    _write(args.out, ["\n".join(lines), "\n"])
+        _write_rows(args.out, "", _obj3_rows(nu, nv, rows,
+                                             surface.geometry.axis_slot))
     print(f"wrote {args.format} geometry ({nu}x{nv} grid) to {args.out}")
     return EXIT_OK
 

@@ -17,8 +17,7 @@ from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import jets
-from .errors import (DomainError, FrameError, ProfileDomainError,
-                     UnsupportedGeometryError)
+from .errors import DomainError, FrameError, ProfileDomainError
 from .jets import Jet2, ScalarFn
 from .mink4 import Vec4, gram
 from .quadrature import adaptive_gauss
@@ -261,7 +260,7 @@ def circle_curve(b: float, geometry: Geometry) -> SphericalCurve:
     spacelike, so every finite b yields a supported (spacelike) orbit.
     """
     if not math.isfinite(b):
-        raise UnsupportedGeometryError("constant curvature b must be finite")
+        raise DomainError("constant curvature b must be finite")
     curve = SphericalCurve(ScalarFn.constant(float(b), name="kappa"), geometry)
     curve.constant_kappa = float(b)
     if geometry is Geometry.ELLIPTIC:

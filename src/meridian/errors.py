@@ -28,14 +28,6 @@ class FrameError(MeridianError):
     """An initial Frenet frame fails its orthonormality/signature check."""
 
 
-class UnsupportedGeometryError(MeridianError):
-    """Requested curve or construction is outside the supported geometry."""
-
-
-class NotSpacelikeError(MeridianError):
-    """The induced metric is degenerate or indefinite at the sample point."""
-
-
 class FlatPointError(MeridianError):
     """Operation requires a general (non-flat) point."""
 

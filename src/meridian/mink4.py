@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 
@@ -49,46 +48,15 @@ class Vec4:
         return Vec4(self.x1 / s, self.x2 / s, self.x3 / s, self.x4 / s)
 
 
-ZERO = Vec4(0.0, 0.0, 0.0, 0.0)
 E1 = Vec4(1.0, 0.0, 0.0, 0.0)
 E2 = Vec4(0.0, 1.0, 0.0, 0.0)
 E3 = Vec4(0.0, 0.0, 1.0, 0.0)
 E4 = Vec4(0.0, 0.0, 0.0, 1.0)
 
 
-class CausalClass(Enum):
-    SPACELIKE = "spacelike"
-    TIMELIKE = "timelike"
-    LIGHTLIKE = "lightlike"
-    ZERO = "zero"
-
-
 def inner(u: Vec4, v: Vec4) -> float:
     """Signature-(3,1) inner product: u1 v1 + u2 v2 + u3 v3 - u4 v4."""
     return u.x1 * v.x1 + u.x2 * v.x2 + u.x3 * v.x3 - u.x4 * v.x4
-
-
-def causal_character(v: Vec4, tol: float = 0.0) -> CausalClass:
-    """Classify v as spacelike/timelike/lightlike/zero by the sign of inner(v,v).
-
-    The zero vector gets its own class (it is never reported lightlike).
-    At tol = 0 the sign is taken after an exact power-of-two rescale that
-    brings the largest |coordinate| into [0.5, 1), so squares of tiny (or
-    huge) coordinates cannot underflow (or overflow).
-    """
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
-    if all(abs(c) <= tol for c in v.coords()):
-        return CausalClass.ZERO
-    if tol == 0.0:
-        e = math.frexp(max(abs(c) for c in v.coords()))[1]
-        v = Vec4(*(math.ldexp(c, -e) for c in v.coords()))
-    n2 = inner(v, v)
-    if n2 > tol:
-        return CausalClass.SPACELIKE
-    if n2 < -tol:
-        return CausalClass.TIMELIKE
-    return CausalClass.LIGHTLIKE
 
 
 def gram(frame: Sequence[Vec4]) -> list[list[float]]:

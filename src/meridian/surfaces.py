@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .curves import SQRT2, MeridianProfile, ProfileColumn, SphericalCurve
-from .errors import (FlatPointError, MisuseError, NotSpacelikeError,
+from .errors import (DomainError, FlatPointError, MisuseError,
                      TrappedPointError)
 from .jets import Jet2, fd_partials2
 from .mink4 import Vec4, inner
@@ -47,22 +47,21 @@ class MeridianSurface:
         self.geometry = profile.geometry
 
     def position(self, u: float, v: float) -> Vec4:
-        return next(self.grid_positions((u,), (v,)))[0]
+        return Vec4(*next(self.grid_positions((u,), (v,)))[0])
 
     def grid_positions(self, us: Sequence[float],
-                       vs: Sequence[float]) -> Iterator[list[Vec4]]:
-        """f(u) l(v) + g(u) axis on the grid us x vs, one list over vs per
-        u; the curve frame is evaluated once per v, the profile column
-        (which checks u) and g once per u."""
+                       vs: Sequence[float]) -> Iterator[list[list[float]]]:
+        """f(u) l(v) + g(u) axis on the grid us x vs as plain [x1, x2, x3,
+        x4] lists, one list of them over vs per u; the curve frame is
+        evaluated once per v, the profile column (which checks u) and g once
+        per u.  Nothing here checks that a coordinate is finite."""
         ls = [self.curve.frame(v).l.coords() for v in vs]
         axis = self.geometry.axis_slot
         for u in us:
             f, g = ProfileColumn(self.profile, u).f, self.profile.g(u)
-            row = []
-            for l in ls:
-                coords = [f * c for c in l]
-                coords[axis] += g
-                row.append(Vec4(*coords))
+            row = [[f * c for c in l] for l in ls]
+            for z in row:
+                z[axis] += g
             yield row
 
 
@@ -270,14 +269,17 @@ def fundamental_forms_numeric(s: MeridianSurface, u: float,
     over one 3x3 ``grid_positions`` call; only the normal directions n1, n2
     come from the closed-form frame.
     """
-    part = fd_partials2(s.grid_positions, u, v, FORMS_STEP)
+    part = fd_partials2(
+        lambda us, vs: [[Vec4(*z) for z in row]
+                        for row in s.grid_positions(us, vs)],
+        u, v, FORMS_STEP)
     zu, zv = part["z_u"], part["z_v"]
     E = inner(zu, zu)
     F = inner(zu, zv)
     G = inner(zv, zv)
     w2 = E * G - F * F
     if w2 <= 0.0:
-        raise NotSpacelikeError(
+        raise DomainError(
             f"degenerate induced metric at (u,v)=({u},{v}): EG - F^2 = {w2!r}")
     W = math.sqrt(w2)
     fr = adapted_frame(s, u, v)

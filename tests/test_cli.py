@@ -1089,14 +1089,34 @@ def test_invariants_overflow_exit3(tmp_path, capsys):
 
 
 def test_invariants_overflow_past_the_first_chunk_exit3(tmp_path, capsys):
-    # kappa rises from 1 to 1e200 over the last 32 v of the first u column,
-    # so the first non-finite row lies past the first chunk of rows
-    nv = cli._CSV_CHUNK_LINES + 64
-    rise = (nv - 32) / (nv - 1)
-    cfg = worked_config(tmp_path, curve={"kind": "function", "samples": [
-        [0.0, 1.0, 0.0], [rise, 1.0, 0.0], [1.0, 1e200, 0.0]]},
-        domain={"u": [0.3, 1.2], "v": [0.0, 1.0]}, grid={"nu": 2, "nv": nv})
+    # k = -kappa_m^2 kappa^2 / f^2 at kappa = 5e153 overflows only where f
+    # is smallest, at u = 1.2: the first two u-columns fill the first chunk
+    # of rows with finite cells, and the first non-finite row is the last
+    # column's first
+    curve = {"kind": "constant", "b": 5e153}
+    grid = {"nu": 3, "nv": cli._CHUNK_LINES // 2}
     out = tmp_path / "o.csv"
+    cfg = worked_config(tmp_path, curve=curve, grid=grid,
+                        domain={"u": [0.3, 0.9], "v": [0.0, 2.0]})
+    assert main(["invariants", "--config", cfg, "--out", str(out)]) == 0
+    out.unlink()
+    cfg = worked_config(tmp_path, curve=curve, grid={**grid, "nu": 4})
     assert main(["invariants", "--config", cfg, "--out", str(out)]) == 3
+    assert "not finite; nothing written" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv4", "obj3"])
+def test_export_overflow_exit3(tmp_path, capsys, fmt):
+    # f = 1e300 + u/2 times a hyperbolic circle's l, whose coordinates grow
+    # exponentially in v: every u-row's positions overflow to +-inf at the
+    # two largest v, and no file is written
+    cfg = worked_config(tmp_path, curve={"kind": "constant", "b": 2.0},
+                        profile={"kind": "explicit_f", "family": "linear",
+                                 "a0": 1e300, "a1": 0.5},
+                        domain={"u": [0.0, 1.0], "v": [0.0, 20.0]})
+    out = tmp_path / f"o.{fmt}"
+    assert main(["export", "--config", cfg, "--format", fmt,
+                 "--out", str(out), "--grid", "3,5"]) == 3
     assert "not finite; nothing written" in capsys.readouterr().err
     assert not out.exists()

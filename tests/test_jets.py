@@ -145,7 +145,8 @@ def test_fd_partials2_meridian_tangent():
     prof = cos_profile()
     s = MeridianSurface(prof, circle_curve(1.0, Geometry.HYPERBOLIC))
     u, v = 0.8, 0.6
-    p = fd_partials2(s.grid_positions, u, v, 1e-4)
+    p = fd_partials2(lambda us, vs: [[Vec4(*z) for z in row] for row in
+                                     s.grid_positions(us, vs)], u, v, 1e-4)
     j = prof.f_jet(u)
     l = s.curve.frame(v).l
     expected = j.d1 * l + Vec4(prof.gdot(u), 0, 0, 0)

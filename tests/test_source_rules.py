@@ -70,3 +70,42 @@ def test_geometry_decided_only_where_no_sign_states_the_rule():
     uses = {path.name: len(_geometry_member_uses(path)) for path in SOURCES}
     assert uses["surfaces.py"] == 0 and uses["curves.py"] > 0
     assert found == []
+
+
+def _raises_of(path, exc_name):
+    """Enclosing function of each ``raise exc_name(...)`` in path."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Raise)
+                    and isinstance(child.exc, ast.Call)
+                    and getattr(child.exc.func, "id", None) == exc_name):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_one_finite_check_between_rows_and_file():
+    # every row invariants and export write passes one check, in the one
+    # writer; a second path (a Vec4 per vertex, say) would be a second rule
+    raised = [f"{path.name}:{owner}" for path in SOURCES
+              for owner in _raises_of(path, "OverflowError")]
+    worded = [f"{path.name}" for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Constant)
+              and isinstance(node.value, str)
+              and "nothing written" in node.value]
+    assert raised == ["cli.py:_write_rows"]
+    assert worded == ["cli.py"]
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    names = {node.id if isinstance(node, ast.Name) else
+             node.attr if isinstance(node, ast.Attribute) else node.name
+             for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert "MeridianSurface" in names and "Vec4" not in names
