@@ -281,7 +281,8 @@ def _write_rows(path: str, head: str, blocks) -> None:
 
 
 def _invariant_rows(surface: MeridianSurface, us, vs, flat_tol: float):
-    """The invariants CSV's data lines, one list per u-column."""
+    """The invariants CSV's data lines, one block per u-column, but at most
+    _CHUNK_LINES lines from a run of equal cells."""
     lines = []
     v_cells = [_fmt(v) for v in vs]
     col = None
@@ -313,6 +314,17 @@ def _invariant_rows(surface: MeridianSurface, us, vs, flat_tol: float):
                     f"{gamma_cell},{nu_cell},{nu_cell},{inv.lam:.9g},"
                     f"{inv.mu:.9g},{inv.beta1:.9g},{inv.beta2:.9g},"
                     "general")
+        if len(js) > _CHUNK_LINES:
+            # a run longer than a block (over a curve built constant, a
+            # whole u-column) goes out in blocks of _CHUNK_LINES lines, all
+            # but its last part here; checked per run, not per line
+            if lines:
+                yield lines
+                lines = []
+            while len(js) > _CHUNK_LINES:
+                yield [f"{u_cell},{v_cells[j]},{tail}\n"
+                       for j in js[:_CHUNK_LINES]]
+                js = js[_CHUNK_LINES:]
         for j in js:
             lines.append(f"{u_cell},{v_cells[j]},{tail}\n")
     yield lines

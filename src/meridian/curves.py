@@ -14,7 +14,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import jets
 from .errors import DomainError, FrameError, ProfileDomainError
@@ -31,6 +31,11 @@ DEFAULT_STEP = 1e-3
 
 #: The |v| every directing curve supports; bounds its Frenet tables.
 MAX_ARC = 1e4
+
+#: Most Frenet RK4 steps whose kappa abscissae are read by one
+#: ScalarFn.values call: bounds the two lists of a block, about 2.3 floats
+#: per step each.
+_RK4_BLOCK = 1024
 
 #: Largest u_span a slope build integrates: its three tables then hold
 #: 10^6 steps, about 100 MB of floats.
@@ -132,7 +137,9 @@ class SphericalCurve:
     (_rk4) advances the table and takes the remainder step to v.  It reads
     a circle's b once and calls no ScalarFn; for any other kappa it shares
     kappa at the abscissa where one step ends and the next starts, when the
-    two are the same float, within one extension of the table.  Each
+    two are the same float, within one extension of the table, and reads
+    the abscissae of each block of _RK4_BLOCK steps with one kappa.values
+    call (a hermite_fn kappa walks its knots there).  Each
     direction's table is a flat array('d') of 9 doubles per step: 72 B per
     step, 7.2 MB per 100 units of arc at the default step.  The tables
     extend only from one thread: two threads extending at once would append
@@ -161,7 +168,7 @@ class SphericalCurve:
     # -- integration --------------------------------------------------------
 
     def _rk4(self, out: array, start: int, steps: int, grid: float, h: float,
-             kappa: Callable[[float], float]) -> None:
+             clamp: Optional[tuple[float, float]] = None) -> None:
         """Append to out the states of `steps` classical RK4 steps of
         l' = t, t' = s*kappa*n - l, n' = -kappa*t from out's last 9-float
         state (l, t, n); step i, for i from start, starts at v = i*grid and
@@ -172,10 +179,12 @@ class SphericalCurve:
         and v + h, except that a curve built constant reads its b once, and
         that a step takes its kappa(v) from the previous step's kappa(v + h)
         in this call when the two abscissae are the same float; the midpoint
-        is always read.  Python evaluates s + 0.5*h*k as s + (0.5*h)*k, so
-        hoisting 0.5*h and h/6 keeps every rounding of the textbook
-        stage-by-stage form, and with it every output byte, however the
-        steps are split into calls.
+        is always read.  The abscissae of each block of at most _RK4_BLOCK
+        steps are listed in that order, each clamped into `clamp` when it is
+        given, and read by one kappa.values call.  Python evaluates
+        s + 0.5*h*k as s + (0.5*h)*k, so hoisting 0.5*h and h/6 keeps every
+        rounding of the textbook stage-by-stage form, and with it every
+        output byte, however the steps are split into calls.
         """
         hh, h6 = 0.5 * h, h / 6.0
         sign, b = self.geometry.normalization_sign, self.constant_kappa
@@ -184,27 +193,42 @@ class SphericalCurve:
             s1 = sm = s4 = sign * b
         s = out[-9:].tolist()
         end = None
-        for i in range(start, start + steps):
+        for first in range(start, start + steps, _RK4_BLOCK):
+            block = range(first, min(first + _RK4_BLOCK, start + steps))
             if b is None:
-                v = i * grid
-                k1 = k4 if v == end else kappa(v)
-                km = kappa(v + hh)
-                end = v + h
-                k4 = kappa(end)
-                s1, sm, s4 = sign * k1, sign * km, sign * k4
-            for li, ti, ni in ((0, 3, 6), (1, 4, 7), (2, 5, 8)):
-                l, t, n = s[li], s[ti], s[ni]
-                at, an = s1 * n - l, -k1 * t
-                l2, t2, n2 = l + hh * t, t + hh * at, n + hh * an
-                bt, bn = sm * n2 - l2, -km * t2
-                l3, t3, n3 = l + hh * t2, t + hh * bt, n + hh * bn
-                ct, cn = sm * n3 - l3, -km * t3
-                l4, t4, n4 = l + h * t3, t + h * ct, n + h * cn
-                dt, dn = s4 * n4 - l4, -k4 * t4
-                s[li] = l + h6 * (t + 2.0 * t2 + 2.0 * t3 + t4)
-                s[ti] = t + h6 * (at + 2.0 * bt + 2.0 * ct + dt)
-                s[ni] = n + h6 * (an + 2.0 * bn + 2.0 * cn + dn)
-            out.extend(s)
+                xs, last = [], end
+                for i in block:
+                    v = i * grid
+                    if v != last:
+                        xs.append(v)
+                    xs.append(v + hh)
+                    last = v + h
+                    xs.append(last)
+                if clamp is not None:
+                    lo, hi = clamp
+                    xs = [min(max(x, lo), hi) for x in xs]
+                read = iter(self.kappa.values(xs)).__next__
+            for i in block:
+                if b is None:
+                    v = i * grid
+                    k1 = k4 if v == end else read()
+                    km = read()
+                    end = v + h
+                    k4 = read()
+                    s1, sm, s4 = sign * k1, sign * km, sign * k4
+                for li, ti, ni in ((0, 3, 6), (1, 4, 7), (2, 5, 8)):
+                    l, t, n = s[li], s[ti], s[ni]
+                    at, an = s1 * n - l, -k1 * t
+                    l2, t2, n2 = l + hh * t, t + hh * at, n + hh * an
+                    bt, bn = sm * n2 - l2, -km * t2
+                    l3, t3, n3 = l + hh * t2, t + hh * bt, n + hh * bn
+                    ct, cn = sm * n3 - l3, -km * t3
+                    l4, t4, n4 = l + h * t3, t + h * ct, n + h * cn
+                    dt, dn = s4 * n4 - l4, -k4 * t4
+                    s[li] = l + h6 * (t + 2.0 * t2 + 2.0 * t3 + t4)
+                    s[ti] = t + h6 * (at + 2.0 * bt + 2.0 * ct + dt)
+                    s[ni] = n + h6 * (an + 2.0 * bn + 2.0 * cn + dn)
+                out.extend(s)
 
     def _state_at(self, v: float) -> Sequence[float]:
         h = DEFAULT_STEP if v >= 0.0 else -DEFAULT_STEP
@@ -213,19 +237,19 @@ class SphericalCurve:
         # Only the steps ending at v can round a stage abscissa (i*h + h,
         # j*h + rem) past v.  When kappa's domain holds the arc from 0 to v,
         # they read such an abscissa at the domain's end; else kappa raises.
-        kappa = last = self.kappa
-        dom = kappa.domain
+        dom = self.kappa.domain
+        clamp = None
         if dom is not None and dom[0] <= min(v, 0.0) <= max(v, 0.0) <= dom[1]:
-            last = lambda x: kappa(min(max(x, dom[0]), dom[1]))
+            clamp = dom
         i = len(table) // 9 - 1
         if i < j:
-            self._rk4(table, i, j - 1 - i, h, h, kappa)
-            self._rk4(table, j - 1, 1, h, h, last)
+            self._rk4(table, i, j - 1 - i, h, h)
+            self._rk4(table, j - 1, 1, h, h, clamp)
         state = table[9 * j:9 * j + 9]
         rem = v - j * h
         if abs(rem) <= 1e-15:
             return state
-        self._rk4(state, j, 1, h, rem, last)
+        self._rk4(state, j, 1, h, rem, clamp)
         return state[9:]
 
     # -- public surface ------------------------------------------------------

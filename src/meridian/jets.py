@@ -162,10 +162,12 @@ class ScalarFn:
     ``x * x``: a Jet2 has no ``**``, which on a float calls libm's pow.
     ``domain`` is an optional closed interval; evaluation outside raises
     DomainError.  ``d3`` optionally supplies the exact third derivative;
-    without it, the method d3 takes a central difference.
+    without it, the method d3 takes a central difference.  ``values`` reads
+    a batch of floats with the bits of one read each; hermite_fn's batch
+    read walks its knots.
     """
 
-    __slots__ = ("_fn", "domain", "name", "_d3")
+    __slots__ = ("_fn", "domain", "name", "_d3", "_batch")
 
     def __init__(self,
                  fn: Callable,
@@ -176,6 +178,9 @@ class ScalarFn:
         self.domain = domain
         self.name = name
         self._d3 = d3
+        #: a batch read for values, called with this ScalarFn and the xs
+        self._batch: Optional[Callable[["ScalarFn", Sequence[float]],
+                                       list]] = None
 
     def _check(self, u: float) -> None:
         if self.domain is not None:
@@ -193,6 +198,19 @@ class ScalarFn:
     def __call__(self, u: float) -> float:
         self._check(u)
         return self._fn(u)
+
+    def values(self, xs: Sequence[float]) -> list[float]:
+        """[self(x) for x in xs] in one call, with the same bits; at the
+        first x (in the given order) outside the domain, the DomainError
+        that self(x) raises."""
+        if self._batch is not None:
+            return self._batch(self, xs)
+        fn = self._fn
+        if self.domain is None:
+            return [fn(x) for x in xs]
+        lo, hi = self.domain
+        # _check raises for every x it is called with here
+        return [fn(x) if lo <= x <= hi else self._check(x) for x in xs]
 
     def d3(self, u: float) -> float:
         """Third derivative at u: the exact one where it was wired in, else
@@ -224,28 +242,43 @@ class ScalarFn:
                         d3=lambda u: 0.0)
 
 
+def _hermite_cubic(s: float, h: float, f0: float, f1: float, d0: float,
+                   d1: float) -> float:
+    """The cubic Hermite value at s = (x - a) / h on a segment [a, a + h]
+    with end values f0, f1 and end derivatives d0, d1."""
+    s2, s3 = s * s, s * s * s
+    return ((2.0 * s3 - 3.0 * s2 + 1.0) * f0 + (s3 - 2.0 * s2 + s) * h * d0
+            + (-2.0 * s3 + 3.0 * s2) * f1 + (s3 - s2) * h * d1)
+
+
 def hermite_fn(xs: list[float], ys: list[float], ds: list[float],
                name: str = "") -> ScalarFn:
     """Cubic Hermite interpolant through (x, value, derivative) samples,
     exposed as a ScalarFn (second derivatives are those of the cubic); it
-    reads tabulated kappa and the RK4 table of a slope profile alike."""
+    reads tabulated kappa and the RK4 table of a slope profile alike.
+
+    A knot belongs to the segment on its right, the last knot to the last
+    segment.  A read bisects the knots for its segment; the batch read
+    (values) walks them, bisecting only where x leaves the segment of the
+    x before it, and both evaluate the one _hermite_cubic.
+    """
     if not (len(xs) == len(ys) == len(ds)) or len(xs) < 2:
         raise ValueError("hermite_fn needs >= 2 aligned samples")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("sample abscissae must be strictly increasing")
 
     from bisect import bisect_right
+    n = len(xs)
+    lo, hi = xs[0], xs[-1]
 
     def body(u):
         jet = isinstance(u, Jet2)
         x = u.v if jet else u
-        i = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
+        i = bisect_right(xs, x, 1, n - 1) - 1    # the segment, 0 <= i <= n-2
         h = xs[i + 1] - xs[i]
         s = (x - xs[i]) / h
-        s2, s3 = s * s, s * s * s
         f0, f1, d0, d1 = ys[i], ys[i + 1], ds[i], ds[i + 1]
-        val = ((2.0 * s3 - 3.0 * s2 + 1.0) * f0 + (s3 - 2.0 * s2 + s) * h * d0
-               + (-2.0 * s3 + 3.0 * s2) * f1 + (s3 - s2) * h * d1)
+        val = _hermite_cubic(s, h, f0, f1, d0, d1)
         if not jet:
             return val
         dv = ((6 * s - 6) * s * f0 + ((3 * s - 4) * s + 1) * h * d0
@@ -254,7 +287,29 @@ def hermite_fn(xs: list[float], ys: list[float], ds: list[float],
                + (6 - 12 * s) * f1 + (6 * s - 2) * h * d1) / (h * h)
         return _new(Jet2, (val, dv, d2v))
 
-    return ScalarFn(body, domain=(xs[0], xs[-1]), name=name)
+    # fn comes as an argument: a walk that closed over it would make a
+    # reference cycle, and the samples would live until the cycle collector
+    # ran (2.8 MB more peak memory in a run of verify calls)
+    def walk(fn, us):
+        out = []
+        put = out.append
+        a = b = math.inf    # [a, b): the segment of the last x read
+        for x in us:
+            if not a <= x < b:
+                if not lo <= x <= hi:     # NaN fails this test too
+                    fn._check(x)
+                i = bisect_right(xs, x, 1, n - 1) - 1
+                a, b = xs[i], xs[i + 1]
+                h = b - a
+                f0, f1, d0, d1 = ys[i], ys[i + 1], ds[i], ds[i + 1]
+                if i == n - 2:      # the last segment holds its right knot
+                    b = math.nextafter(b, math.inf)
+            put(_hermite_cubic((x - a) / h, h, f0, f1, d0, d1))
+        return out
+
+    fn = ScalarFn(body, domain=(lo, hi), name=name)
+    fn._batch = walk
+    return fn
 
 
 def default_step(u: float) -> float:

@@ -184,10 +184,17 @@ def test_export_tabulated_curve_to_domain_end(tmp_path, mirrored):
 def test_export_tabulated_curve_past_samples_exit2(tmp_path, capsys,
                                                    mirrored):
     # the last remainder step starts inside the samples and ends past them
+    # (message recorded while kappa was read one abscissa at a time)
     cfg = _samples_to_domain_end_config(tmp_path, mirrored, v_end=6.5005)
+    out = tmp_path / "tab.csv"
     assert main(["export", "--config", cfg, "--format", "csv4",
-                 "--out", str(tmp_path / "tab.csv")]) == 2
-    assert "kappa evaluated at" in capsys.readouterr().err
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: kappa evaluated at -6.500000000000001 outside domain "
+        "[-6.5, 0.0]\n" if mirrored else
+        "error: kappa evaluated at 6.500000000000001 outside domain "
+        "[0.0, 6.5]\n")
+    assert not out.exists()
 
 
 def test_invariants_last_grid_point_is_domain_end(tmp_path):
@@ -1120,3 +1127,34 @@ def test_export_overflow_exit3(tmp_path, capsys, fmt):
                  "--out", str(out), "--grid", "3,5"]) == 3
     assert "not finite; nothing written" in capsys.readouterr().err
     assert not out.exists()
+
+
+#: sha256 of the 1x5000 invariants CSV below, recorded while each u-column
+#: was one block
+GOLDEN_LONG_RUN = \
+    "adce243ce8e9cf96ae4aee208e8633a7d7a82b297af16508afb4aeb9fc8b2005"
+
+
+def test_invariants_long_run_in_bounded_blocks(tmp_path, monkeypatch):
+    # over a circle the u-column is one run of 5,000 equal cells; it goes
+    # out in blocks of at most _CHUNK_LINES lines, so few are alive at once
+    sizes, write = [], cli._write_rows
+
+    def spy(path, head, blocks):
+        def counted():
+            for block in blocks:
+                sizes.append(len(block))
+                yield block
+        write(path, head, counted())
+
+    monkeypatch.setattr(cli, "_write_rows", spy)
+    cfg = write_config(tmp_path / "long.json", {
+        "geometry": "elliptic", "curve": {"kind": "constant", "b": 1.2},
+        "profile": {"kind": "explicit_f", "family": "sinh"},
+        "domain": {"u": [0.5, 2.0], "v": [0.0, 12.5]},
+        "grid": {"nu": 1, "nv": 5000}})
+    out = tmp_path / "long.csv"
+    assert main(["invariants", "--config", cfg, "--out", str(out)]) == 0
+    assert sum(sizes) == 5000
+    assert max(sizes) <= cli._CHUNK_LINES
+    assert sha256_of(out) == GOLDEN_LONG_RUN

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from array import array
 
 import pytest
@@ -7,11 +8,11 @@ from conftest import (boosted_hyperbolic_frame, close, cos_fn, cos_profile,
                       rotated_elliptic_frame, sinh_fn, sinh_profile,
                       wavy_kappa)
 from meridian import jets
-from meridian.curves import (_MAX_SLOPE_SPAN, ADMISSIBILITY_MARGIN,
-                             DEFAULT_STEP, Geometry, MeridianProfile,
-                             ProfileColumn, SphericalCurve, _slope_table,
-                             circle_curve, construction_scan, profile_from_f,
-                             profile_from_slope_ode)
+from meridian.curves import (_MAX_SLOPE_SPAN, _RK4_BLOCK,
+                             ADMISSIBILITY_MARGIN, DEFAULT_STEP, Geometry,
+                             MeridianProfile, ProfileColumn, SphericalCurve,
+                             _slope_table, circle_curve, construction_scan,
+                             profile_from_f, profile_from_slope_ode)
 from meridian.errors import DomainError, FrameError, ProfileDomainError
 from meridian.families import (FamilyKind, FamilySpec, constant_k_slope,
                                harmonic_fn, max_ode_residual, ode_residual)
@@ -165,6 +166,14 @@ def _jet_value_reader(kappa):
     return lambda x: kappa.jet2(min(max(x, lo), hi)).v
 
 
+def _irregular_hermite():
+    # knots at uneven spacings, none of them a multiple of the step
+    xs = [-3.05]
+    for i in range(36):
+        xs.append(xs[-1] + 0.0937 + 0.061 * (i % 5))
+    return _wavy_hermite(xs)
+
+
 _TABLE_VS = (456.7, 1999.5, 2000.0, 0.4)   # in steps: table and remainder
 
 
@@ -188,6 +197,15 @@ _TABLE_CASES = [
 ] + [
     _table_case("hermite_end", g, _hermite_to_end,
                 steps=(_SAMPLES_END / DEFAULT_STEP, 300.5, 123.0))
+    for g in Geometry
+] + [
+    _table_case("hermite_irregular", g, _irregular_hermite) for g in Geometry
+] + [
+    # each extension, of more than 2,000 steps, reads kappa in two blocks,
+    # and a block's first step may take its k1 from the block before
+    _table_case("hermite_blocks", g,
+                lambda: _wavy_hermite([0.25 * i - 5.0 for i in range(41)]),
+                steps=(2 * _RK4_BLOCK + 0.5, 4 * _RK4_BLOCK - 0.25))
     for g in Geometry
 ]
 
@@ -262,6 +280,54 @@ def test_frenet_loop_shares_kappa_between_steps(make_kappa):
             calls.clear()
             curve.frame(v)
             assert len(calls) <= 2.4 * 2000, (geometry, v, len(calls))
+
+
+def _scalar_read_order(steps, h):
+    """The abscissae a table of `steps` steps from 0 reads, in order, by the
+    sharing rule: one extension of steps - 1 steps, then the last step."""
+    out = []
+    for first, n in ((0, steps - 1), (steps - 1, 1)):
+        end = None
+        for i in range(first, first + n):
+            v = i * h
+            if v != end:
+                out.append(v)
+            end = v + h
+            out += [v + 0.5 * h, end]
+    return out
+
+
+@pytest.mark.parametrize("make_kappa", [
+    _wavy_hermite, lambda: wavy_kappa(0.6, 0.5, 0.4)], ids=["hermite", "jets"])
+def test_frenet_blocks_read_kappa_in_the_scalar_order(make_kappa):
+    # reading kappa a block at a time keeps the order and the sharing of
+    # the step-by-step reads: 4,523 reads for 2,000 steps
+    calls = []
+    for geometry in Geometry:
+        curve = SphericalCurve(_counting(make_kappa(), calls), geometry)
+        for h in (DEFAULT_STEP, -DEFAULT_STEP):
+            calls.clear()
+            curve.frame(2000 * h)
+            assert len(calls) == 4523
+            assert _bits(calls) == _bits(_scalar_read_order(2000, h))
+
+
+def test_cold_frame_allocates_its_table_and_one_block():
+    # a cold frame(8.0) holds 8,000 steps of table, 72 B each (an array
+    # grows by 1/16 at a time), and the abscissae and kappa values of one
+    # block of _RK4_BLOCK steps, about 150 kB: one list over all 8,000
+    # steps would take about 1.2 MB.  The span is short because the loop
+    # runs about 40 times slower under tracemalloc.
+    curve = SphericalCurve(_wavy_hermite([0.25 * i for i in range(40)]),
+                           Geometry.ELLIPTIC)
+    tracemalloc.start()
+    try:
+        curve.frame(8.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(curve._fwd) == 9 * 8001
+    assert peak <= 72 * 8000 * 17 // 16 + 256 * 1024
 
 
 def test_frenet_loop_reads_a_circles_b_once():

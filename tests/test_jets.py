@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 
@@ -198,6 +199,81 @@ def test_hermite_fn_reproduces_cubic():
         assert close(j.v, cubic(u), 1e-12)
         assert close(j.d1, dcubic(u), 1e-12)
         assert close(j.d2, 12 * u - 2, 1e-10)
+
+
+# -- batch reads --------------------------------------------------------------
+
+
+_KNOTS = [-3.0, -2.1, -1.25, -0.2, 0.0, 0.3, 1.7, 2.0, 3.5]
+
+
+def _batch_fns():
+    """A Hermite over irregular knots, a 2-sample Hermite, a jets body with
+    and without a domain, and ScalarFn.constant."""
+    return [
+        hermite_fn(_KNOTS, [0.8 + 0.4 * math.sin(x) for x in _KNOTS],
+                   [0.4 * math.cos(x) for x in _KNOTS], name="kappa"),
+        hermite_fn([0.5, 2.0], [1.0, -0.5], [0.3, 2.0], name="two"),
+        ScalarFn(jets.cos, domain=(-3.0, 3.5), name="cos"),
+        ScalarFn(lambda t: 0.6 + 0.5 * jets.sin(t + 0.4), name="wavy"),
+        ScalarFn.constant(1.3),
+    ]
+
+
+def _probe_points(fn):
+    """Knots, the float below each, segment midpoints and both domain
+    ends (for a function without knots, those of _KNOTS)."""
+    lo, hi = fn.domain or (_KNOTS[0], _KNOTS[-1])
+    xs = sorted({lo, hi} | {x for x in _KNOTS if lo <= x <= hi})
+    below = [math.nextafter(x, -math.inf) for x in xs[1:]]
+    mids = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+    return sorted(xs + below + mids)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "repeated",
+                                   "zigzag"])
+@pytest.mark.parametrize("fn", _batch_fns(), ids=lambda fn: fn.name)
+def test_values_equals_the_scalar_read_bitwise(fn, order):
+    pts = _probe_points(fn)
+    pts = {"ascending": pts, "descending": pts[::-1],
+           "repeated": [x for x in pts for _ in range(3)] + pts[::-2],
+           "zigzag": pts[::2] + pts[1::2][::-1] + pts[::3]}[order]
+    assert [x.hex() for x in fn.values(pts)] == [fn(x).hex() for x in pts]
+    assert fn.values([]) == []
+
+
+@pytest.mark.parametrize("descending", [False, True],
+                         ids=["ascending", "descending"])
+@pytest.mark.parametrize("fn", [f for f in _batch_fns() if f.domain],
+                         ids=lambda fn: fn.name)
+def test_values_raises_at_the_first_abscissa_outside(fn, descending):
+    lo, hi = fn.domain
+    mid = 0.5 * (lo + hi)
+    pts = [lo, mid, hi, math.nextafter(hi, math.inf), hi + 1.0, math.nan]
+    if descending:
+        pts = [hi, mid, lo, math.nextafter(lo, -math.inf), lo - 1.0,
+               math.nan]
+    with pytest.raises(DomainError) as want:
+        fn(pts[3])
+    with pytest.raises(DomainError) as got:
+        fn.values(pts)
+    assert str(got.value) == str(want.value)
+    assert repr(pts[3]) in str(got.value)
+    with pytest.raises(DomainError, match="evaluated at nan outside"):
+        fn.values([mid, math.nan, hi + 1.0])
+
+
+def test_hermite_fn_is_freed_without_the_cycle_collector():
+    # a slope profile's samples go as soon as its last reference does
+    gc.collect()
+    gc.disable()
+    try:
+        fn = hermite_fn(_KNOTS, _KNOTS, _KNOTS)
+        fn.values(_KNOTS)
+        del fn
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- Jet2 as a value ----------------------------------------------------------

@@ -109,3 +109,42 @@ def test_one_finite_check_between_rows_and_file():
              for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
              if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
     assert "MeridianSurface" in names and "Vec4" not in names
+
+
+def _is_const(node, value):
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def _scaled(node, factor):
+    """Whether node is ``factor * <any expression>``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and _is_const(node.left, factor))
+
+
+def _hermite_basis_h00(node):
+    """Whether node is 2 * a - 3 * b + 1, the cubic Hermite basis
+    polynomial of the left value, whatever a and b are named."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and _is_const(node.right, 1)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Sub)
+            and _scaled(node.left.left, 2) and _scaled(node.left.right, 3))
+
+
+def test_one_cubic_hermite():
+    # the scalar read and the batch walk of jets.hermite_fn share one
+    # cubic, jets._hermite_cubic; a second copy of it could drift apart
+    found = []
+    for path in SOURCES:
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    visit(child, child.name)
+                    continue
+                if _hermite_basis_h00(child):
+                    found.append(f"{path.name}:{owner}")
+                visit(child, owner)
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert _hermite_basis_h00(ast.parse("2.0 * s3 - 3.0 * s2 + 1.0",
+                                        mode="eval").body)
+    assert found == ["jets.py:_hermite_cubic"]
