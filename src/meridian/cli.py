@@ -281,8 +281,9 @@ def _write_rows(path: str, head: str, blocks) -> None:
 
 
 def _invariant_rows(surface: MeridianSurface, us, vs, flat_tol: float):
-    """The invariants CSV's data lines, one block per u-column, but at most
-    _CHUNK_LINES lines from a run of equal cells."""
+    """The invariants CSV's data lines, in blocks closed by the record whose
+    run brings them to _CHUNK_LINES lines; a longer run goes out in blocks
+    of _CHUNK_LINES lines."""
     lines = []
     v_cells = [_fmt(v) for v in vs]
     col = None
@@ -293,9 +294,6 @@ def _invariant_rows(surface: MeridianSurface, us, vs, flat_tol: float):
     # a run is written by a plain loop (a comprehension per run is slower)
     for rec, js in sweep(surface, us, vs, flat_tol):
         if rec.column is not col:
-            if lines:
-                yield lines
-                lines = []
             col = rec.column
             u_cell, G_cell = _fmt(col.u), _fmt(col.ff)
             K_cell = _fmt(col.gaussK)
@@ -327,6 +325,9 @@ def _invariant_rows(surface: MeridianSurface, us, vs, flat_tol: float):
                 js = js[_CHUNK_LINES:]
         for j in js:
             lines.append(f"{u_cell},{v_cells[j]},{tail}\n")
+        if len(lines) >= _CHUNK_LINES:
+            yield lines
+            lines = []
     yield lines
 
 

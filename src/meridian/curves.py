@@ -86,23 +86,11 @@ def _embed(geometry: Geometry, triple: Sequence[float]) -> Vec4:
     return Vec4(*coords)
 
 
-def _project(geometry: Geometry, vec: Vec4) -> tuple[float, float, float]:
-    c = vec.coords()
-    i, j, k = geometry.sphere_slots
-    return (c[i], c[j], c[k])
-
-
 @dataclass(frozen=True)
 class FrenetFrame:
     l: Vec4
     t: Vec4
     n: Vec4
-
-
-def _default_initial_frame(geometry: Geometry) -> tuple[Vec4, Vec4, Vec4]:
-    """The unit vectors at the sphere slots."""
-    return tuple(_embed(geometry, e)
-                 for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
 
 def _validate_initial_frame(geometry: Geometry, l0: Vec4, t0: Vec4,
@@ -125,27 +113,28 @@ def _validate_initial_frame(geometry: Geometry, l0: Vec4, t0: Vec4,
 
 class SphericalCurve:
     """Arc-length curve on S^2(1) or S^2_1(1) given by its spherical
-    curvature kappa(v), a ScalarFn, and an initial frame.
+    curvature kappa(v), a ScalarFn, and an initial frame: the unit vectors
+    at the sphere slots, or one the caller supplies, which is validated.
 
     constant_kappa is b for a circle built by circle_curve, which knows at
     construction that its kappa is constant; it is None for a curve built
-    from any ScalarFn, ScalarFn.constant included.  The elliptic circle's
-    frame is the latitude circle in closed form.  Every other curve, the
-    hyperbolic circle included, is realized by Frenet integration: the
-    frame table is integrated lazily with classical RK4 at DEFAULT_STEP and
+    from any ScalarFn, ScalarFn.constant included.  frame(v) embeds one
+    9-float state (l, t, n at the sphere slots): the elliptic circle's from
+    the latitude circle in closed form, every other curve's, the hyperbolic
+    circle's included, from Frenet integration (_state_at): the frame
+    table is integrated lazily with classical RK4 at DEFAULT_STEP and
     cached, so repeated evaluations are cheap and deterministic.  One loop
     (_rk4) advances the table and takes the remainder step to v.  It reads
     a circle's b once and calls no ScalarFn; for any other kappa it shares
     kappa at the abscissa where one step ends and the next starts, when the
     two are the same float, within one extension of the table, and reads
     the abscissae of each block of _RK4_BLOCK steps with one kappa.values
-    call (a hermite_fn kappa walks its knots there).  Each
-    direction's table is a flat array('d') of 9 doubles per step: 72 B per
-    step, 7.2 MB per 100 units of arc at the default step.  The tables
-    extend only from one thread: two threads extending at once would append
-    the same step twice.  Evaluate from a single thread until the v-range
-    of interest has been visited once; reads of covered ranges are safe to
-    share.
+    call (a HermiteFn walks its knots there).  Each direction's table is a
+    flat array('d') of 9 doubles per step: 72 B per step, 7.2 MB per 100
+    units of arc at the default step.  The tables extend only from one
+    thread: two threads extending at once would append the same step twice.
+    Evaluate from a single thread until the v-range of interest has been
+    visited once; reads of covered ranges are safe to share.
     """
 
     def __init__(self, kappa: ScalarFn, geometry: Geometry,
@@ -154,14 +143,14 @@ class SphericalCurve:
         self.kappa = kappa
         self.geometry = geometry
         self.constant_kappa: Optional[float] = None
-        self._latitude: Optional[tuple[float, float]] = None  # sin, cos rho
-        if l0 is None and t0 is None and n0 is None:
-            l0, t0, n0 = _default_initial_frame(geometry)
+        if l0 is None and t0 is None and n0 is None:   # the unit vectors
+            state0 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
         elif l0 is None or t0 is None or n0 is None:
             raise FrameError("supply all of l0, t0, n0 or none of them")
-        _validate_initial_frame(geometry, l0, t0, n0)
-        state0 = (_project(geometry, l0) + _project(geometry, t0)
-                  + _project(geometry, n0))
+        else:
+            _validate_initial_frame(geometry, l0, t0, n0)
+            state0 = tuple(vec.coords()[i] for vec in (l0, t0, n0)
+                           for i in geometry.sphere_slots)
         self._fwd = array("d", state0)   # state j at v = j*step: [9j, 9j+9)
         self._bwd = array("d", state0)   # state j at v = -j*step
 
@@ -176,12 +165,13 @@ class SphericalCurve:
 
         The system acts on each ambient coordinate alike, so each coordinate's
         (l, t, n) triple is advanced on its own.  kappa is read at v, v + h/2
-        and v + h, except that a curve built constant reads its b once, and
-        that a step takes its kappa(v) from the previous step's kappa(v + h)
-        in this call when the two abscissae are the same float; the midpoint
-        is always read.  The abscissae of each block of at most _RK4_BLOCK
-        steps are listed in that order, each clamped into `clamp` when it is
-        given, and read by one kappa.values call.  Python evaluates
+        and v + h, except that a curve built constant (the hyperbolic
+        circle) reads its b once, and that a step takes its kappa(v) from the
+        previous step's kappa(v + h) in this call when the two abscissae are
+        the same float; the midpoint is always read.  The abscissae of each
+        block of at most _RK4_BLOCK steps are listed in that order, each
+        clamped into `clamp` when it is given, and read by one kappa.values
+        call (a HermiteFn walks its knots).  Python evaluates
         s + 0.5*h*k as s + (0.5*h)*k, so hoisting 0.5*h and h/6 keeps every
         rounding of the textbook stage-by-stage form, and with it every
         output byte, however the steps are split into calls.
@@ -259,37 +249,38 @@ class SphericalCurve:
         curve."""
         if not abs(v) <= MAX_ARC:     # NaN fails this test too
             raise DomainError(f"curve parameter {v!r} exceeds supported range")
-        if self._latitude is not None:     # the elliptic circle
-            sr, cr = self._latitude
+        g, b = self.geometry, self.constant_kappa
+        if b is not None and g.normalization_sign > 0.0:
+            # the elliptic circle: the latitude circle of spherical radius
+            # rho, cot(rho) = b, from l = (sin rho, 0, cos rho)
+            r = math.sqrt(1.0 + b * b)
+            sr, cr = 1.0 / r, b / r
             w = v / sr
             cw, sw = math.cos(w), math.sin(w)
-            return FrenetFrame(Vec4(sr * cw, sr * sw, cr, 0.0),
-                               Vec4(-sw, cw, 0.0, 0.0),
-                               Vec4(-cr * cw, -cr * sw, sr, 0.0))
-        s = self._state_at(v)
-        g = self.geometry
-        return FrenetFrame(_embed(g, s[0:3]), _embed(g, s[3:6]), _embed(g, s[6:9]))
+            s = (sr * cw, sr * sw, cr, -sw, cw, 0.0, -cr * cw, -cr * sw, sr)
+        else:
+            s = self._state_at(v)
+        return FrenetFrame(*(_embed(g, s[i:i + 3]) for i in (0, 3, 6)))
 
     def kappa_jet(self, v: float) -> Jet2:
         return self.kappa.jet2(v)
 
 
 def circle_curve(b: float, geometry: Geometry) -> SphericalCurve:
-    """Constant-curvature curve with kappa(v) = b, arc-length parameterized
-    from the standard frame; its constant_kappa is b.
+    """Constant-curvature curve with kappa(v) = b, arc-length
+    parameterized; its constant_kappa is b.
 
     Elliptic: the latitude circle of spherical radius rho with
-    cot(rho) = b, in closed form.  Hyperbolic: realized by Frenet
-    integration; arc-length parameterization forces the tangent to be
+    cot(rho) = b, in closed form from l = (sin rho, 0, cos rho, 0),
+    t = (-0.0, 1, 0, 0), n = (-cos rho, -0.0, sin rho, 0) at v = 0.
+    Hyperbolic: realized by Frenet integration from the standard frame
+    (e2, e3, e4); arc-length parameterization forces the tangent to be
     spacelike, so every finite b yields a supported (spacelike) orbit.
     """
     if not math.isfinite(b):
         raise DomainError("constant curvature b must be finite")
     curve = SphericalCurve(ScalarFn.constant(float(b), name="kappa"), geometry)
     curve.constant_kappa = float(b)
-    if geometry is Geometry.ELLIPTIC:
-        curve._latitude = (1.0 / math.sqrt(1.0 + b * b),
-                           b / math.sqrt(1.0 + b * b))
     return curve
 
 

@@ -9,6 +9,7 @@ independent of the jet arithmetic so the two can cross-check each other.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
@@ -163,11 +164,11 @@ class ScalarFn:
     ``domain`` is an optional closed interval; evaluation outside raises
     DomainError.  ``d3`` optionally supplies the exact third derivative;
     without it, the method d3 takes a central difference.  ``values`` reads
-    a batch of floats with the bits of one read each; hermite_fn's batch
-    read walks its knots.
+    a batch of floats with the bits of one read each; a subclass may read
+    the batch its own way (HermiteFn walks its knots).
     """
 
-    __slots__ = ("_fn", "domain", "name", "_d3", "_batch")
+    __slots__ = ("_fn", "domain", "name", "_d3")
 
     def __init__(self,
                  fn: Callable,
@@ -178,9 +179,6 @@ class ScalarFn:
         self.domain = domain
         self.name = name
         self._d3 = d3
-        #: a batch read for values, called with this ScalarFn and the xs
-        self._batch: Optional[Callable[["ScalarFn", Sequence[float]],
-                                       list]] = None
 
     def _check(self, u: float) -> None:
         if self.domain is not None:
@@ -203,8 +201,6 @@ class ScalarFn:
         """[self(x) for x in xs] in one call, with the same bits; at the
         first x (in the given order) outside the domain, the DomainError
         that self(x) raises."""
-        if self._batch is not None:
-            return self._batch(self, xs)
         fn = self._fn
         if self.domain is None:
             return [fn(x) for x in xs]
@@ -251,25 +247,57 @@ def _hermite_cubic(s: float, h: float, f0: float, f1: float, d0: float,
             + (-2.0 * s3 + 3.0 * s2) * f1 + (s3 - s2) * h * d1)
 
 
+class HermiteFn(ScalarFn):
+    """The cubic Hermite interpolant of hermite_fn, holding its knots (xs,
+    values ys, derivatives ds).  Its body closes over the knot lists, not
+    over the object: no reference cycle keeps the knots alive."""
+
+    __slots__ = ("_xs", "_ys", "_ds")
+
+    def __init__(self, body: Callable, xs: list[float], ys: list[float],
+                 ds: list[float], name: str = ""):
+        super().__init__(body, domain=(xs[0], xs[-1]), name=name)
+        self._xs, self._ys, self._ds = xs, ys, ds
+
+    def values(self, us: Sequence[float]) -> list[float]:
+        """ScalarFn.values by a walk over the knots, bisecting them only
+        where x leaves the segment of the x before it."""
+        xs, ys, ds = self._xs, self._ys, self._ds
+        n = len(xs)
+        lo, hi = self.domain
+        out = []
+        put = out.append
+        a = b = math.inf    # [a, b): the segment of the last x read
+        for x in us:
+            if not a <= x < b:
+                if not lo <= x <= hi:     # NaN fails this test too
+                    self._check(x)
+                i = bisect_right(xs, x, 1, n - 1) - 1
+                a, b = xs[i], xs[i + 1]
+                h = b - a
+                f0, f1, d0, d1 = ys[i], ys[i + 1], ds[i], ds[i + 1]
+                if i == n - 2:      # the last segment holds its right knot
+                    b = math.nextafter(b, math.inf)
+            put(_hermite_cubic((x - a) / h, h, f0, f1, d0, d1))
+        return out
+
+
 def hermite_fn(xs: list[float], ys: list[float], ds: list[float],
-               name: str = "") -> ScalarFn:
+               name: str = "") -> HermiteFn:
     """Cubic Hermite interpolant through (x, value, derivative) samples,
-    exposed as a ScalarFn (second derivatives are those of the cubic); it
-    reads tabulated kappa and the RK4 table of a slope profile alike.
+    a HermiteFn (second derivatives are those of the cubic); it reads
+    tabulated kappa and the RK4 table of a slope profile alike.
 
     A knot belongs to the segment on its right, the last knot to the last
     segment.  A read bisects the knots for its segment; the batch read
-    (values) walks them, bisecting only where x leaves the segment of the
-    x before it, and both evaluate the one _hermite_cubic.
+    (HermiteFn.values) walks them, and both evaluate the one
+    _hermite_cubic.
     """
     if not (len(xs) == len(ys) == len(ds)) or len(xs) < 2:
         raise ValueError("hermite_fn needs >= 2 aligned samples")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("sample abscissae must be strictly increasing")
-
-    from bisect import bisect_right
     n = len(xs)
-    lo, hi = xs[0], xs[-1]
 
     def body(u):
         jet = isinstance(u, Jet2)
@@ -287,29 +315,7 @@ def hermite_fn(xs: list[float], ys: list[float], ds: list[float],
                + (6 - 12 * s) * f1 + (6 * s - 2) * h * d1) / (h * h)
         return _new(Jet2, (val, dv, d2v))
 
-    # fn comes as an argument: a walk that closed over it would make a
-    # reference cycle, and the samples would live until the cycle collector
-    # ran (2.8 MB more peak memory in a run of verify calls)
-    def walk(fn, us):
-        out = []
-        put = out.append
-        a = b = math.inf    # [a, b): the segment of the last x read
-        for x in us:
-            if not a <= x < b:
-                if not lo <= x <= hi:     # NaN fails this test too
-                    fn._check(x)
-                i = bisect_right(xs, x, 1, n - 1) - 1
-                a, b = xs[i], xs[i + 1]
-                h = b - a
-                f0, f1, d0, d1 = ys[i], ys[i + 1], ds[i], ds[i + 1]
-                if i == n - 2:      # the last segment holds its right knot
-                    b = math.nextafter(b, math.inf)
-            put(_hermite_cubic((x - a) / h, h, f0, f1, d0, d1))
-        return out
-
-    fn = ScalarFn(body, domain=(lo, hi), name=name)
-    fn._batch = walk
-    return fn
+    return HermiteFn(body, xs, ys, ds, name=name)
 
 
 def default_step(u: float) -> float:

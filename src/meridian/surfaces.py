@@ -160,8 +160,7 @@ class PointRecord(NamedTuple):
     frame: Optional[InvariantSet]
 
 
-def _cell(col: ProfileColumn, kj: Jet2, flat_tol: float,
-          frame: bool) -> PointRecord:
+def _cell(col: ProfileColumn, kj: Jet2, flat_tol: float) -> PointRecord:
     """Combine a u-column with a curvature jet kj: O(1) arithmetic."""
     kappa = kj.v
     kkV = kappa * kappa * col.V
@@ -174,7 +173,7 @@ def _cell(col: ProfileColumn, kj: Jet2, flat_tol: float,
     k = col.k_factor * kappa * kappa / col.ff
     meanH = math.sqrt(abs(H2))
     inv = None
-    if frame and tag is PointTag.GENERAL and not trapped:
+    if tag is PointTag.GENERAL and not trapped:
         gamma, nu_denom, ffdd, VV, P, Pdu = col.frame_terms
         V, eps = col.V, 1 if H2 > 0.0 else -1
         absD = eps * D
@@ -209,13 +208,11 @@ def sweep(s: MeridianSurface, us: Sequence[float], vs: Sequence[float],
     for u in us:
         col = ProfileColumn(s.profile, u)
         for kj, js in rows:
-            yield _cell(col, kj, flat_tol, True), js
+            yield _cell(col, kj, flat_tol), js
 
 
-def _point(s: MeridianSurface, u: float, v: float,
-           frame: bool) -> PointRecord:
-    return _cell(ProfileColumn(s.profile, u), s.curve.kappa_jet(v),
-                 FLAT_TOL, frame)
+def _point(s: MeridianSurface, u: float, v: float) -> PointRecord:
+    return _cell(ProfileColumn(s.profile, u), s.curve.kappa_jet(v), FLAT_TOL)
 
 
 def _require_general(rec: PointRecord) -> None:
@@ -303,7 +300,7 @@ def invariants_from_forms(forms: FundamentalForms) -> tuple[float, float]:
 def basic_invariants(s: MeridianSurface, u: float, v: float) -> BasicInvariants:
     """Closed forms: k = -kappa_m^2 kappa^2 / f^2, varkappa = 0,
     K = -fddot/f, plus <H,H> and its norm."""
-    rec = _point(s, u, v, frame=False)
+    rec = _point(s, u, v)
     return BasicInvariants(k=rec.k, varkappa=0.0, gaussK=rec.column.gaussK,
                            H2=rec.H2, meanH=rec.meanH)
 
@@ -313,7 +310,7 @@ def mean_curvature_vector(s: MeridianSurface, u: float, v: float) -> Vec4:
 
     Requires a general point: the reduced coefficients assume case III.
     """
-    rec = _point(s, u, v, frame=False)
+    rec = _point(s, u, v)
     _require_general(rec)
     col = rec.column
     n, n_m = _moving_frame(s, col, v)[2:]
@@ -325,7 +322,7 @@ def geometric_frame(s: MeridianSurface, u: float, v: float) -> GeometricFrame:
     """Principal tangents x, y and the normal pair b, l with b collinear
     (same orientation for epsilon = +1) with H: b and l are the normalized
     s kappa sqrt(V) n + phi n_m and phi n + s kappa sqrt(V) n_m."""
-    rec = _point(s, u, v, frame=False)
+    rec = _point(s, u, v)
     _require_general(rec)
     _require_untrapped(rec)
     eps = 1 if rec.H2 > 0.0 else -1
@@ -343,7 +340,7 @@ def geometric_frame(s: MeridianSurface, u: float, v: float) -> GeometricFrame:
 def eight_invariants(s: MeridianSurface, u: float, v: float) -> InvariantSet:
     """The eight invariants of the geometric frame, by their closed forms,
     with dkappa/dv taken from the curve's jet."""
-    rec = _point(s, u, v, frame=True)
+    rec = _point(s, u, v)
     _require_general(rec)
     _require_untrapped(rec)
     return rec.frame
@@ -360,7 +357,7 @@ def allied_coefficient(s: MeridianSurface, u: float, v: float) -> float:
 def classify_point(s: MeridianSurface, u: float, v: float) -> PointClass:
     """Flat-case tag and point type by the sign of k, each decided at
     FLAT_TOL, and the trapped flag (|<H,H>| <= TRAPPED_TOL)."""
-    rec = _point(s, u, v, frame=False)
+    rec = _point(s, u, v)
     ktype = (KType.PARABOLIC_PT if abs(rec.k) <= FLAT_TOL
              else KType.HYPERBOLIC_PT)
     return PointClass(tag=rec.tag, ktype=ktype, trapped=rec.trapped)

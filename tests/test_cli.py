@@ -1129,15 +1129,17 @@ def test_export_overflow_exit3(tmp_path, capsys, fmt):
     assert not out.exists()
 
 
-#: sha256 of the 1x5000 invariants CSV below, recorded while each u-column
-#: was one block
+#: sha256 of the 1x5000 invariants CSVs below over a circle and over a
+#: sampled kappa, recorded while each u-column was one block
 GOLDEN_LONG_RUN = \
     "adce243ce8e9cf96ae4aee208e8633a7d7a82b297af16508afb4aeb9fc8b2005"
+GOLDEN_LONG_SAMPLED_COLUMN = \
+    "5a23fd79ec530819a6fde2a6ac2e68c108de7973be1ddb450ddabc62ceadf9ad"
 
 
-def test_invariants_long_run_in_bounded_blocks(tmp_path, monkeypatch):
-    # over a circle the u-column is one run of 5,000 equal cells; it goes
-    # out in blocks of at most _CHUNK_LINES lines, so few are alive at once
+def _long_column_blocks(tmp_path, monkeypatch, cfg):
+    """The line counts of the blocks invariants writes on the 1x5000 grid
+    of cfg, and the sha256 of the file."""
     sizes, write = [], cli._write_rows
 
     def spy(path, head, blocks):
@@ -1148,13 +1150,40 @@ def test_invariants_long_run_in_bounded_blocks(tmp_path, monkeypatch):
         write(path, head, counted())
 
     monkeypatch.setattr(cli, "_write_rows", spy)
-    cfg = write_config(tmp_path / "long.json", {
-        "geometry": "elliptic", "curve": {"kind": "constant", "b": 1.2},
-        "profile": {"kind": "explicit_f", "family": "sinh"},
-        "domain": {"u": [0.5, 2.0], "v": [0.0, 12.5]},
-        "grid": {"nu": 1, "nv": 5000}})
+    cfg = write_config(tmp_path / "long.json",
+                       {**cfg, "grid": {"nu": 1, "nv": 5000}})
     out = tmp_path / "long.csv"
     assert main(["invariants", "--config", cfg, "--out", str(out)]) == 0
     assert sum(sizes) == 5000
+    # one size rule: every block but the last holds _CHUNK_LINES lines or
+    # more, and fewer than twice that
+    assert all(cli._CHUNK_LINES <= n < 2 * cli._CHUNK_LINES
+               for n in sizes[:-1])
+    assert sizes[-1] < 2 * cli._CHUNK_LINES
+    return sizes, sha256_of(out)
+
+
+def test_invariants_long_run_in_bounded_blocks(tmp_path, monkeypatch):
+    # over a circle the u-column is one run of 5,000 equal cells; it goes
+    # out in blocks of at most _CHUNK_LINES lines, so few are alive at once
+    sizes, digest = _long_column_blocks(tmp_path, monkeypatch, {
+        "geometry": "elliptic", "curve": {"kind": "constant", "b": 1.2},
+        "profile": {"kind": "explicit_f", "family": "sinh"},
+        "domain": {"u": [0.5, 2.0], "v": [0.0, 12.5]}})
     assert max(sizes) <= cli._CHUNK_LINES
-    assert sha256_of(out) == GOLDEN_LONG_RUN
+    assert digest == GOLDEN_LONG_RUN
+
+
+def test_invariants_long_sampled_column_in_bounded_blocks(tmp_path,
+                                                          monkeypatch):
+    # over a sampled kappa each of the 5,000 cells of the u-column is its
+    # own record; the blocks close at _CHUNK_LINES lines, not at the column
+    v = [0.25 * i for i in range(51)]
+    samples = [[x, 1.0 + 0.3 * math.sin(x), 0.3 * math.cos(x)] for x in v]
+    sizes, digest = _long_column_blocks(tmp_path, monkeypatch, {
+        "geometry": "hyperbolic",
+        "curve": {"kind": "function", "samples": samples},
+        "profile": {"kind": "explicit_f", "family": "cos"},
+        "domain": {"u": [0.3, 1.2], "v": [0.0, 12.5]}})
+    assert sizes == [cli._CHUNK_LINES] * 4 + [5000 - 4 * cli._CHUNK_LINES]
+    assert digest == GOLDEN_LONG_SAMPLED_COLUMN

@@ -370,6 +370,36 @@ def test_latitude_circle_b1_and_curvature():
     assert abs(inner(tp, c.frame(v).n) - 1.0) <= 1e-8
 
 
+#: The frame (l, t, n) of circle_curve(1.3, geometry) at v = 0 as
+#: float.hex, signed zeros included.  The elliptic circle starts on its
+#: latitude, l = (sin rho, 0, cos rho, 0) with cot(rho) = 1.3, not at the
+#: standard frame; the hyperbolic one starts at the standard frame e2, e3, e4.
+CIRCLE_FRAMES_AT_0 = {
+    Geometry.ELLIPTIC: (
+        ("0x1.382c0243bcc70p-1", "0x0.0p+0", "0x1.95d2cfbe75692p-1",
+         "0x0.0p+0"),
+        ("-0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.95d2cfbe75692p-1", "-0x0.0p+0", "0x1.382c0243bcc70p-1",
+         "0x0.0p+0")),
+    Geometry.HYPERBOLIC: (
+        ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0")),
+}
+
+
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_circle_frame_at_zero_bits(geometry):
+    fr = circle_curve(1.3, geometry).frame(0.0)
+    got = tuple(tuple(c.hex() for c in vec.coords())
+                for vec in (fr.l, fr.t, fr.n))
+    assert got == CIRCLE_FRAMES_AT_0[geometry]
+    if geometry is Geometry.ELLIPTIC:
+        rho = math.atan2(1.0, 1.3)
+        assert coords_close(fr.l, (math.sin(rho), 0, math.cos(rho), 0),
+                            1e-15)
+
+
 def test_hyperbolic_circle_curvature_via_fd():
     c = circle_curve(1.0, Geometry.HYPERBOLIC)
     v, h = 1.0, 1e-5

@@ -38,11 +38,13 @@ def expand(stream, nv):
 
 
 def assert_matches_views(surface, us, vs):
-    """Every sweep record equals the one-point views bit for bit."""
+    """Every sweep record equals the one-point views bit for bit, and every
+    field but the column of the views' one cell, surfaces._point."""
     records = expand(sweep(surface, us, vs), len(vs))
     assert [r.column.u for r in records] == [u for u in us for v in vs]
     for rec, v in zip(records, vs * len(us)):
         u = rec.column.u
+        assert surfaces._point(surface, u, v)[1:] == rec[1:], (u, v)
         basic = basic_invariants(surface, u, v)
         assert (rec.k, rec.H2, rec.meanH, rec.column.gaussK) == \
             (basic.k, basic.H2, basic.meanH, basic.gaussK)

@@ -32,8 +32,7 @@ def test_no_private_name_imported_across_modules():
 #: The functions that may name a Geometry member: each states a rule that
 #: is not a formula in the sign s = Geometry.normalization_sign.
 GEOMETRY_BRANCHES = {
-    "curves.py": {"circle_curve",                   # the closed-form circle
-                  "_slope_admissible"},             # the hyperbolic y > 0
+    "curves.py": {"_slope_admissible"},             # the hyperbolic y > 0
     "families.py": {"constant_mean_slope",          # its branch choice
                     "parallel_profile_case_a",      # c^2 > d or d > c^2
                     "verify_family"},               # printed-vs-eq18
@@ -148,3 +147,14 @@ def test_one_cubic_hermite():
     assert _hermite_basis_h00(ast.parse("2.0 * s3 - 3.0 * s2 + 1.0",
                                         mode="eval").body)
     assert found == ["jets.py:_hermite_cubic"]
+
+
+def test_one_frenet_frame_construction():
+    # SphericalCurve.frame embeds one 9-float state, whichever place it came
+    # from; a second FrenetFrame(...) would be a second frame path
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "FrenetFrame"]
+    assert len(found) == 1 and found[0].startswith("curves.py:"), found
