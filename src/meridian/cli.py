@@ -39,7 +39,7 @@ class ConfigError(MeridianError):
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+    return "%.9g" % x
 
 
 def _require(cfg: dict, key: str, where: str = ""):
@@ -288,30 +288,30 @@ def _invariant_rows(surface: MeridianSurface, us, vs, flat_tol: float):
     v_cells = [_fmt(v) for v in vs]
     col = None
     # u-only cells are formatted once per column, v cells once per row and
-    # a record's tail, the cells after v, once per record, which is then
-    # written at each j of its run.  This loop is hot: numbers use _fmt's
-    # format spec inline, each branch builds its tail in one f-string, and
-    # a run is written by a plain loop (a comprehension per run is slower)
-    for rec, js in sweep(surface, us, vs, flat_tol):
-        if rec.column is not col:
-            col = rec.column
+    # a record's tail, the cells after v, once per record by the one "%"
+    # template of its kind, which is then written at each j of its run.
+    # This loop is hot: a record is unpacked once, and a run is written by
+    # a plain loop (a comprehension per run is slower)
+    for (column, _, k, _, H2, meanH, tag, _, inv), js in sweep(
+            surface, us, vs, flat_tol):
+        if column is not col:
+            col = column
             u_cell, G_cell = _fmt(col.u), _fmt(col.ff)
             K_cell = _fmt(col.gaussK)
             gamma_cell = None
-        inv = rec.frame
         if inv is None:
-            tail = (f"1,0,{G_cell},{rec.k:.9g},0,{K_cell},{rec.H2:.9g},"
-                    f"{rec.meanH:.9g},,,,,,,,,,") + (
-                "trapped" if rec.tag is PointTag.GENERAL else rec.tag.value)
+            tail = "1,0,%s,%.9g,0,%s,%.9g,%.9g,,,,,,,,,,%s" % (
+                G_cell, k, K_cell, H2, meanH,
+                "trapped" if tag is PointTag.GENERAL else tag.value)
         else:
+            gamma, _, nu, _, lam, mu, beta1, beta2, eps = inv[:9]
             if gamma_cell is None:
-                gamma_cell = _fmt(inv.gamma1)
-            nu_cell = _fmt(inv.nu1)
-            tail = (f"1,0,{G_cell},{rec.k:.9g},0,{K_cell},{rec.H2:.9g},"
-                    f"{rec.meanH:.9g},{inv.epsilon},{gamma_cell},"
-                    f"{gamma_cell},{nu_cell},{nu_cell},{inv.lam:.9g},"
-                    f"{inv.mu:.9g},{inv.beta1:.9g},{inv.beta2:.9g},"
-                    "general")
+                gamma_cell = _fmt(gamma)
+            nu_cell = _fmt(nu)
+            tail = ("1,0,%s,%.9g,0,%s,%.9g,%.9g,%d,%s,%s,%s,%s,%.9g,%.9g,"
+                    "%.9g,%.9g,general" % (
+                        G_cell, k, K_cell, H2, meanH, eps, gamma_cell,
+                        gamma_cell, nu_cell, nu_cell, lam, mu, beta1, beta2))
         if len(js) > _CHUNK_LINES:
             # a run longer than a block (over a curve built constant, a
             # whole u-column) goes out in blocks of _CHUNK_LINES lines, all
@@ -344,7 +344,7 @@ def _csv4_rows(us, vs, rows):
     v_cells = [_fmt(v) for v in vs]
     for u, row in zip(us, rows):
         u_cell = _fmt(u)
-        yield [f"{u_cell},{v_cell},{x1:.9g},{x2:.9g},{x3:.9g},{x4:.9g}\n"
+        yield ["%s,%s,%.9g,%.9g,%.9g,%.9g\n" % (u_cell, v_cell, x1, x2, x3, x4)
                for v_cell, (x1, x2, x3, x4) in zip(v_cells, row)]
 
 
@@ -353,9 +353,9 @@ def _obj3_rows(nu: int, nv: int, rows, drop: int):
     then the quads between each u and the next, one list per u."""
     a, b, c = (i for i in range(4) if i != drop)
     for row in rows:
-        yield [f"v {z[a]:.9g} {z[b]:.9g} {z[c]:.9g}\n" for z in row]
+        yield ["v %.9g %.9g %.9g\n" % (z[a], z[b], z[c]) for z in row]
     for i in range(nu - 1):
-        yield [f"f {k} {k + nv} {k + nv + 1} {k + 1}\n"
+        yield ["f %d %d %d %d\n" % (k, k + nv, k + nv + 1, k + 1)
                for k in range(i * nv + 1, (i + 1) * nv)]
 
 

@@ -163,25 +163,27 @@ class SphericalCurve:
         state (l, t, n); step i, for i from start, starts at v = i*grid and
         has length h.
 
-        The system acts on each ambient coordinate alike, so each coordinate's
-        (l, t, n) triple is advanced on its own.  kappa is read at v, v + h/2
-        and v + h, except that a curve built constant (the hyperbolic
-        circle) reads its b once, and that a step takes its kappa(v) from the
-        previous step's kappa(v + h) in this call when the two abscissae are
-        the same float; the midpoint is always read.  The abscissae of each
-        block of at most _RK4_BLOCK steps are listed in that order, each
-        clamped into `clamp` when it is given, and read by one kappa.values
-        call (a HermiteFn walks its knots).  Python evaluates
-        s + 0.5*h*k as s + (0.5*h)*k, so hoisting 0.5*h and h/6 keeps every
-        rounding of the textbook stage-by-stage form, and with it every
-        output byte, however the steps are split into calls.
+        The system acts on each ambient coordinate alike, so the (l, t, n)
+        triples of the coordinates a, b, c are nine local floats, each
+        triple advanced by the same straight lines, and out grows once per
+        step.  kappa is read at v, v + h/2 and v + h, except that a curve
+        built constant (the hyperbolic circle) reads its b once, and that a
+        step takes its kappa(v) from the previous step's kappa(v + h) in
+        this call when the two abscissae are the same float; the midpoint
+        is always read.  The abscissae of each block of at most _RK4_BLOCK
+        steps are listed in that order, each clamped into `clamp` when it is
+        given, and read by one kappa.values call (a HermiteFn walks its
+        knots).  Python evaluates s + 0.5*h*k as s + (0.5*h)*k and -k*t as
+        (-k)*t, so hoisting 0.5*h, h/6 and -kappa keeps every rounding of
+        the textbook stage-by-stage form, and with it every output byte,
+        however the steps are split into calls.
         """
         hh, h6 = 0.5 * h, h / 6.0
         sign, b = self.geometry.normalization_sign, self.constant_kappa
         if b is not None:
-            k1 = km = k4 = b
+            m1 = mm = m4 = -b
             s1 = sm = s4 = sign * b
-        s = out[-9:].tolist()
+        la, lb, lc, ta, tb, tc, na, nb, nc = out[-9:]
         end = None
         for first in range(start, start + steps, _RK4_BLOCK):
             block = range(first, min(first + _RK4_BLOCK, start + steps))
@@ -206,19 +208,38 @@ class SphericalCurve:
                     end = v + h
                     k4 = read()
                     s1, sm, s4 = sign * k1, sign * km, sign * k4
-                for li, ti, ni in ((0, 3, 6), (1, 4, 7), (2, 5, 8)):
-                    l, t, n = s[li], s[ti], s[ni]
-                    at, an = s1 * n - l, -k1 * t
-                    l2, t2, n2 = l + hh * t, t + hh * at, n + hh * an
-                    bt, bn = sm * n2 - l2, -km * t2
-                    l3, t3, n3 = l + hh * t2, t + hh * bt, n + hh * bn
-                    ct, cn = sm * n3 - l3, -km * t3
-                    l4, t4, n4 = l + h * t3, t + h * ct, n + h * cn
-                    dt, dn = s4 * n4 - l4, -k4 * t4
-                    s[li] = l + h6 * (t + 2.0 * t2 + 2.0 * t3 + t4)
-                    s[ti] = t + h6 * (at + 2.0 * bt + 2.0 * ct + dt)
-                    s[ni] = n + h6 * (an + 2.0 * bn + 2.0 * cn + dn)
-                out.extend(s)
+                    m1, mm, m4 = -k1, -km, -k4
+                at, an = s1 * na - la, m1 * ta
+                l2, t2, n2 = la + hh * ta, ta + hh * at, na + hh * an
+                bt, bn = sm * n2 - l2, mm * t2
+                l3, t3, n3 = la + hh * t2, ta + hh * bt, na + hh * bn
+                ct, cn = sm * n3 - l3, mm * t3
+                l4, t4, n4 = la + h * t3, ta + h * ct, na + h * cn
+                dt, dn = s4 * n4 - l4, m4 * t4
+                la, ta, na = (la + h6 * (ta + 2.0 * t2 + 2.0 * t3 + t4),
+                              ta + h6 * (at + 2.0 * bt + 2.0 * ct + dt),
+                              na + h6 * (an + 2.0 * bn + 2.0 * cn + dn))
+                at, an = s1 * nb - lb, m1 * tb
+                l2, t2, n2 = lb + hh * tb, tb + hh * at, nb + hh * an
+                bt, bn = sm * n2 - l2, mm * t2
+                l3, t3, n3 = lb + hh * t2, tb + hh * bt, nb + hh * bn
+                ct, cn = sm * n3 - l3, mm * t3
+                l4, t4, n4 = lb + h * t3, tb + h * ct, nb + h * cn
+                dt, dn = s4 * n4 - l4, m4 * t4
+                lb, tb, nb = (lb + h6 * (tb + 2.0 * t2 + 2.0 * t3 + t4),
+                              tb + h6 * (at + 2.0 * bt + 2.0 * ct + dt),
+                              nb + h6 * (an + 2.0 * bn + 2.0 * cn + dn))
+                at, an = s1 * nc - lc, m1 * tc
+                l2, t2, n2 = lc + hh * tc, tc + hh * at, nc + hh * an
+                bt, bn = sm * n2 - l2, mm * t2
+                l3, t3, n3 = lc + hh * t2, tc + hh * bt, nc + hh * bn
+                ct, cn = sm * n3 - l3, mm * t3
+                l4, t4, n4 = lc + h * t3, tc + h * ct, nc + h * cn
+                dt, dn = s4 * n4 - l4, m4 * t4
+                lc, tc, nc = (lc + h6 * (tc + 2.0 * t2 + 2.0 * t3 + t4),
+                              tc + h6 * (at + 2.0 * bt + 2.0 * ct + dt),
+                              nc + h6 * (an + 2.0 * bn + 2.0 * cn + dn))
+                out.extend((la, lb, lc, ta, tb, tc, na, nb, nc))
 
     def _state_at(self, v: float) -> Sequence[float]:
         h = DEFAULT_STEP if v >= 0.0 else -DEFAULT_STEP
@@ -447,8 +468,9 @@ def profile_from_f(f: ScalarFn, geometry: Geometry, g0: float,
     return profile
 
 
-def _slope_admissible(y: ScalarFn, t: float, geometry: Geometry) -> float:
-    """Value y(t) if the slope keeps the profile admissible there, else NaN."""
+def _slope_admissible(y, t: float, geometry: Geometry) -> float:
+    """Value y(t) if the slope keeps the profile admissible there, else NaN;
+    y is the slope ScalarFn, or any function of t that gives its value."""
     try:
         yv = y(t)
     except (DomainError, ValueError, ZeroDivisionError):
@@ -461,21 +483,23 @@ def _slope_admissible(y: ScalarFn, t: float, geometry: Geometry) -> float:
     return yv
 
 
-def _normalization_rate(y: ScalarFn, geometry: Geometry,
-                        t: float) -> Optional[float]:
-    """dV/dt of the margin quantity V(y(t)), or None where y has no jet."""
+def _slope_point(y: ScalarFn, geometry: Geometry,
+                 t: float) -> tuple[float, Optional[float]]:
+    """(y(t) as _slope_admissible reads it, dV/dt of V(y(t))) from one jet of
+    y (its value has the bits of y(t)), or (NaN, None) where y has none."""
     try:
         j = y.jet2(t)
     except (DomainError, ValueError, ZeroDivisionError):
-        return None
-    return geometry.normalization_sign * 2.0 * j.v * j.d1
+        return math.nan, None
+    return (_slope_admissible(lambda _: j.v, t, geometry),
+            geometry.normalization_sign * 2.0 * j.v * j.d1)
 
 
 def _step_dips_inadmissible(y: ScalarFn, geometry: Geometry, a: float,
                             b: float, da, db) -> bool:
     """Whether the normalization margin is violated strictly between a and b
     (in either order) even though both are admissible; da and db are their
-    _normalization_rate, and None there counts as a violation.
+    rates by _slope_point, and None there counts as a violation.
 
     The margin quantity V(t) can dip through zero inside a single step (it
     is quadratic near a simple root of 1 - y^2); catch that by locating an
@@ -487,7 +511,7 @@ def _step_dips_inadmissible(y: ScalarFn, geometry: Geometry, a: float,
         return False
     for _ in range(60):
         mid = 0.5 * (a + b)
-        dm = _normalization_rate(y, geometry, mid)
+        dm = _slope_point(y, geometry, mid)[1]
         if dm is None:
             return True
         if (dm < 0.0) == (da < 0.0):
@@ -518,7 +542,7 @@ def _slope_table(
     step = DEFAULT_STEP
     n_steps = max(1, round(u_span / step))
     us, fs, ds = [0.0], [f0], [d0]
-    f, dV = f0, _normalization_rate(y, geometry, f0)
+    f, dV = f0, _slope_point(y, geometry, f0)[1]
     for i in range(n_steps):
         k1 = ds[-1]  # the slope at the last accepted point
         k2 = _slope_admissible(y, f + 0.5 * step * k1, geometry)
@@ -527,7 +551,7 @@ def _slope_table(
         if any(map(math.isnan, (k2, k3, k4))):
             break
         f_next = f + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        d_next = _slope_admissible(y, f_next, geometry)
+        d_next, dV_next = _slope_point(y, geometry, f_next)
         if math.isnan(d_next):
             break
         # the cubic through (f, k1) and (f_next, d_next) is monotone, so f
@@ -537,7 +561,6 @@ def _slope_table(
         if not (df != 0.0 and 0.0 < step * k1 / df <= 3.0
                 and 0.0 < step * d_next / df <= 3.0):
             break
-        dV_next = _normalization_rate(y, geometry, f_next)
         if _step_dips_inadmissible(y, geometry, f, f_next, dV, dV_next):
             break
         f, dV = f_next, dV_next

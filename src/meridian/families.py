@@ -269,12 +269,13 @@ def explicit_f(name: str, params: dict) -> tuple[ScalarFn, float]:
     return build(*(p[k] for k in fields)), p["g0"]
 
 
-def _validated_family_domain(
-        f: ScalarFn, geometry: Geometry,
-        domain: tuple[float, float]) -> tuple[float, float]:
-    """Largest admissible subinterval of ``domain`` by construction_scan,
-    shrunk 1% from each admissibility boundary.  Raises FamilyDomainError
-    when none exists."""
+def _validated_family_profile(
+        f: ScalarFn, geometry: Geometry, domain: tuple[float, float],
+        g0: float) -> MeridianProfile:
+    """The profile of f on the largest admissible subinterval of ``domain``
+    by construction_scan, shrunk 1% from each admissibility boundary.
+    Raises FamilyDomainError when none exists.  An untruncated domain is
+    scanned once; a truncated one again by profile_from_f, at its points."""
     lo, hi = float(domain[0]), float(domain[1])
     if hi <= lo:
         raise FamilyDomainError(f"empty domain {domain!r}")
@@ -297,13 +298,15 @@ def _validated_family_domain(
             f"no admissible subdomain inside [{lo:.9g}, {hi:.9g}]: {detail}")
     a = us[best_start]
     b = us[best_start + best_len - 1]
+    if best_len == len(us):     # profile_from_f would scan the same points
+        return MeridianProfile(f, geometry, (a, b), g0)
     width = b - a
     # shrink 1% away from a side only when that side was actually truncated
     if best_start > 0:
         a += 0.01 * width
     if best_start + best_len < len(us):
         b -= 0.01 * width
-    return (a, b)
+    return profile_from_f(f, geometry, g0, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +330,7 @@ def constant_gauss_profile(K0: float, alpha: float, beta: float,
         f = harmonic_fn(alpha, beta, omega)
     else:
         f = hyperbolic_harmonic_fn(alpha, beta, omega)
-    valid = _validated_family_domain(f, geometry, domain)
-    return profile_from_f(f, geometry, g0, valid)
+    return _validated_family_profile(f, geometry, domain, g0)
 
 
 def constant_mean_slope(a: float, b: float, C: float, geometry: Geometry,
@@ -433,8 +435,7 @@ def parallel_profile_case_a(c: float, d: float, geometry: Geometry,
         raise FamilyDomainError(
             "hyperbolic parallel case (a) requires d > c^2")
     f = sqrt_quadratic_fn(c, d)
-    valid = _validated_family_domain(f, geometry, domain)
-    return profile_from_f(f, geometry, g0, valid)
+    return _validated_family_profile(f, geometry, domain, g0)
 
 
 def parallel_slope_case_b(a: float, c: float, geometry: Geometry) -> ScalarFn:

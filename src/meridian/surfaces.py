@@ -27,6 +27,8 @@ FLAT_TOL = 1e-9
 #: rejected rather than approximated.
 TRAPPED_TOL = 1e-10
 
+_new = tuple.__new__    # a NamedTuple from its fields, no Python __new__
+
 #: Step of the finite-difference fundamental forms: wide enough that g's
 #: quadrature error, which the second differences amplify by 1/h^2, stays
 #: below the stencil's truncation error.
@@ -180,14 +182,15 @@ def _cell(col: ProfileColumn, kj: Jet2, flat_tol: float) -> PointRecord:
         sqD = math.sqrt(absD)
         nu = sqD / nu_denom
         dkP = kj.d1 * P / col.f
-        inv = InvariantSet(
+        inv = _new(InvariantSet, (
             gamma, gamma, nu, nu,
             eps * col.sign * (kkV + ffdd - VV) / (nu_denom * sqD),
             kappa * col.fddot / sqD,
             -V * (kappa * Pdu - dkP) / (SQRT2 * absD),
             V * (kappa * Pdu + dkP) / (SQRT2 * absD),
-            eps, k, 0.0, col.gaussK, meanH, H2)
-    return PointRecord(col, kappa, k, D, H2, meanH, tag, trapped, inv)
+            eps, k, 0.0, col.gaussK, meanH, H2))
+    return _new(PointRecord, (col, kappa, k, D, H2, meanH, tag, trapped,
+                              inv))
 
 
 def sweep(s: MeridianSurface, us: Sequence[float], vs: Sequence[float],

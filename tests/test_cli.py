@@ -3,8 +3,10 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -14,6 +16,7 @@ from meridian import cli
 from meridian.cli import (CSV_HEADER, MAX_GRID_POINTS, _fmt, _grid, main,
                           surface_from_config)
 from meridian.curves import MAX_ARC, MeridianProfile, grid_points
+from meridian.surfaces import InvariantSet, PointRecord, PointTag
 
 
 def write_config(path, cfg):
@@ -679,6 +682,97 @@ def test_golden_verify_record_slope_families(tmp_path, name):
     assert main(["verify", "--family", family, "--geometry", geometry,
                  *flags, "--out", str(out)]) == rc
     assert sha256_of(out) == digest
+
+
+#: sha256 of a 3x7 invariants CSV whose rows take every point class: flat
+#: case I where the sampled kappa is 0, trapped where it is 1e-5 (f is
+#: sqrt(u^2 - 1), so phi = 0 and <H,H> = kappa^2 / (4 f^2)), flat case II at
+#: the large u, where |kappa_m| = 1 / f^2 is below tolerances.flat, and
+#: general; recorded while the rows were f-strings with format specs
+GOLDEN_POINT_CLASSES = \
+    "cd9bf4f32022ec26e01c1824001babc9439d4c0d7b11bc4657b12381de893a38"
+
+
+def test_golden_invariants_every_point_class(tmp_path):
+    cfg = write_config(tmp_path / "classes.json", {
+        "geometry": "elliptic",
+        "curve": {"kind": "function", "samples": [
+            [0.0, 0.0, 0.0], [1.0, 1e-5, 0.0], [2.0, 1.0, 0.0],
+            [3.0, 0.5, 0.0]]},
+        "profile": {"kind": "explicit_f", "family": "sqrt_quadratic",
+                    "c": 0.0, "d": -1.0},
+        "domain": {"u": [1.5, 4000.0], "v": [0.0, 3.0]},
+        "tolerances": {"flat": 1e-6}})
+    out = tmp_path / "classes.csv"
+    assert main(["invariants", "--config", cfg, "--out", str(out),
+                 "--grid", "3,7"]) == 0
+    _, rows = rows_of(out)
+    assert {row[-1] for row in rows} == {
+        "flat_case_I", "flat_case_II", "trapped", "general"}
+    assert sha256_of(out) == GOLDEN_POINT_CLASSES
+
+
+# -- row templates ------------------------------------------------------------
+
+#: Signed zeros, the least subnormal, both sides of %g's switch to an
+#: exponent at 1e-4 and 1e9, and large magnitudes of both signs
+TEMPLATE_VALUES = (0.0, -0.0, 5e-324, 1e-5, 9.99999999e-5, 1e-4, 123456789.0,
+                   1234567890.0, 1e16, -1e300)
+
+
+def _rows_at(monkeypatch, x):
+    """Each kind of data row cli writes, with every number x: the invariants
+    rows of a general, a flat and a trapped record (from a stub sweep), a
+    csv4 row and an obj3 vertex; and the rows _fmt's cells make."""
+    col = types.SimpleNamespace(u=x, ff=x, gaussK=x)
+    inv = InvariantSet(x, x, x, x, x, x, x, x, 1, x, 0.0, x, x, x)
+    records = [(col, x, x, x, x, x, PointTag.GENERAL, False, inv),
+               (col, x, x, x, x, x, PointTag.FLAT_CASE_II, False, None),
+               (col, x, x, x, x, x, PointTag.GENERAL, True, None)]
+    monkeypatch.setattr(cli, "sweep", lambda *args: (
+        (PointRecord(*rec), range(1)) for rec in records))
+    rows = [line for block in cli._invariant_rows(None, [x], [x], 0.0)
+            for line in block]
+    rows += next(cli._csv4_rows([x], [x], [[[x, x, x, x]]]))
+    rows += next(cli._obj3_rows(1, 1, [[[x, x, x, x]]], 3))
+    c = _fmt(x)
+    head = [c, c, "1", "0", c, c, "0", c, c, c]
+    want = [head + ["1"] + [c] * 8 + ["general"],
+            head + [""] * 9 + ["flat_case_II"], head + [""] * 9 + ["trapped"],
+            [c] * 6]
+    return rows, [",".join(w) + "\n" for w in want] + [f"v {c} {c} {c}\n"]
+
+
+def test_row_template_cells_are_fmt_cells(tmp_path, monkeypatch):
+    for x in TEMPLATE_VALUES:
+        assert _fmt(x) == f"{x:.9g}"     # the format the goldens were made in
+        rows, want = _rows_at(monkeypatch, x)
+        assert rows == want, x
+    faces = list(cli._obj3_rows(2, 3, [[], []], 3))[2]
+    assert faces == ["f 1 4 5 2\n", "f 2 5 6 3\n"]
+    # a cell that is not finite still stops the writer before the file
+    out = tmp_path / "rows.txt"
+    for x in (math.inf, -math.inf, math.nan):
+        rows, _ = _rows_at(monkeypatch, x)
+        for row in rows:
+            with pytest.raises(OverflowError, match="nothing written"):
+                cli._write_rows(str(out), "head\n", [[row]])
+            assert not out.exists()
+
+
+def test_non_finite_position_exits_3_and_writes_nothing(tmp_path, capsys,
+                                                        monkeypatch):
+    def positions(self, us, vs):
+        for _ in us:
+            yield [[0.5, math.nan, 0.25, 1.0] for _ in vs]
+
+    monkeypatch.setattr(cli.MeridianSurface, "grid_positions", positions)
+    for fmt in ("csv4", "obj3"):
+        out = tmp_path / f"o.{fmt}"
+        assert main(["export", "--config", worked_config(tmp_path),
+                     "--format", fmt, "--out", str(out)]) == 3
+        assert "not finite; nothing written" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # -- export -------------------------------------------------------------------

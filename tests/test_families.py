@@ -8,7 +8,7 @@ import pytest
 
 from conftest import close, wavy_kappa
 from meridian.curves import (Geometry, ProfileColumn, SphericalCurve,
-                             circle_curve)
+                             _slope_table, circle_curve, grid_points)
 from meridian.errors import (FamilyDomainError, MisuseError,
                              ProfileDomainError)
 from meridian.families import (FamilyKind, FamilySpec, build_family_surface,
@@ -75,6 +75,39 @@ def test_constant_gauss_rejects_zero():
 def test_constant_gauss_echoes_admissible_domain():
     p = constant_gauss_profile(-1.0, 0.0, 1.0, E, (0.5, 2.0))
     assert p.domain == (0.5, 2.0)  # fully admissible: no shrink
+
+
+def _jet2_calls(monkeypatch):
+    """The u of every ScalarFn.jet2 call from now on."""
+    calls, jet2 = [], ScalarFn.jet2
+
+    def counted(self, u):
+        calls.append(u)
+        return jet2(self, u)
+
+    monkeypatch.setattr(ScalarFn, "jet2", counted)
+    return calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda: constant_gauss_profile(-1.0, 0.0, 1.0, E, (0.5, 2.0)),
+    lambda: parallel_profile_case_a(0.0, 1.0, H, (0.1, 0.9))],
+    ids=["constant_gauss", "parallel_a"])
+def test_untruncated_family_profile_is_scanned_once(monkeypatch, build):
+    # the admissible domain is the one requested, so the scan that found it
+    # is the construction scan: its 512 jets are not read a second time
+    calls = _jet2_calls(monkeypatch)
+    p = build()
+    assert calls == grid_points(*p.domain, 512)
+
+
+def test_truncated_family_profile_scans_its_own_points(monkeypatch):
+    # cos u leaves f > 0 at pi/2: the shrunk domain is scanned again, at
+    # its own 512 points
+    calls = _jet2_calls(monkeypatch)
+    p = constant_gauss_profile(1.0, 1.0, 0.0, H, (0.3, 2.0))
+    assert p.domain[1] < math.pi / 2
+    assert calls == grid_points(0.3, 2.0, 512) + grid_points(*p.domain, 512)
 
 
 # -- constant mean curvature --------------------------------------------------
@@ -576,6 +609,91 @@ def test_slope_body_bits_golden():
     assert (len(lines), n_values) == (7164, 3460)   # the rest raised
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_SLOPE_BITS
+
+
+#: The slope tables (us, fs, ds) of the nine acceptance slope sets and of
+#: the constant_k set that blows up before u_span 2 (its table ends at
+#: u = 1.644): the number of points and the sha256 of their float.hex bits,
+#: recorded while each accepted step read y(f_next) and y.jet2(f_next)
+GOLDEN_SLOPE_TABLES = {
+    "constant_mean-ell": (
+        "constant_mean", E, None, dict(a=1, b=4, C=0, f0=0.5, u_span=0.5),
+        396,
+        "dbcef3dab04a318bfbb187eebf730b712d12c1ddfe87e0aafc0e5adc392218ef"),
+    "constant_mean-hyp-plus": (
+        "constant_mean", H, 1, dict(a=0.5, b=1, C=-0.6, f0=0.8, u_span=2),
+        1787,
+        "e624baf052c78812c552303d59bfeea873f4ffcdb7168f0d8e5963aeeaef1f53"),
+    "constant_mean-hyp-minus": (
+        "constant_mean", H, -1, dict(a=0.5, b=1, C=0, f0=0.5, u_span=2),
+        1171,
+        "75a05cdbf4e93fc8cb1c84a71b7d569948e852e73b43cab8c3984b73eb482fda"),
+    "constant_k-ell": (
+        "constant_k", E, None, dict(a=1, b=1, C=0, f0=1, u_span=1),
+        1001,
+        "388a29ca65e91323e4f9b89318fbed346cd1ea46ff2c7858af4c4baf1b07e347"),
+    "constant_k-hyp": (
+        "constant_k", H, None, dict(a=1, b=2, C=0, f0=0.5, u_span=0.7),
+        701,
+        "2c261c4699f3dcaa77f4fca667fdd452233006e3bbf2319e95850c8cb52cbafc"),
+    "chen-ell": (
+        "chen", E, None, dict(a=-1, b=1, f0=1.2, u_span=0.8),
+        801,
+        "166d32594314744322bf4ff11e24be561a848e8f36742889d865a231a06df14c"),
+    "chen-hyp": (
+        "chen", H, None, dict(a=-1, b=0.5, f0=0.7, u_span=1.2),
+        1201,
+        "3914ac675566b489eba9edc638d5d422e17ccab682e3853e458ef5ce43672823"),
+    "parallel_b-ell": (
+        "parallel_b", E, None, dict(a=1, c=1, b=2, f0=2, u_span=1),
+        1001,
+        "268d51792704e18baff532356b5535e01f247d34d0e036469108aed76da7bb67"),
+    "parallel_b-hyp": (
+        "parallel_b", H, None, dict(a=0.5, c=0.1, b=1, f0=0.1, u_span=0.25),
+        104,
+        "41824a2e91e74a5d0934f5b55c8ba3c2431fac20a5f13ad5606898fbce4bfe02"),
+    "constant_k-ell-blowup": (
+        "constant_k", E, None, dict(a=1, b=1, C=0, f0=1, u_span=2),
+        1645,
+        "d8056b5eee02198aeaafe3d3b63cee2fde63cd09324cfa296eb3a42f545ba7fe"),
+}
+
+
+def _slope_table_of(name):
+    kind, geometry, eps, params, _, _ = GOLDEN_SLOPE_TABLES[name]
+    s = spec(kind, geometry, eps, **params)
+    y = families.family_slope(s)
+    return y, _slope_table(y, s.params["f0"], geometry, s.params["u_span"])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SLOPE_TABLES))
+def test_slope_table_bits_golden(name):
+    *_, n, digest = GOLDEN_SLOPE_TABLES[name]
+    _, table = _slope_table_of(name)
+    text = "\n".join(" ".join(x.hex() for x in col) for col in table)
+    assert len(table[0]) == n
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_slope_table_reads_y_four_times_per_step(monkeypatch):
+    # y at the three inner RK4 stages, then one jet at the new point gives
+    # both its slope and the rate of V there; the start reads y(f0) and
+    # its jet
+    y, _ = _slope_table_of("constant_k-ell")
+    reads, call, jet2 = [], ScalarFn.__call__, ScalarFn.jet2
+
+    def counted(method):
+        def read(self, t):
+            if self is y:
+                reads.append(t)
+            return method(self, t)
+        return read
+
+    monkeypatch.setattr(ScalarFn, "__call__", counted(call))
+    monkeypatch.setattr(ScalarFn, "jet2", counted(jet2))
+    us, _, _ = _slope_table(y, 1.0, E, 1.0)
+    assert len(us) == 1001      # every step accepted
+    assert len(reads) == 2 + 4 * (len(us) - 1)
 
 
 # -- defining-ODE residuals read one profile column --------------------------

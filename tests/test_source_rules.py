@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1]
                   / "src" / "meridian").glob("*.py"))
@@ -158,3 +159,16 @@ def test_one_frenet_frame_construction():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) == "FrenetFrame"]
     assert len(found) == 1 and found[0].startswith("curves.py:"), found
+
+
+def test_one_number_format_spelling_in_cli():
+    # cli writes every number cell as "%.9g" % x, in _fmt and in its row
+    # templates; an f-string spec {x:.9g} or format(x, ".9g") would be a
+    # second spelling of the one format
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    tree = ast.parse(cli.read_text(encoding="utf-8"))
+    spellings = [m.group() for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str)
+                 for m in re.finditer(r".?\.9g", node.value)]
+    assert len(spellings) > 1 and set(spellings) == {"%.9g"}, spellings
