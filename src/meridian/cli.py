@@ -8,6 +8,7 @@ Exit codes: 0 success / verification passed, 1 verification failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -422,7 +423,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The meridian argument parser: built on the first call, the same
+    object after it.  It names each command, not its function."""
     parser = argparse.ArgumentParser(
         prog="meridian",
         description="Meridian surfaces in Minkowski 4-space: build, sweep "
@@ -434,13 +438,11 @@ def _build_parser() -> argparse.ArgumentParser:
                              "surface descriptor")
     p_build.add_argument("--config", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.set_defaults(func=cmd_build)
 
     p_inv = sub.add_parser("invariants", help="sweep the invariant set to CSV")
     p_inv.add_argument("--config", required=True)
     p_inv.add_argument("--out", required=True)
     p_inv.add_argument("--grid", default=None, metavar="NU,NV")
-    p_inv.set_defaults(func=cmd_invariants)
 
     p_ver = sub.add_parser("verify", help="verify a classification family")
     p_ver.add_argument("--family", required=True,
@@ -457,25 +459,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--tol", type=float, default=1e-6)
     p_ver.add_argument("--grid", default=None, metavar="NU,NV")
     p_ver.add_argument("--out", default=None)
-    p_ver.set_defaults(func=cmd_verify)
 
     p_exp = sub.add_parser("export", help="export sampled geometry")
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--format", required=True, choices=["csv4", "obj3"])
     p_exp.add_argument("--out", required=True)
     p_exp.add_argument("--grid", default=None, metavar="NU,NV")
-    p_exp.set_defaults(func=cmd_export)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line (``sys.argv[1:]`` when argv is None) and return
+    its exit code.
+
+    The argument parser is built once per process (_build_parser is
+    cached) and parses every call afresh.  The command's function is looked
+    up by name, ``cmd_<command>`` in this module, when the call runs, so a
+    function bound to that name after the parser was built is the one that
+    runs.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except MeridianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -343,7 +343,9 @@ class MeridianProfile:
             raise DomainError(f"u = {u!r} outside profile domain [{lo}, {hi}]")
 
     def f_jet(self, u: float) -> Jet2:
-        self._check(u)
+        dom = self.domain
+        if not dom[0] <= u <= dom[1]:   # then _check words the error
+            self._check(u)
         return self.f.jet2(u)
 
     def gdot(self, u: float) -> float:
@@ -468,38 +470,49 @@ def profile_from_f(f: ScalarFn, geometry: Geometry, g0: float,
     return profile
 
 
+#: What a read of the slope y (or of its jet) raises where y has no value.
+_SLOPE_READ_ERRORS = (DomainError, ValueError, ZeroDivisionError)
+
+
+def _slope_value_ok(yv: float, t: float, geometry: Geometry) -> bool:
+    """Whether the slope value yv = y(t) keeps the profile admissible at f = t:
+    t > 0, yv finite, V(yv) >= ADMISSIBILITY_MARGIN and, where s < 0
+    (hyperbolic), yv > 0.  A NaN t passes the test on t.  The one
+    admissibility predicate of a slope build."""
+    return not (t <= 0.0 or not math.isfinite(yv)
+                or geometry.normalization(yv) < ADMISSIBILITY_MARGIN
+                or (geometry.normalization_sign < 0.0 and yv <= 0.0))
+
+
 def _slope_admissible(y, t: float, geometry: Geometry) -> float:
     """Value y(t) if the slope keeps the profile admissible there, else NaN;
     y is the slope ScalarFn, or any function of t that gives its value."""
     try:
         yv = y(t)
-    except (DomainError, ValueError, ZeroDivisionError):
+    except _SLOPE_READ_ERRORS:
         return math.nan
-    if t <= 0.0 or not math.isfinite(yv):
-        return math.nan
-    if (geometry.normalization(yv) < ADMISSIBILITY_MARGIN
-            or (geometry is Geometry.HYPERBOLIC and yv <= 0.0)):
-        return math.nan
-    return yv
+    return yv if _slope_value_ok(yv, t, geometry) else math.nan
 
 
-def _slope_point(y: ScalarFn, geometry: Geometry,
-                 t: float) -> tuple[float, Optional[float]]:
-    """(y(t) as _slope_admissible reads it, dV/dt of V(y(t))) from one jet of
-    y (its value has the bits of y(t)), or (NaN, None) where y has none."""
+def _slope_rate(geometry: Geometry, j: Jet2) -> float:
+    """dV/dt of V(y(t)) = s (y^2 - 1) at t, from the jet j of y there."""
+    return geometry.normalization_sign * 2.0 * j.v * j.d1
+
+
+def _slope_rate_at(y: ScalarFn, geometry: Geometry,
+                   t: float) -> Optional[float]:
+    """_slope_rate from one jet of y at t, or None where y has none."""
     try:
-        j = y.jet2(t)
-    except (DomainError, ValueError, ZeroDivisionError):
-        return math.nan, None
-    return (_slope_admissible(lambda _: j.v, t, geometry),
-            geometry.normalization_sign * 2.0 * j.v * j.d1)
+        return _slope_rate(geometry, y.jet2(t))
+    except _SLOPE_READ_ERRORS:
+        return None
 
 
 def _step_dips_inadmissible(y: ScalarFn, geometry: Geometry, a: float,
                             b: float, da, db) -> bool:
     """Whether the normalization margin is violated strictly between a and b
     (in either order) even though both are admissible; da and db are their
-    rates by _slope_point, and None there counts as a violation.
+    rates by _slope_rate, and None there counts as a violation.
 
     The margin quantity V(t) can dip through zero inside a single step (it
     is quadratic near a simple root of 1 - y^2); catch that by locating an
@@ -511,7 +524,7 @@ def _step_dips_inadmissible(y: ScalarFn, geometry: Geometry, a: float,
         return False
     for _ in range(60):
         mid = 0.5 * (a + b)
-        dm = _slope_point(y, geometry, mid)[1]
+        dm = _slope_rate_at(y, geometry, mid)
         if dm is None:
             return True
         if (dm < 0.0) == (da < 0.0):
@@ -528,7 +541,17 @@ def _slope_table(
     the values fs and the slopes ds = y(fs), up to u_span or to the last
     step that keeps the profile admissible and its cubic Hermite read
     monotone; y(f0) itself must be admissible for the geometry (y^2 > 1
-    elliptic, 0 < y < 1 hyperbolic)."""
+    elliptic, 0 < y < 1 hyperbolic).
+
+    An accepted step reads y three times, once per inner RK4 stage
+    (y(t), a float), and one jet of y at the new point, whose value is
+    the new slope and whose derivative gives the rate of V there; the
+    start reads y(f0) and its jet.  Each read is tested by
+    _slope_value_ok as it comes, and a step stops at its first
+    inadmissible read.  Python evaluates f + 0.5*step*k as
+    f + (0.5*step)*k, so hoisting 0.5*step and step/6 keeps every
+    rounding of the textbook stage-by-stage form.
+    """
     if not 0.0 < u_span < math.inf:
         raise ValueError("u_span must be positive and finite")
     if u_span > _MAX_SLOPE_SPAN:
@@ -540,19 +563,32 @@ def _slope_table(
                                  f"geometry requires {geometry.slope_rule}")
 
     step = DEFAULT_STEP
+    hh, h6 = 0.5 * step, step / 6.0
+    ok = _slope_value_ok
     n_steps = max(1, round(u_span / step))
     us, fs, ds = [0.0], [f0], [d0]
-    f, dV = f0, _slope_point(y, geometry, f0)[1]
+    f, k1, dV = f0, d0, _slope_rate_at(y, geometry, f0)
     for i in range(n_steps):
-        k1 = ds[-1]  # the slope at the last accepted point
-        k2 = _slope_admissible(y, f + 0.5 * step * k1, geometry)
-        k3 = _slope_admissible(y, f + 0.5 * step * k2, geometry)
-        k4 = _slope_admissible(y, f + step * k3, geometry)
-        if any(map(math.isnan, (k2, k3, k4))):
+        # k1 is the slope at the last accepted point
+        try:
+            t = f + hh * k1
+            k2 = y(t)
+            if not ok(k2, t, geometry):
+                break
+            t = f + hh * k2
+            k3 = y(t)
+            if not ok(k3, t, geometry):
+                break
+            t = f + step * k3
+            k4 = y(t)
+            if not ok(k4, t, geometry):
+                break
+            f_next = f + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            j = y.jet2(f_next)
+        except _SLOPE_READ_ERRORS:
             break
-        f_next = f + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        d_next, dV_next = _slope_point(y, geometry, f_next)
-        if math.isnan(d_next):
+        d_next = j.v
+        if not ok(d_next, f_next, geometry):
             break
         # the cubic through (f, k1) and (f_next, d_next) is monotone, so f
         # stays between the two, when both step*d/df lie in (0, 3]
@@ -561,9 +597,10 @@ def _slope_table(
         if not (df != 0.0 and 0.0 < step * k1 / df <= 3.0
                 and 0.0 < step * d_next / df <= 3.0):
             break
+        dV_next = _slope_rate(geometry, j)
         if _step_dips_inadmissible(y, geometry, f, f_next, dV, dV_next):
             break
-        f, dV = f_next, dV_next
+        f, k1, dV = f_next, d_next, dV_next
         us.append((i + 1) * step)
         fs.append(f)
         ds.append(d_next)

@@ -162,10 +162,12 @@ class ScalarFn:
     float in gives the bits of the jet's value.  Squares are written
     ``x * x``: a Jet2 has no ``**``, which on a float calls libm's pow.
     ``domain`` is an optional closed interval; evaluation outside raises
-    DomainError.  ``d3`` optionally supplies the exact third derivative;
-    without it, the method d3 takes a central difference.  ``values`` reads
-    a batch of floats with the bits of one read each; a subclass may read
-    the batch its own way (HermiteFn walks its knots).
+    DomainError.  A read (call, jet2, values) tests the domain inline and
+    calls _check, the one place that words the error, only for a u outside
+    it (NaN included).  ``d3`` optionally supplies the exact third
+    derivative; without it, the method d3 takes a central difference.
+    ``values`` reads a batch of floats with the bits of one read each; a
+    subclass may read the batch its own way (HermiteFn walks its knots).
     """
 
     __slots__ = ("_fn", "domain", "name", "_d3")
@@ -189,12 +191,16 @@ class ScalarFn:
                     f"domain [{lo!r}, {hi!r}]")
 
     def jet2(self, u: float) -> Jet2:
-        self._check(u)
+        dom = self.domain
+        if dom is not None and not dom[0] <= u <= dom[1]:
+            self._check(u)
         out = self._fn(var(u))
         return out if isinstance(out, Jet2) else const(out)
 
     def __call__(self, u: float) -> float:
-        self._check(u)
+        dom = self.domain
+        if dom is not None and not dom[0] <= u <= dom[1]:
+            self._check(u)
         return self._fn(u)
 
     def values(self, xs: Sequence[float]) -> list[float]:

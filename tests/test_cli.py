@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -907,6 +908,52 @@ def test_memory_error_exit3_one_line(tmp_path, capsys, monkeypatch):
     assert main(["invariants", "--config", sinh_config(tmp_path),
                  "--out", str(tmp_path / "o.csv")]) == 3
     assert capsys.readouterr().err == "numerical failure: MemoryError()\n"
+
+
+# -- one parser per process ---------------------------------------------------
+
+_SMALL_VERIFY = ["verify", "--family", "constant_k", "--geometry", "elliptic",
+                 "--a", "1", "--b", "1", "--C", "0", "--f0", "1",
+                 "--u-span", "1", "--grid", "5,5"]
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(_SMALL_VERIFY) == 0     # builds the parser if none is built
+    built.clear()
+    assert main(_SMALL_VERIFY) == 0
+    assert main(["verify", "--family", "no_such_family"]) == 2
+    assert main(["build", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert built == []
+
+
+def test_command_looked_up_when_it_runs(monkeypatch, capsys):
+    assert main(_SMALL_VERIFY) == 0     # the parser is built by now
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+    assert main(_SMALL_VERIFY) == 7
+
+
+def test_usage_error_then_verify_writes_fresh_bytes(tmp_path, capsys):
+    # a parse that fails inside the verify subparser leaves nothing behind
+    # for the next call on the same parser
+    argv = _SMALL_VERIFY + ["--out", "out"]
+    rc, stdout, _, fresh = _run_cli(tmp_path, [], argv)
+    assert rc == 0 and fresh
+    assert main(_SMALL_VERIFY[:5] + ["--a", "one"]) == 2
+    assert "--a: invalid float value: 'one'" in capsys.readouterr().err
+    out = tmp_path / "out"
+    out.unlink()
+    assert main(_SMALL_VERIFY + ["--out", str(out)]) == 0
+    assert out.read_bytes() == fresh
+    assert capsys.readouterr().out.encode() == stdout
 
 
 # -- verify -------------------------------------------------------------------

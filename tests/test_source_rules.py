@@ -33,7 +33,6 @@ def test_no_private_name_imported_across_modules():
 #: The functions that may name a Geometry member: each states a rule that
 #: is not a formula in the sign s = Geometry.normalization_sign.
 GEOMETRY_BRANCHES = {
-    "curves.py": {"_slope_admissible"},             # the hyperbolic y > 0
     "families.py": {"constant_mean_slope",          # its branch choice
                     "parallel_profile_case_a",      # c^2 > d or d > c^2
                     "verify_family"},               # printed-vs-eq18
@@ -68,7 +67,8 @@ def test_geometry_decided_only_where_no_sign_states_the_rule():
              for owner, line in _geometry_member_uses(path)
              if owner not in GEOMETRY_BRANCHES.get(path.name, ())]
     uses = {path.name: len(_geometry_member_uses(path)) for path in SOURCES}
-    assert uses["surfaces.py"] == 0 and uses["curves.py"] > 0
+    assert uses["surfaces.py"] == 0 and uses["curves.py"] == 0
+    assert uses["families.py"] > 0      # the scan sees the branches it allows
     assert found == []
 
 

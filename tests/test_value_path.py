@@ -263,6 +263,104 @@ def test_slope_build_reads_one_jet_per_point(monkeypatch):
     assert len(calls) == len(us) + 60
 
 
+def _rising(t):
+    return 1.5 + 0.2 * jets.sin(t)
+
+
+def _falling(t):
+    return 1.5 - 0.2 * jets.sin(t)
+
+
+def _hyperbolic(t):
+    return 0.5 + 0.1 * jets.sin(t)
+
+
+def _step_reads(body, f0, geometry, i):
+    """The abscissae (t2, t3, t4, f_next) that step i of the build of
+    fdot = body(f) from f0 reads, by the textbook stage-by-stage form."""
+    y, step = ScalarFn(body), 1e-3
+    _, fs, ds = _ref_build(y, f0, geometry, 2.0)[0]
+    f, k1 = fs[i], ds[i]
+    t2 = f + 0.5 * step * k1
+    t3 = f + 0.5 * step * y(t2)
+    t4 = f + step * y(t3)
+    return t2, t3, t4, f + step / 6.0 * (k1 + 2.0 * y(t2) + 2.0 * y(t3)
+                                          + y(t4))
+
+
+def _cut_at(body, cut, past):
+    """body below ``cut``; at and above it, past(t)."""
+    def cut_body(t):
+        x = t.v if isinstance(t, jets.Jet2) else t
+        return body(t) if x < cut else past(t)
+    return cut_body
+
+
+def _raise_zero_division(t):
+    raise ZeroDivisionError("y read past its pole")
+
+
+def _edge_slope(case, i):
+    """(y, f0, geometry, the reference's stop) of one edge of a step: y
+    ends at a point that step i reads, which the steps before it do not
+    reach."""
+    if case == "domain-between-stages":
+        t2, t3, _, _ = _step_reads(_rising, 0.5, E, i)
+        assert t2 < t3
+        return ScalarFn(_rising, domain=(0.1, 0.5 * (t2 + t3))), 0.5, E, \
+            "stage"
+    # the next two cut y between f_next and t4, so that only the last stage
+    # reads past the cut
+    if case == "inf-at-stage":
+        _, _, t4, f_next = _step_reads(_rising, 0.5, E, i)
+        assert f_next < t4
+        return ScalarFn(_cut_at(_rising, 0.5 * (f_next + t4),
+                                lambda t: math.inf)), 0.5, E, "stage"
+    if case == "hyperbolic-reaches-zero":
+        _, _, t4, f_next = _step_reads(_hyperbolic, 0.5, H, i)
+        assert f_next < t4
+        return ScalarFn(_cut_at(_hyperbolic, 0.5 * (f_next + t4),
+                                lambda t: 0.0)), 0.5, H, "stage"
+    t2, t3, t4, f_next = _step_reads(_falling, 0.5, E, i)
+    assert max(t2, t3, t4) < f_next
+    return ScalarFn(_cut_at(_falling, 0.5 * (t4 + f_next),
+                            _raise_zero_division)), 0.5, E, "d_next"
+
+
+@pytest.mark.parametrize("case,i", [
+    ("domain-between-stages", 300), ("inf-at-stage", 300),
+    ("hyperbolic-reaches-zero", 300), ("hyperbolic-reaches-zero", 0),
+    ("zero-division-at-f_next", 300), ("zero-division-at-f_next", 0)])
+def test_slope_step_edges_match_jet_route(case, i):
+    # a step that meets the end of y stops there, with the tables of the
+    # jet route; at the first step, with its "within one step" error
+    y, f0, geometry, stop = _edge_slope(case, i)
+    ref, why = _ref_build(y, f0, geometry, 2.0)
+    assert why == stop and len(ref[0]) == i + 1
+    if i == 0:
+        with pytest.raises(ProfileDomainError, match="within one step"):
+            _slope_table(y, f0, geometry, 2.0)
+        return
+    got = _slope_table(y, f0, geometry, 2.0)
+    assert [[x.hex() for x in col] for col in got] == \
+        [[x.hex() for x in col] for col in ref]
+
+
+def test_slope_step_stops_at_its_first_inadmissible_read(monkeypatch):
+    # y's domain ends between the second and third stage of step 300: that
+    # step reads y twice, the accepted steps four times each (three stages
+    # and the jet at the new point), the start twice
+    y, f0, geometry, _ = _edge_slope("domain-between-stages", 300)
+    reads, call, jet2 = [], ScalarFn.__call__, ScalarFn.jet2
+    monkeypatch.setattr(ScalarFn, "__call__",
+                        lambda self, t: reads.append(t) or call(self, t))
+    monkeypatch.setattr(ScalarFn, "jet2",
+                        lambda self, t: reads.append(t) or jet2(self, t))
+    us, _, _ = _slope_table(y, f0, geometry, 2.0)
+    assert len(us) == 301
+    assert len(reads) == 2 + 4 * 300 + 2
+
+
 # -- a slope profile's f is hermite_fn's read of the RK4 table ----------------
 
 
