@@ -12,9 +12,8 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import jets
 from .errors import DomainError, FrameError, ProfileDomainError
@@ -86,8 +85,7 @@ def _embed(geometry: Geometry, triple: Sequence[float]) -> Vec4:
     return Vec4(*coords)
 
 
-@dataclass(frozen=True)
-class FrenetFrame:
+class FrenetFrame(NamedTuple):
     l: Vec4
     t: Vec4
     n: Vec4
@@ -118,12 +116,14 @@ class SphericalCurve:
 
     constant_kappa is b for a circle built by circle_curve, which knows at
     construction that its kappa is constant; it is None for a curve built
-    from any ScalarFn, ScalarFn.constant included.  frame(v) embeds one
-    9-float state (l, t, n at the sphere slots): the elliptic circle's from
+    from any ScalarFn, ScalarFn.constant included.  state(v) is the frame
+    as 9 floats (l, t, n at the sphere slots): the elliptic circle's from
     the latitude circle in closed form, every other curve's, the hyperbolic
-    circle's included, from Frenet integration (_state_at): the frame
-    table is integrated lazily with classical RK4 at DEFAULT_STEP and
-    cached, so repeated evaluations are cheap and deterministic.  One loop
+    circle's included, from Frenet integration (_state_at).  frame(v)
+    embeds that state as a FrenetFrame, a NamedTuple of three Vec4 that
+    unpacks as l, t, n = curve.frame(v).  The frame table is integrated
+    lazily with classical RK4 at DEFAULT_STEP and cached, so repeated
+    evaluations are cheap and deterministic.  One loop
     (_rk4) advances the table and takes the remainder step to v.  It reads
     a circle's b once and calls no ScalarFn; for any other kappa it shares
     kappa at the abscissa where one step ends and the next starts, when the
@@ -265,22 +265,26 @@ class SphericalCurve:
 
     # -- public surface ------------------------------------------------------
 
-    def frame(self, v: float) -> FrenetFrame:
-        """Frenet frame {l, t, n} at arc length v, |v| <= 1e4 on every
-        curve."""
+    def state(self, v: float) -> Sequence[float]:
+        """The 9 floats l, t, n at the sphere slots at arc length v,
+        |v| <= 1e4 on every curve.  Not checked for finiteness."""
         if not abs(v) <= MAX_ARC:     # NaN fails this test too
             raise DomainError(f"curve parameter {v!r} exceeds supported range")
-        g, b = self.geometry, self.constant_kappa
-        if b is not None and g.normalization_sign > 0.0:
+        b = self.constant_kappa
+        if b is not None and self.geometry.normalization_sign > 0.0:
             # the elliptic circle: the latitude circle of spherical radius
             # rho, cot(rho) = b, from l = (sin rho, 0, cos rho)
             r = math.sqrt(1.0 + b * b)
             sr, cr = 1.0 / r, b / r
             w = v / sr
             cw, sw = math.cos(w), math.sin(w)
-            s = (sr * cw, sr * sw, cr, -sw, cw, 0.0, -cr * cw, -cr * sw, sr)
-        else:
-            s = self._state_at(v)
+            return (sr * cw, sr * sw, cr, -sw, cw, 0.0,
+                    -cr * cw, -cr * sw, sr)
+        return self._state_at(v)
+
+    def frame(self, v: float) -> FrenetFrame:
+        """Frenet frame {l, t, n} at arc length v: state(v) embedded."""
+        s, g = self.state(v), self.geometry
         return FrenetFrame(*(_embed(g, s[i:i + 3]) for i in (0, 3, 6)))
 
     def kappa_jet(self, v: float) -> Jet2:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -160,7 +159,6 @@ def _checked(fields: dict, given: dict, owner: str) -> _Values:
     return values
 
 
-@dataclass
 class FamilySpec:
     """Parameters selecting one member of a classification family.
 
@@ -176,25 +174,23 @@ class FamilySpec:
     and fills in its defaults.
     """
 
-    kind: FamilyKind
-    geometry: Geometry
-    params: dict = field(default_factory=dict)
-    epsilon_branch: object = None
-    slope_scale: float = 1.0
-
-    def __post_init__(self):
-        row, name = FAMILY_TABLE[self.kind], self.kind.value
-        self.params = _checked(row.params, self.params, f"{name} family")
-        eps, scale = self.epsilon_branch, self.slope_scale
-        if eps is not None and self.kind is not FamilyKind.CONSTANT_MEAN:
+    def __init__(self, kind: FamilyKind, geometry: Geometry,
+                 params: Optional[dict] = None, epsilon_branch: object = None,
+                 slope_scale: float = 1.0):
+        self.kind, self.geometry = kind, geometry
+        self.epsilon_branch = eps = epsilon_branch
+        self.slope_scale = scale = slope_scale
+        row, name = FAMILY_TABLE[kind], kind.value
+        self.params = _checked(row.params, {} if params is None else params,
+                               f"{name} family")
+        if eps is not None and kind is not FamilyKind.CONSTANT_MEAN:
             raise FamilyDomainError(f"{name} family takes no epsilon_branch")
         if finite_number(scale) is None or not (row.slope_ode or scale == 1.0):
             raise FamilyDomainError(f"slope_scale must be finite, and 1 in "
                                     f"closed form; got {scale!r} for {name}")
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     max_abs_residual: float
     argmax: tuple[float, float]
     n_samples: int

@@ -7,18 +7,19 @@ inner(e1,e1) = inner(e2,e2) = inner(e3,e3) = 1 and inner(e4,e4) = -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 
-@dataclass(frozen=True, slots=True)
 class Vec4:
-    """Point/vector of the Minkowski 4-space in the fixed basis."""
+    """Point/vector of the Minkowski 4-space in the fixed basis.  A plain
+    slotted class: it compares and hashes by identity; compare coords()."""
 
-    x1: float
-    x2: float
-    x3: float
-    x4: float
+    __slots__ = ("x1", "x2", "x3", "x4")
+
+    def __init__(self, x1: float, x2: float, x3: float, x4: float):
+        self.x1, self.x2, self.x3, self.x4 = x1, x2, x3, x4
+        # its own method: bench/tracing.py counts Vec4s by patching it
+        self.__post_init__()
 
     def __post_init__(self):
         for c in (self.x1, self.x2, self.x3, self.x4):

@@ -9,7 +9,6 @@ route through the fundamental forms is provided as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -54,10 +53,15 @@ class MeridianSurface:
     def grid_positions(self, us: Sequence[float],
                        vs: Sequence[float]) -> Iterator[list[list[float]]]:
         """f(u) l(v) + g(u) axis on the grid us x vs as plain [x1, x2, x3,
-        x4] lists, one list of them over vs per u; the curve frame is
-        evaluated once per v, the profile column (which checks u) and g once
+        x4] lists, one list of them over vs per u; l is read from the curve
+        state once per v, the profile column (which checks u) and g once
         per u.  Nothing here checks that a coordinate is finite."""
-        ls = [self.curve.frame(v).l.coords() for v in vs]
+        a, b, c = self.geometry.sphere_slots
+        ls = []
+        for v in vs:
+            l = [0.0, 0.0, 0.0, 0.0]
+            l[a], l[b], l[c] = self.curve.state(v)[:3]
+            ls.append(l)
         axis = self.geometry.axis_slot
         for u in us:
             f, g = ProfileColumn(self.profile, u).f, self.profile.g(u)
@@ -67,8 +71,7 @@ class MeridianSurface:
             yield row
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
+class AdaptedFrame(NamedTuple):
     """Orthonormal frame {X, Y, n1, n2} with Gram diag(1, 1, 1, -1)."""
 
     X: Vec4
@@ -77,8 +80,7 @@ class AdaptedFrame:
     n2: Vec4
 
 
-@dataclass(frozen=True)
-class GeometricFrame:
+class GeometricFrame(NamedTuple):
     """Canonical frame {x, y, b, l} with b collinear to H and Gram
     diag(1, 1, epsilon, -epsilon)."""
 
@@ -89,8 +91,7 @@ class GeometricFrame:
     epsilon: int
 
 
-@dataclass(frozen=True)
-class FundamentalForms:
+class FundamentalForms(NamedTuple):
     E: float
     F: float
     G: float
@@ -99,8 +100,7 @@ class FundamentalForms:
     N: float
 
 
-@dataclass(frozen=True)
-class BasicInvariants:
+class BasicInvariants(NamedTuple):
     k: float
     varkappa: float
     gaussK: float
@@ -139,8 +139,7 @@ class KType(Enum):   # k = -kappa_m^2 kappa^2 / f^2 <= 0: no elliptic point
     HYPERBOLIC_PT = "hyperbolic_pt"
 
 
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(NamedTuple):
     tag: PointTag
     ktype: KType
     trapped: bool

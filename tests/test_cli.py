@@ -463,6 +463,17 @@ def _run_cli(cwd, flags, argv):
             out.read_bytes() if out.exists() else None)
 
 
+def test_fresh_cli_import_loads_no_dataclasses():
+    # the value types are NamedTuples and plain classes; dataclasses would
+    # pull inspect (and ast, dis, tokenize) into every fresh command
+    src = str(pathlib.Path(meridian.__file__).resolve().parents[1])
+    code = ("import sys, meridian.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr
+
+
 @pytest.mark.parametrize("argv,rc", [
     (["verify", "--family", "chen", "--geometry", "elliptic", "--a=-1",
       "--b=1", "--f0=1.2", "--u-span=0.8", "--grid", "9,9"], 0),
@@ -1267,6 +1278,18 @@ def test_export_overflow_exit3(tmp_path, capsys, fmt):
     assert main(["export", "--config", cfg, "--format", fmt,
                  "--out", str(out), "--grid", "3,5"]) == 3
     assert "not finite; nothing written" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv4", "obj3"])
+def test_export_frame_overflow_exit3(tmp_path, capsys, fmt):
+    # the hyperbolic circle's RK4 table at b = 1e3 (b h = 1) leaves the
+    # finite floats: the frame itself is not finite, and no file is written
+    cfg = worked_config(tmp_path, curve={"kind": "constant", "b": 1e3})
+    out = tmp_path / f"o.{fmt}"
+    assert main(["export", "--config", cfg, "--format", fmt,
+                 "--out", str(out), "--grid", "3,5"]) == 3
+    assert capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -179,13 +178,11 @@ def test_fd_forms_match_nine_call_stencil_bitwise(monkeypatch, geometry,
     lo, hi = s.profile.domain
     points = [(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)),
                rng.uniform(-1.5, 7.5)) for _ in range(6)]
-    got = [dataclasses.astuple(fundamental_forms_numeric(s, u, v))
-           for u, v in points]
+    got = [tuple(fundamental_forms_numeric(s, u, v)) for u, v in points]
     ref = _forms_test_surface(geometry, kappa_kind, profile_kind)
     monkeypatch.setattr(surfaces, "fd_partials2", lambda grid, u, v, h:
                         _nine_call_partials(ref.position, u, v, h))
-    want = [dataclasses.astuple(fundamental_forms_numeric(ref, u, v))
-            for u, v in points]
+    want = [tuple(fundamental_forms_numeric(ref, u, v)) for u, v in points]
     assert got == want
 
 
